@@ -1,8 +1,8 @@
 """Small exact-integer helpers: primality, factoring, multiplicative orders.
 
-Everything here works on arbitrary-precision Python ints.  Inputs in this
-package are group orders and torsion coefficients, so trial division is
-plenty fast.
+Everything here works on arbitrary-precision Python ints.  Primality and
+factoring use trial division: instant on catalog-sized orders, but seconds
+on 15-digit primes or on products of two large primes.
 """
 
 from __future__ import annotations

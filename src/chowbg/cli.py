@@ -28,44 +28,32 @@ from .tables import ChowTable, DegreeRow, Localization
 JSON_SCHEMA_VERSION = 1
 
 
-def _prime_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"not a prime: {value}")
-    return value
+def _int_arg(minimum: int, prime: bool = False):
+    """argparse type: an integer >= minimum, optionally required to be prime."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if prime and not is_prime(value):
+            raise argparse.ArgumentTypeError(f"not a prime: {value}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
+        return value
 
-def _positive_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {value}")
-    return value
-
-
-def _nonnegative_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {value}")
-    return value
+    return parse
 
 
 def _add_table_flags(sub: argparse.ArgumentParser, with_group: bool = True) -> None:
     if with_group:
         sub.add_argument("group", help="group expression, e.g. 'O(3)' or 'Z/4 x Z/2'")
-    sub.add_argument("--max-degree", type=_nonnegative_arg, default=10)
+    sub.add_argument("--max-degree", type=_int_arg(0), default=10)
     sub.add_argument("--field", default="C", help="C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)")
     loc = sub.add_mutually_exclusive_group()
-    loc.add_argument("--prime", type=_prime_arg, help="localize at this prime")
-    loc.add_argument("--mod", type=_prime_arg, help="report F_p dimensions at this prime")
+    prime = _int_arg(2, prime=True)
+    loc.add_argument("--prime", type=prime, help="localize at this prime")
+    loc.add_argument("--mod", type=prime, help="report F_p dimensions at this prime")
     sub.add_argument("--format", choices=("table", "json"), default="table")
 
 
@@ -84,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     pres.add_argument("--format", choices=("table", "json"), default="table")
 
     gal = sub.add_parser("galois-exponent", help="Galois fixed-subgroup exponent")
-    gal.add_argument("--prime", type=_prime_arg, required=True)
-    gal.add_argument("--degree", type=_positive_arg, required=True)
+    gal.add_argument("--prime", type=_int_arg(2, prime=True), required=True)
+    gal.add_argument("--degree", type=_int_arg(1), required=True)
     gal.add_argument("--format", choices=("table", "json"), default="table")
 
     bnd = sub.add_parser("bound", help="generator degree bound")
@@ -93,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--format", choices=("table", "json"), default="table")
 
     syl = sub.add_parser("sylow", help="table of the p-Sylow subgroup of S_n")
-    syl.add_argument("n", type=_positive_arg)
-    syl.add_argument("--prime", type=_prime_arg, required=True)
-    syl.add_argument("--max-degree", type=_nonnegative_arg, default=10)
+    syl.add_argument("n", type=_int_arg(1))
+    syl.add_argument("--prime", type=_int_arg(2, prime=True), required=True)
+    syl.add_argument("--max-degree", type=_int_arg(0), default=10)
     syl.add_argument("--field", default="C")
     syl.add_argument("--format", choices=("table", "json"), default="table")
     return parser

@@ -21,7 +21,7 @@ from math import gcd
 
 from ._intmath import factorint, is_prime_power, require_prime
 from .errors import GradingError
-from .tables import ChowTable, DegreeRow, sort_torsion
+from .tables import ChowTable, DegreeRow
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def to_table(group: GradedAbelianGroup) -> ChowTable:
     for d in range(g.valid_through + 1):
         here = [s for s in g.summands if s.degree == d]
         free = sum(1 for s in here if s.order == 0)
-        torsion = sort_torsion(s.order for s in here if s.order != 0)
+        torsion = tuple(s.order for s in here if s.order != 0)
         rows.append(DegreeRow(d, free, torsion))
     return ChowTable(rows=tuple(rows), bound=g.valid_through)
 

@@ -173,13 +173,6 @@ def _cyclic_orders(g: GroupExpr) -> tuple[int, ...]:
     raise TypeError(f"not an abelian node: {g!r}")
 
 
-def product_factors(g: GroupExpr) -> list[GroupExpr]:
-    """Flatten a left-folded product into its factor list."""
-    if isinstance(g, Product):
-        return product_factors(g.left) + [g.right]
-    return [g]
-
-
 def format_group(g: GroupExpr) -> str:
     match g:
         case Trivial():

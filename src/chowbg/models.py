@@ -6,9 +6,10 @@ Dispatch strategy:
   symmetric algebra on their character group;
 * a cyclic group of prime order over a field lacking its roots of unity
   gets the degree-filtered table via the cyclotomic-character image;
-* products use the graded tensor rule;
+* products use the Kunneth rule on integral tables, ``tables.tensor_tables``;
 * wreath products wr(p, G) apply the codimension cyclic power to the
-  table of G (fields must contain the p-th roots of unity);
+  table of G (fields must contain the p-th roots of unity); this is the
+  only step that goes through the labelled ``graded`` API;
 * the classical groups expand their catalog presentations;
 * symmetric groups are assembled from their p-local parts, which are
   supported exactly when the p-Sylow subgroup is trivial or of order p.
@@ -19,9 +20,9 @@ returning a guess.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from ._intmath import is_prime, require_prime
+from ._intmath import factorint, is_prime, require_prime
 from . import graded
 from .cyclic import cyclic_power_codim
 from .errors import UnsupportedError
@@ -35,7 +36,6 @@ from .fields import (
     invariance_rule_status,
     require_char_ne,
 )
-from .graded import CODIM, CyclicSummand, Generator, GradedAbelianGroup
 from .groups import (
     G2,
     GL,
@@ -62,19 +62,15 @@ from .tables import (
     ChowTable,
     DegreeRow,
     Localization,
+    tensor_tables,
 )
 
 
-def _point_group(bound: int) -> GradedAbelianGroup:
-    return GradedAbelianGroup(CODIM, (CyclicSummand(0, 0, Generator("1")),), bound)
-
-
-def _cyclic_model_group(order: int, bound: int, tag: str = "x") -> GradedAbelianGroup:
-    """Symmetric algebra on one character of order m: Z[x]/(m x)."""
-    summands = [CyclicSummand(0, 0, Generator("1"))]
-    for d in range(1, bound + 1):
-        summands.append(CyclicSummand(order, d, Generator(f"{tag}^{d}")))
-    return graded.normalize(GradedAbelianGroup(CODIM, tuple(summands), bound))
+def _cyclic_table(m: int, bound: int) -> ChowTable:
+    """Symmetric algebra on one character of order m: Z[x]/(m x); m = 1 is the point."""
+    torsion = tuple(p**e for p, e in factorint(m))
+    rows = [DegreeRow(0, 1, ())] + [DegreeRow(d, 0, torsion) for d in range(1, bound + 1)]
+    return ChowTable(rows=tuple(rows), bound=bound)
 
 
 def _merge_provenance(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -113,30 +109,26 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Integral additive table of CH^*(BG) over k through the given degree."""
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    group, provenance = _model(g, k, bound)
-    table = graded.to_table(group)
-    return table.with_metadata(group=g, field=k, provenance=provenance)
+    return _model(g, k, bound).with_metadata(group=g, field=k)
 
 
-def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[GradedAbelianGroup, tuple[str, ...]]:
+def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     match g:
         case Trivial():
-            return _point_group(bound), (EXACT,)
+            return _cyclic_table(1, bound)
         case Gm() | GL() | O() | SO() | Sp() | G2():
             return _classical_model(g, k, bound)
         case CyclicZ() | FiniteAbelian():
             return _abelian_model(g, k, bound)
         case Symmetric(n):
-            table = chow_integral_symmetric(n, bound, field=k)
-            return graded.from_table(table), table.provenance
+            return chow_integral_symmetric(n, bound, field=k)
         case Wreath(p, inner):
-            inner_table = chow_model(inner, k, bound)
-            table = chow_wreath(p, inner_table)
-            return graded.from_table(table), table.provenance
+            return chow_wreath(p, chow_model(inner, k, bound))
         case Product(left, right):
-            lg, lp = _model(left, k, bound)
-            rg, rp = _model(right, k, bound)
-            return graded.tensor(lg, rg), _merge_provenance(lp, rp)
+            a, b = _model(left, k, bound), _model(right, k, bound)
+            return tensor_tables(a, b).with_metadata(
+                provenance=_merge_provenance(a.provenance, b.provenance)
+            )
     raise TypeError(f"not a group expression: {g!r}")
 
 
@@ -150,8 +142,7 @@ def _classical_model(g, k, bound):
             "only generators of CH^*(BG2) are known (c1..c7); no additive table "
             "can be certified, but the presentation command lists the generators"
         )
-    table = additive_table_from_presentation(catalog_presentation(g), bound)
-    return graded.from_table(table), (EXACT,)
+    return additive_table_from_presentation(catalog_presentation(g), bound)
 
 
 def _abelian_model(g, k, bound):
@@ -162,20 +153,16 @@ def _abelian_model(g, k, bound):
                 f"B(Z/{m}) has no tame model in characteristic {k.characteristic}"
             )
     if all(contains_mu(k, m) for m in factors):
-        group = _point_group(bound)
-        for i, m in enumerate(factors):
-            group = graded.tensor(group, _cyclic_model_group(m, bound, tag=f"x{i}"))
-        return group, (EXACT,)
+        return reduce(tensor_tables, (_cyclic_table(m, bound) for m in factors))
     # general-field path: only a single prime-order cyclic group is established
     if len(factors) == 1 and is_prime(factors[0]):
         p = factors[0]
-        t = cyclotomic_order(k, p)
-        full = graded.to_table(_cyclic_model_group(p, bound)).with_metadata(group=CyclicZ(p))
-        filtered = apply_cyclotomic_invariants(full, t)
+        full = _cyclic_table(p, bound).with_metadata(group=CyclicZ(p))
+        filtered = apply_cyclotomic_invariants(full, cyclotomic_order(k, p))
         flags: tuple[str, ...] = (EXACT,)
         if invariance_rule_status(k, p) == FIELD_RULE_EXTRAPOLATED:
             flags += (EXTRAPOLATED_FIELD,)
-        return graded.from_table(filtered), flags
+        return filtered.with_metadata(provenance=flags)
     raise UnsupportedError(
         f"{k.name or 'the base field'} lacks the roots of unity needed for "
         f"{format_group(g)}; only a single Z/p is established over such fields"

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import UnsupportedError
 from .groups import G2, GL, SO, O, Gm, GroupExpr, Sp, format_group
-from .tables import EXACT, ChowTable, DegreeRow, sort_torsion
+from .tables import EXACT, ChowTable, DegreeRow
 
 EXACT_PRESENTATION = "exact"
 GENERATORS_ONLY = "generators-only"
@@ -110,5 +110,5 @@ def additive_table_from_presentation(pres: RingPresentation, bound: int) -> Chow
         for (deg, key), count in state.items():
             if deg == d and key >= 2:
                 torsion.extend([key] * count)
-        rows.append(DegreeRow(d, free, sort_torsion(torsion)))
+        rows.append(DegreeRow(d, free, tuple(torsion)))
     return ChowTable(rows=tuple(rows), bound=bound, group=pres.group, provenance=(EXACT,))

@@ -5,11 +5,14 @@ multiset of torsion orders (prime powers).  Torsion is kept in a fixed
 order, sorted by (prime, exponent), so tables compare and render
 deterministically.  Tables optionally carry the group, base field,
 localization and provenance of the computation that produced them.
+``tensor_tables`` is the Kunneth product of two integral tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import TYPE_CHECKING
 
 from ._intmath import prime_power_decompose
@@ -49,10 +52,6 @@ def torsion_sort_key(order: int) -> tuple[int, int]:
     return pe
 
 
-def sort_torsion(orders) -> tuple[int, ...]:
-    return tuple(sorted(orders, key=torsion_sort_key))
-
-
 @dataclass(frozen=True)
 class DegreeRow:
     degree: int
@@ -62,7 +61,7 @@ class DegreeRow:
     def __post_init__(self):
         if self.degree < 0 or self.free_rank < 0:
             raise ValueError("degree and free rank must be nonnegative")
-        object.__setattr__(self, "torsion", sort_torsion(self.torsion))
+        object.__setattr__(self, "torsion", tuple(sorted(self.torsion, key=torsion_sort_key)))
 
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -91,14 +90,37 @@ class ChowTable:
         return replace(self, **kw)
 
 
-def empty_rows(bound: int) -> list[DegreeRow]:
-    return [DegreeRow(d, 0, ()) for d in range(bound + 1)]
+def _row_counts(row: DegreeRow) -> Counter:
+    """{order: multiplicity} of one row, with order 0 counting the free rank."""
+    counts = Counter(row.torsion)
+    if row.free_rank:
+        counts[0] = row.free_rank
+    return counts
 
 
-def table_from_degree_data(data: dict[int, tuple[int, tuple[int, ...]]], bound: int, **meta) -> ChowTable:
-    """Build a table from {degree: (free_rank, torsion_orders)}; gaps are zero rows."""
+def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
+    """Graded tensor product over Z of two integral tables, through the
+    smaller bound.
+
+    ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
+    pairs contribute nothing.  There is no Tor correction: this models the
+    Chow Kunneth rule, which is an isomorphism for the spaces treated here.
+    Rows are combined as (order -> multiplicity) counts, so the work grows
+    with the distinct orders per row, not with the number of summands.
+    """
+    bound = min(a.bound, b.bound)
+    left = [_row_counts(r) for r in a.rows[: bound + 1]]
+    right = [_row_counts(r) for r in b.rows[: bound + 1]]
+    out = [Counter() for _ in range(bound + 1)]
+    for i, x in enumerate(left):
+        for j, y in enumerate(right[: bound + 1 - i]):
+            acc = out[i + j]
+            for p, m in x.items():
+                for q, n in y.items():
+                    acc[gcd(p, q)] += m * n
     rows = []
-    for d in range(bound + 1):
-        rank, tors = data.get(d, (0, ()))
-        rows.append(DegreeRow(d, rank, tuple(tors)))
-    return ChowTable(rows=tuple(rows), bound=bound, **meta)
+    for d, counts in enumerate(out):
+        del counts[1]
+        free = counts.pop(0, 0)
+        rows.append(DegreeRow(d, free, tuple(counts.elements())))
+    return ChowTable(rows=tuple(rows), bound=bound)

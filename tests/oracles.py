@@ -11,6 +11,9 @@ from __future__ import annotations
 from itertools import product as cartesian
 from math import gcd
 
+from chowbg.graded import from_table, tensor, to_table
+from chowbg.groups import CyclicZ, FiniteAbelian, Product
+
 
 def monomial_table(generators, relations, bound):
     """Brute-force monomial enumeration of a coefficient-relation presentation.
@@ -90,3 +93,23 @@ def cyclic_square_of_plane():
     """
     cone = {2: [0], 1: [2], 0: []}
     return {dim + 2: orders for dim, orders in cone.items()}
+
+
+def kunneth_factors(g):
+    """Factors whose tables the Kunneth rule multiplies: the terms of a
+    product, with finite abelian groups split into their cyclic factors."""
+    match g:
+        case Product(left, right):
+            return kunneth_factors(left) + kunneth_factors(right)
+        case FiniteAbelian(factors):
+            return [CyclicZ(m) for m in factors]
+    return [g]
+
+
+def labelled_kunneth_table(factor_tables):
+    """Kunneth product of integral tables through the labelled reference
+    API: graded.tensor folded over from_table of each table, then to_table."""
+    group = from_table(factor_tables[0])
+    for table in factor_tables[1:]:
+        group = tensor(group, from_table(table))
+    return to_table(group)

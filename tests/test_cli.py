@@ -169,6 +169,21 @@ class TestOtherVerbs:
         code, _, _ = invoke(["galois-exponent", "--prime", "4", "--degree", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["describe", "O(3)", "--max-degree", "-1"], "argument --max-degree: must be >= 0: -1"),
+            (["galois-exponent", "--prime", "5", "--degree", "0"], "argument --degree: must be >= 1: 0"),
+            (["sylow", "0", "--prime", "2"], "argument n: must be >= 1: 0"),
+            (["galois-exponent", "--prime", "4", "--degree", "4"], "argument --prime: not a prime: 4"),
+            (["galois-exponent", "--prime", "x", "--degree", "4"], "argument --prime: not an integer: 'x'"),
+        ],
+    )
+    def test_bad_integer_argument_exit_2(self, argv, message, capsys):
+        code, out, _ = invoke(argv)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
     def test_symmetric_integral_unsupported(self):
         code, _, err = invoke(["describe", "S_4"])
         assert code == 3

@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
 from chowbg.groups import (
     CyclicZ,
+    FiniteAbelian,
+    Product,
     Symmetric,
     Wreath,
     abelian_invariant_factors,
@@ -22,6 +25,7 @@ from chowbg.models import (
     mod_p_table,
 )
 from chowbg.tables import EXACT, UPPER_BOUND
+from oracles import kunneth_factors, labelled_kunneth_table
 from strategies import group_exprs
 
 C = parse_field("C")
@@ -110,6 +114,16 @@ class TestDispatch:
             return
         assert row_orders(t.rows[0]) == (1, ())
         assert all(is_prime_power(pe) for r in t.rows for pe in r.torsion)
+
+    @settings(max_examples=60, deadline=None)
+    @given(group_exprs(), st.integers(min_value=0, max_value=5))
+    def test_kunneth_matches_labelled_reference(self, g, bound):
+        assume(isinstance(g, (Product, FiniteAbelian)))
+        try:
+            factors = [chow_model(h, C, bound) for h in kunneth_factors(g)]
+        except UnsupportedError:
+            return
+        assert chow_model(g, C, bound).rows == labelled_kunneth_table(factors).rows
 
     def test_cache_consistent_across_threads(self):
         from concurrent.futures import ThreadPoolExecutor
