@@ -20,10 +20,16 @@ is vacuous in the limit.  The codimension alpha rule is the one
 transcription step with no finite-ambient counterpart; it is validated by
 the requirement that the trivial group reproduce the Z[x]/(px) table
 (see the wreath base-case tests).
+
+``cyclic_power_codim`` and ``cyclic_power_dim`` list the labelled summands
+one rotation orbit at a time; they are the reference.  The compute path is
+``cyclic_power_table``, which gives the same codimension rows by counting
+orbits of (degree, order) classes with Burnside's lemma.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from ._intmath import require_prime
@@ -39,6 +45,7 @@ from .graded import (
     is_normalized,
     normalize,
 )
+from .tables import ChowTable, _row_counts, _table_from_counts
 
 
 def rotation_orbit_summary(n: int, p: int, excluded_diagonals: int) -> int:
@@ -157,3 +164,59 @@ def cyclic_power_dim(group: GradedAbelianGroup, p: int) -> GradedAbelianGroup:
             raw.append(CyclicSummand(p, j, Alpha(s.label, j)))
     out = [s for s in raw if lo <= s.degree <= p * d]
     return normalize(GradedAbelianGroup(Dim(p * d), tuple(out), out_bound))
+
+
+def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
+    """Cyclic power in codimension grading on per-row (order -> multiplicity)
+    counts: the rows of ``to_table(cyclic_power_codim(from_table(table), p))``.
+
+    A class is a (degree e, order q) pair with multiplicity m, q = 0 free.
+    Ordered p-tuples of summands are counted by a p-fold convolution over
+    (degree sum, gcd).  For p prime every non-constant tuple lies in a free
+    rotation orbit, so its orbits number (tuples - constant tuples) / p;
+    a constant tuple is its own orbit and is kept unless its class is in
+    S, where gamma and alpha replace it.  A gcd of prime powers is a prime
+    power, 0 or 1, so no CRT split is needed.
+    """
+    require_prime(p)
+    bound = table.bound
+    # rows come in degree order, so the classes are sorted by degree
+    classes = [(row.degree, q, m) for row in table.rows for q, m in _row_counts(row).items()]
+
+    tuples = [Counter() for _ in range(bound + 1)]
+    tuples[0][0] = 1  # the empty tuple; gcd(0, x) = x
+    for _ in range(p):
+        longer = [Counter() for _ in range(bound + 1)]
+        for d, here in enumerate(tuples):
+            for e, q, m in classes:
+                if d + e > bound:
+                    break
+                acc = longer[d + e]
+                for g, n in here.items():
+                    h = gcd(g, q)
+                    if h != 1:  # gcd 1 is absorbing and contributes nothing
+                        acc[h] += n * m
+        tuples = longer
+
+    for e, q, m in classes:
+        if p * e <= bound:
+            tuples[p * e][q] -= m
+    out = [Counter() for _ in range(bound + 1)]
+    for d, here in enumerate(tuples):
+        for g, n in here.items():
+            orbits, rest = divmod(n, p)
+            if rest:
+                raise ArithmeticError(
+                    f"{n} non-constant {p}-tuples in degree {d} with gcd {g} "
+                    f"do not form free rotation orbits"
+                )
+            out[d][g] = orbits
+    for e, q, m in classes:
+        if q == 0 or q % p == 0:
+            if p * e <= bound:
+                out[p * e][p * q] += m  # gamma
+            for t in range(p * e + 1, bound + 1):
+                out[t][p] += m  # alpha
+        elif p * e <= bound:
+            out[p * e][q] += m  # constant tuples outside S
+    return _table_from_counts(out)

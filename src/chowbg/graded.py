@@ -247,14 +247,17 @@ def to_table(group: GradedAbelianGroup) -> ChowTable:
         raise GradingError(
             "to_table requires codimension grading; convert with convert_to_codim first"
         )
-    g = normalize(group)
-    rows = []
-    for d in range(g.valid_through + 1):
-        here = [s for s in g.summands if s.degree == d]
-        free = sum(1 for s in here if s.order == 0)
-        torsion = tuple(s.order for s in here if s.order != 0)
-        rows.append(DegreeRow(d, free, torsion))
-    return ChowTable(rows=tuple(rows), bound=g.valid_through)
+    # one pass: CRT-split each order into its degree; DegreeRow sorts torsion
+    bound = group.valid_through
+    free = [0] * (bound + 1)
+    torsion: list[list[int]] = [[] for _ in range(bound + 1)]
+    for s in group.summands:
+        if s.order == 0:
+            free[s.degree] += 1
+        elif s.order != 1:
+            torsion[s.degree].extend(p**e for p, e in factorint(s.order))
+    rows = tuple(DegreeRow(d, free[d], tuple(torsion[d])) for d in range(bound + 1))
+    return ChowTable(rows=rows, bound=bound)
 
 
 def from_table(table: ChowTable) -> GradedAbelianGroup:

@@ -7,9 +7,9 @@ Dispatch strategy:
 * a cyclic group of prime order over a field lacking its roots of unity
   gets the degree-filtered table via the cyclotomic-character image;
 * products use the Kunneth rule on integral tables, ``tables.tensor_tables``;
-* wreath products wr(p, G) apply the codimension cyclic power to the
-  table of G (fields must contain the p-th roots of unity); this is the
-  only step that goes through the labelled ``graded`` API;
+* wreath products wr(p, G) apply the codimension cyclic power,
+  ``cyclic.cyclic_power_table``, to the table of G (fields must contain
+  the p-th roots of unity);
 * the classical groups expand their catalog presentations;
 * symmetric groups are assembled from their p-local parts, which are
   supported exactly when the p-Sylow subgroup is trivial or of order p.
@@ -23,8 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from ._intmath import factorint, is_prime, require_prime
-from . import graded
-from .cyclic import cyclic_power_codim
+from .cyclic import cyclic_power_table
 from .errors import UnsupportedError
 from .fields import (
     COMPLEX,
@@ -184,9 +183,8 @@ def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
             raise UnsupportedError(
                 f"wreath tables need the {p}-th roots of unity in the base field"
             )
-    out = cyclic_power_codim(graded.from_table(inner), p)
     group = Wreath(p, inner.group) if inner.group is not None else None
-    return graded.to_table(out).with_metadata(
+    return cyclic_power_table(inner, p).with_metadata(
         group=group, field=inner.field, provenance=inner.provenance
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -61,7 +62,11 @@ class DegreeRow:
     def __post_init__(self):
         if self.degree < 0 or self.free_rank < 0:
             raise ValueError("degree and free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(sorted(self.torsion, key=torsion_sort_key)))
+        # sort the distinct orders only: rows can hold many copies of few orders
+        counts = Counter(self.torsion)
+        ordered = sorted(counts, key=torsion_sort_key)
+        torsion = tuple(chain.from_iterable(repeat(q, counts[q]) for q in ordered))
+        object.__setattr__(self, "torsion", torsion)
 
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -118,9 +123,15 @@ def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
             for p, m in x.items():
                 for q, n in y.items():
                     acc[gcd(p, q)] += m * n
+    return _table_from_counts(out)
+
+
+def _table_from_counts(out: list[Counter]) -> ChowTable:
+    """Table whose degree-d row has the {order: multiplicity} counts ``out[d]``;
+    order 0 is the free rank and order 1 is dropped."""
     rows = []
     for d, counts in enumerate(out):
         del counts[1]
         free = counts.pop(0, 0)
         rows.append(DegreeRow(d, free, tuple(counts.elements())))
-    return ChowTable(rows=tuple(rows), bound=bound)
+    return ChowTable(rows=tuple(rows), bound=len(out) - 1)

@@ -2,8 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowbg.cyclic import cyclic_power_codim, cyclic_power_dim, rotation_orbit_summary
+from chowbg.cyclic import (
+    cyclic_power_codim,
+    cyclic_power_dim,
+    cyclic_power_table,
+    rotation_orbit_summary,
+)
 from chowbg.errors import GradingError
+from chowbg.fields import COMPLEX
 from chowbg.graded import (
     CODIM,
     Alpha,
@@ -15,8 +21,12 @@ from chowbg.graded import (
     Tensor,
     degree_orders,
     normalize,
+    to_table,
 )
+from chowbg.groups import CyclicZ, Wreath
+from chowbg.models import chow_model
 from oracles import cyclic_square_of_plane, rotation_orbits
+from strategies import graded_groups
 
 
 def dim_group(*summands, ambient, bound=None):
@@ -128,6 +138,27 @@ class TestCodimMode:
         # (a, a) stays a tensor summand of order 3; no gamma, no alpha
         assert degree_orders(out) == {2: (3,)}
         assert isinstance(out.summands[0].label, Tensor)
+
+
+class TestCountedTable:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @given(data=st.data())
+    def test_matches_labelled_reference(self, p, data):
+        # the reference lists up to n**p index tuples; for p = 7 keep n <= 4
+        # by drawing no composite order, which normalize would split in two
+        if p == 7:
+            groups = graded_groups(max_summands=4, orders=(0, 2, 3, 4, 5, 8, 9))
+        else:
+            groups = graded_groups()
+        g = data.draw(groups)
+        assert cyclic_power_table(to_table(g), p).rows == to_table(cyclic_power_codim(g, p)).rows
+
+    def test_height_three_tower_at_14(self):
+        # counts of the labelled reference path on wr(2, wr(2, wr(2, Z/2))) @ 14
+        tower = chow_model(Wreath(2, Wreath(2, Wreath(2, CyclicZ(2)))), COMPLEX, 14)
+        assert sum(r.free_rank + len(r.torsion) for r in tower.rows) == 59_696
+        assert tower.row(14).free_rank == 0
+        assert len(tower.row(14).torsion) == 20_856
 
 
 class TestDimWindow:

@@ -12,6 +12,7 @@ from chowbg.groups import (
     Wreath,
     abelian_invariant_factors,
     parse_group_expr,
+    sylow_profile,
 )
 from chowbg.models import (
     chow_integral_symmetric,
@@ -312,6 +313,15 @@ class TestCharacterCheck:
             sorted(abelian_invariant_factors_elementary(g))
         )
         assert t.rows[1].free_rank == 0
+
+    @pytest.mark.parametrize("p, top", [(2, 64), (3, 27)])
+    def test_sylow_towers_up_to_height_six(self, p, top):
+        # CH^1 is the character group, whatever the cyclic power does above it
+        for n in range(1, top + 1):
+            g = sylow_profile(n, p).group()
+            row = chow_model(g, C, 2).rows[1]
+            assert row.free_rank == 0
+            assert sorted(row.torsion) == sorted(abelian_invariant_factors_elementary(g))
 
 
 def abelian_invariant_factors_elementary(g):
