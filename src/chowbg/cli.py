@@ -99,13 +99,7 @@ def render_row_value(row: DegreeRow) -> str:
         parts.append("Z")
     elif row.free_rank > 1:
         parts.append(f"Z^{row.free_rank}")
-    seen: list[tuple[int, int]] = []  # (order, multiplicity), canonical order
-    for order in row.torsion:
-        if seen and seen[-1][0] == order:
-            seen[-1] = (order, seen[-1][1] + 1)
-        else:
-            seen.append((order, 1))
-    for order, mult in seen:
+    for order, mult in row.counts:
         parts.append(f"Z/{order}" if mult == 1 else f"(Z/{order})^{mult}")
     return " ⊕ ".join(parts) if parts else "0"
 
@@ -130,15 +124,13 @@ def render_table(table: ChowTable, out) -> None:
         out.write(f"  {row.degree:>{width}}: {render_row_value(row)}\n")
 
 
-def _torsion_json(torsion: tuple[int, ...]) -> list[dict]:
-    grouped: list[dict] = []
-    for order in torsion:
+def _torsion_json(counts: tuple[tuple[int, int], ...]) -> list[dict]:
+    """One object per distinct order of a row's canonical (order, multiplicity) pairs."""
+    out = []
+    for order, mult in counts:
         p, e = prime_power_decompose(order)
-        if grouped and grouped[-1]["prime"] == p and grouped[-1]["exponent"] == e:
-            grouped[-1]["multiplicity"] += 1
-        else:
-            grouped.append({"prime": p, "exponent": e, "multiplicity": 1})
-    return grouped
+        out.append({"prime": p, "exponent": e, "multiplicity": mult})
+    return out
 
 
 def _localization_json(loc: Localization) -> dict:
@@ -163,7 +155,7 @@ def table_to_json_obj(table: ChowTable) -> dict:
             {
                 "degree": row.degree,
                 "free_rank": row.free_rank,
-                "torsion": _torsion_json(row.torsion),
+                "torsion": _torsion_json(row.counts),
             }
             for row in table.rows
         ],
@@ -177,10 +169,11 @@ def table_from_json_obj(obj: dict) -> ChowTable:
         raise ValueError(f"unsupported schema version {obj.get('schema')!r}")
     rows = []
     for entry in obj["degrees"]:
-        torsion = []
+        counts: dict[int, int] = {}
         for t in entry["torsion"]:
-            torsion.extend([t["prime"] ** t["exponent"]] * t["multiplicity"])
-        rows.append(DegreeRow(entry["degree"], entry["free_rank"], tuple(torsion)))
+            order = t["prime"] ** t["exponent"]
+            counts[order] = counts.get(order, 0) + t["multiplicity"]
+        rows.append(DegreeRow.from_counts(entry["degree"], entry["free_rank"], counts))
     loc = obj["localization"]
     return ChowTable(
         rows=tuple(rows),

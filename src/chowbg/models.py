@@ -67,8 +67,9 @@ from .tables import (
 
 def _cyclic_table(m: int, bound: int) -> ChowTable:
     """Symmetric algebra on one character of order m: Z[x]/(m x); m = 1 is the point."""
-    torsion = tuple(p**e for p, e in factorint(m))
-    rows = [DegreeRow(0, 1, ())] + [DegreeRow(d, 0, torsion) for d in range(1, bound + 1)]
+    counts = {p**e: 1 for p, e in factorint(m)}
+    rows = [DegreeRow(0, 1, ())]
+    rows += [DegreeRow.from_counts(d, 0, counts) for d in range(1, bound + 1)]
     return ChowTable(rows=tuple(rows), bound=bound)
 
 
@@ -84,17 +85,18 @@ def localize_table(table: ChowTable, p: int) -> ChowTable:
     """Keep the free part and the p-power torsion of every row."""
     require_prime(p)
     rows = tuple(
-        DegreeRow(r.degree, r.free_rank, tuple(t for t in r.torsion if t % p == 0))
+        DegreeRow.from_counts(r.degree, r.free_rank, {q: m for q, m in r.counts if q % p == 0})
         for r in table.rows
     )
     return table.with_metadata(rows=rows, localization=Localization("at_prime", p))
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
-    """F_p-dimension of each row, reported in the free-rank column."""
+    """F_p-dimension of each row, reported in the free-rank column: the free
+    rank plus the number of p-power torsion summands."""
     local = localize_table(table, p)
     rows = tuple(
-        DegreeRow(r.degree, r.free_rank + len(r.torsion), ()) for r in local.rows
+        DegreeRow(r.degree, r.free_rank + sum(m for _, m in r.counts), ()) for r in local.rows
     )
     return local.with_metadata(rows=rows, localization=Localization("mod_p", p))
 
@@ -207,14 +209,12 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
             f"the {p}-Sylow subgroup of S_{n} is not cyclic; the stable-element "
             "computation beyond prime-order Sylow subgroups is not available"
         )
-    data: dict[int, tuple[int, tuple[int, ...]]] = {0: (1, ())}
-    if n >= p:
-        for d in range(1, bound + 1):
-            if d % (p - 1) == 0:
-                data[d] = (0, (p,))
-    rows = tuple(DegreeRow(d, *data.get(d, (0, ()))) for d in range(bound + 1))
+    rows = [DegreeRow(0, 1, ())]
+    for d in range(1, bound + 1):
+        stable = n >= p and d % (p - 1) == 0
+        rows.append(DegreeRow.from_counts(d, 0, {p: 1} if stable else {}))
     return ChowTable(
-        rows=rows,
+        rows=tuple(rows),
         bound=bound,
         group=Symmetric(n),
         field=k,
@@ -254,17 +254,16 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
             f"the integral table of S_{n} mixes all primes <= {n}, so the "
             f"characteristic must be 0 or larger than {n}"
         )
-    torsion: dict[int, list[int]] = {}
+    torsion = [{} for _ in range(bound + 1)]
     for p in (2, 3):
         if p > n:
             continue
         local = chow_symmetric_local(n, p, field, bound)
-        for row in local.rows:
-            if row.degree > 0 and row.torsion:
-                torsion.setdefault(row.degree, []).extend(row.torsion)
-    rows = tuple(
-        DegreeRow(d, 1 if d == 0 else 0, tuple(torsion.get(d, ())))
-        for d in range(bound + 1)
+        for row in local.rows[1:]:
+            for q, m in row.counts:
+                torsion[row.degree][q] = torsion[row.degree].get(q, 0) + m
+    rows = (DegreeRow(0, 1, ()),) + tuple(
+        DegreeRow.from_counts(d, 0, torsion[d]) for d in range(1, bound + 1)
     )
     return ChowTable(
         rows=rows,

@@ -103,12 +103,12 @@ def additive_table_from_presentation(pres: RingPresentation, bound: int) -> Chow
                 new[slot] = new.get(slot, 0) + count
                 e += 1
         state = new
-    rows = []
-    for d in range(bound + 1):
-        free = state.get((d, 0), 0)
-        torsion: list[int] = []
-        for (deg, key), count in state.items():
-            if deg == d and key >= 2:
-                torsion.extend([key] * count)
-        rows.append(DegreeRow(d, free, tuple(torsion)))
-    return ChowTable(rows=tuple(rows), bound=bound, group=pres.group, provenance=(EXACT,))
+    free = [0] * (bound + 1)
+    torsion: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for (deg, key), count in state.items():
+        if key == 0:
+            free[deg] = count
+        elif key >= 2:
+            torsion[deg][key] = count
+    rows = tuple(DegreeRow.from_counts(d, free[d], torsion[d]) for d in range(bound + 1))
+    return ChowTable(rows=rows, bound=bound, group=pres.group, provenance=(EXACT,))

@@ -1,17 +1,22 @@
 """Per-degree additive output tables.
 
 A ``ChowTable`` records, for each degree 0..bound, the free rank and the
-multiset of torsion orders (prime powers).  Torsion is kept in a fixed
-order, sorted by (prime, exponent), so tables compare and render
-deterministically.  Tables optionally carry the group, base field,
-localization and provenance of the computation that produced them.
+torsion of that degree.  A ``DegreeRow`` holds its torsion as canonical
+``(order, multiplicity)`` pairs, ``row.counts``: one pair per distinct
+prime-power order, sorted by (prime, exponent), so tables compare and
+render deterministically and cost grows with the distinct orders, not with
+the number of cyclic summands.  ``row.torsion`` is the expanded view, one
+entry per summand, built on demand.  Tables optionally carry the group,
+base field, localization and provenance of the computation that produced
+them.
 ``tensor_tables`` is the Kunneth product of two integral tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
 from typing import TYPE_CHECKING
@@ -46,6 +51,7 @@ UPPER_BOUND = "upper-bound"
 EXTRAPOLATED_FIELD = "extrapolated-field"
 
 
+@lru_cache(maxsize=4096)
 def torsion_sort_key(order: int) -> tuple[int, int]:
     pe = prime_power_decompose(order)
     if pe is None:
@@ -53,23 +59,74 @@ def torsion_sort_key(order: int) -> tuple[int, int]:
     return pe
 
 
-@dataclass(frozen=True)
 class DegreeRow:
-    degree: int
-    free_rank: int
-    torsion: tuple[int, ...]  # prime powers, sorted by (prime, exponent)
+    """One degree of a table: free rank and torsion (order, multiplicity) pairs.
 
-    def __post_init__(self):
-        if self.degree < 0 or self.free_rank < 0:
+    ``DegreeRow(degree, free_rank, torsion)`` takes the torsion as one order
+    per summand; ``DegreeRow.from_counts`` takes an {order: multiplicity}
+    mapping and drops zero multiplicities.  Both give the same canonical,
+    immutable row.
+    """
+
+    __slots__ = ("degree", "free_rank", "counts")
+
+    def __init__(self, degree: int, free_rank: int, torsion):
+        self._set(degree, free_rank, Counter(torsion))
+
+    @classmethod
+    def from_counts(cls, degree: int, free_rank: int, counts) -> "DegreeRow":
+        row = cls.__new__(cls)
+        row._set(degree, free_rank, counts)
+        return row
+
+    def _set(self, degree, free_rank, counts) -> None:
+        if degree < 0 or free_rank < 0:
             raise ValueError("degree and free rank must be nonnegative")
-        # sort the distinct orders only: rows can hold many copies of few orders
-        counts = Counter(self.torsion)
-        ordered = sorted(counts, key=torsion_sort_key)
-        torsion = tuple(chain.from_iterable(repeat(q, counts[q]) for q in ordered))
-        object.__setattr__(self, "torsion", torsion)
+        pairs = []
+        for q in sorted(counts, key=torsion_sort_key):
+            m = counts[q]
+            if m < 0:
+                raise ValueError(f"torsion multiplicity must be nonnegative, got {m}")
+            if m:
+                pairs.append((q, m))
+        setattr_ = object.__setattr__
+        setattr_(self, "degree", degree)
+        setattr_(self, "free_rank", free_rank)
+        setattr_(self, "counts", tuple(pairs))
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """One prime-power order per summand, sorted by (prime, exponent)."""
+        return tuple(chain.from_iterable(repeat(q, m) for q, m in self.counts))
 
     def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
+        return self.free_rank == 0 and not self.counts
+
+    def _key(self):
+        return (self.degree, self.free_rank, self.counts)
+
+    def __eq__(self, other):
+        if other.__class__ is not DegreeRow:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"DegreeRow(degree={self.degree!r}, free_rank={self.free_rank!r}, "
+            f"torsion={self.torsion!r})"
+        )
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
 
 
 @dataclass(frozen=True)
@@ -95,9 +152,9 @@ class ChowTable:
         return replace(self, **kw)
 
 
-def _row_counts(row: DegreeRow) -> Counter:
+def _row_counts(row: DegreeRow) -> dict[int, int]:
     """{order: multiplicity} of one row, with order 0 counting the free rank."""
-    counts = Counter(row.torsion)
+    counts = dict(row.counts)
     if row.free_rank:
         counts[0] = row.free_rank
     return counts
@@ -133,5 +190,5 @@ def _table_from_counts(out: list[Counter]) -> ChowTable:
     for d, counts in enumerate(out):
         del counts[1]
         free = counts.pop(0, 0)
-        rows.append(DegreeRow(d, free, tuple(counts.elements())))
+        rows.append(DegreeRow.from_counts(d, free, counts))
     return ChowTable(rows=tuple(rows), bound=len(out) - 1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import product as cartesian
 from math import gcd
 
+from chowbg._intmath import prime_power_decompose
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import CyclicZ, FiniteAbelian, Product
 
@@ -113,3 +114,35 @@ def labelled_kunneth_table(factor_tables):
     for table in factor_tables[1:]:
         group = tensor(group, from_table(table))
     return to_table(group)
+
+
+def run_length_row_value(row):
+    """Text of a row by run-length counting its expanded torsion tuple, one
+    summand at a time: the rendering from before rows held counts."""
+    parts = []
+    if row.free_rank == 1:
+        parts.append("Z")
+    elif row.free_rank > 1:
+        parts.append(f"Z^{row.free_rank}")
+    seen = []  # (order, multiplicity), canonical order
+    for order in row.torsion:
+        if seen and seen[-1][0] == order:
+            seen[-1] = (order, seen[-1][1] + 1)
+        else:
+            seen.append((order, 1))
+    for order, mult in seen:
+        parts.append(f"Z/{order}" if mult == 1 else f"(Z/{order})^{mult}")
+    return " ⊕ ".join(parts) if parts else "0"
+
+
+def run_length_torsion_json(torsion):
+    """JSON torsion list of an expanded torsion tuple, run-length counted one
+    summand at a time: the encoding from before rows held counts."""
+    grouped = []
+    for order in torsion:
+        p, e = prime_power_decompose(order)
+        if grouped and grouped[-1]["prime"] == p and grouped[-1]["exponent"] == e:
+            grouped[-1]["multiplicity"] += 1
+        else:
+            grouped.append({"prime": p, "exponent": e, "multiplicity": 1})
+    return grouped

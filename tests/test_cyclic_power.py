@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowbg._intmath import factorint
 from chowbg.cyclic import (
     cyclic_power_codim,
     cyclic_power_dim,
@@ -23,8 +24,9 @@ from chowbg.graded import (
     normalize,
     to_table,
 )
-from chowbg.groups import CyclicZ, Wreath
+from chowbg.groups import CyclicZ, O, Wreath, abelian_invariant_factors
 from chowbg.models import chow_model
+from chowbg.tables import DegreeRow
 from oracles import cyclic_square_of_plane, rotation_orbits
 from strategies import graded_groups
 
@@ -159,6 +161,30 @@ class TestCountedTable:
         assert sum(r.free_rank + len(r.torsion) for r in tower.rows) == 59_696
         assert tower.row(14).free_rank == 0
         assert len(tower.row(14).torsion) == 20_856
+
+
+def summand_count(table):
+    # from the (order, multiplicity) pairs: expanding them is what these tests guard against
+    return sum(r.free_rank + sum(m for _, m in r.counts) for r in table.rows)
+
+
+TOWER5 = Wreath(2, Wreath(2, Wreath(2, Wreath(2, Wreath(2, CyclicZ(2))))))
+
+
+class TestScale:
+    def test_o12_at_70(self):
+        assert summand_count(chow_model(O(12), COMPLEX, 70)) == 9_480_443
+
+    def test_height_five_tower_at_12(self):
+        assert summand_count(chow_model(TOWER5, COMPLEX, 12)) == 49_678_729
+
+    def test_height_five_tower_at_14(self):
+        tower = chow_model(TOWER5, COMPLEX, 14)
+        assert tower.rows[:13] == chow_model(TOWER5, COMPLEX, 12).rows
+        split = [p**e for f in abelian_invariant_factors(TOWER5) for p, e in factorint(f)]
+        assert tower.row(1) == DegreeRow(1, 0, tuple(split))
+        assert tower.row(14).free_rank == 0
+        assert tower.row(14).counts == ((2, 261_076_098), (4, 145_687))
 
 
 class TestDimWindow:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
+from chowbg.graded import localize, mod_p_dimension, to_table
 from chowbg.groups import (
     CyclicZ,
     FiniteAbelian,
@@ -27,7 +28,7 @@ from chowbg.models import (
 )
 from chowbg.tables import EXACT, UPPER_BOUND
 from oracles import kunneth_factors, labelled_kunneth_table
-from strategies import group_exprs
+from strategies import graded_groups, group_exprs
 
 C = parse_field("C")
 Q = parse_field("Q")
@@ -287,6 +288,20 @@ class TestSymmetricIntegral:
 
 
 class TestLocalizations:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @given(graded_groups())
+    def test_localize_matches_labelled_reference(self, p, g):
+        assert localize_table(to_table(g), p).rows == to_table(localize(g, p)).rows
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @given(graded_groups())
+    def test_mod_p_matches_labelled_reference(self, p, g):
+        t = mod_p_table(to_table(g), p)
+        assert [r.free_rank for r in t.rows] == [
+            mod_p_dimension(g, p, d) for d in range(g.valid_through + 1)
+        ]
+        assert all(not r.counts for r in t.rows)
+
     def test_localize_table(self):
         t = localize_table(model("S_3", bound=4), 2)
         assert [row_orders(r) for r in t.rows[1:]] == [(0, (2,))] * 4

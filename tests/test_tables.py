@@ -1,8 +1,22 @@
-from hypothesis import given
+import pickle
+from collections import Counter
+from dataclasses import FrozenInstanceError
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.graded import tensor, to_table
-from chowbg.tables import ChowTable, DegreeRow, tensor_tables
+from chowbg.tables import ChowTable, DegreeRow, tensor_tables, torsion_sort_key
+from oracles import run_length_row_value, run_length_torsion_json
 from strategies import graded_groups
+
+ROW_ORDERS = (2, 3, 4, 5, 8, 9, 25, 27)
+
+free_ranks = st.integers(min_value=0, max_value=5)
+torsions = st.lists(st.sampled_from(ROW_ORDERS), max_size=40)  # with repeats
+row_args = st.tuples(st.integers(min_value=0, max_value=20), free_ranks, torsions)
 
 
 def table(*rows):
@@ -28,3 +42,75 @@ class TestTensorTables:
     @given(graded_groups(), graded_groups())
     def test_matches_labelled_tensor(self, a, b):
         assert tensor_tables(to_table(a), to_table(b)) == to_table(tensor(a, b))
+
+
+class TestDegreeRow:
+    @given(row_args)
+    def test_counts_and_tuple_constructors_agree(self, args):
+        d, f, t = args
+        counted = DegreeRow.from_counts(d, f, Counter(t))
+        listed = DegreeRow(d, f, tuple(t))
+        assert counted == listed
+        assert hash(counted) == hash(listed)
+        assert counted.torsion == listed.torsion == tuple(sorted(t, key=torsion_sort_key))
+
+    @given(row_args)
+    def test_render_and_json_match_run_length_oracles(self, args):
+        d, f, t = args
+        row = DegreeRow.from_counts(d, f, Counter(t))
+        assert render_row_value(row) == run_length_row_value(row)
+        assert _torsion_json(row.counts) == run_length_torsion_json(row.torsion)
+
+    @given(row_args)
+    def test_pickle_round_trip(self, args):
+        row = DegreeRow.from_counts(args[0], args[1], Counter(args[2]))
+        copy = pickle.loads(pickle.dumps(row))
+        assert copy == row and copy.counts == row.counts
+
+    @given(st.lists(st.tuples(free_ranks, torsions), min_size=1, max_size=6))
+    def test_json_round_trip(self, rows):
+        t = table(*rows)
+        assert table_from_json_obj(table_to_json_obj(t)) == t
+
+    def test_json_reader_adds_repeated_orders(self):
+        obj = table_to_json_obj(table((0, (2, 4))))
+        obj["degrees"][0]["torsion"].append({"prime": 2, "exponent": 1, "multiplicity": 3})
+        assert table_from_json_obj(obj).rows[0] == DegreeRow(0, 0, (2, 2, 2, 2, 4))
+
+    def test_canonical_order_is_prime_then_exponent(self):
+        assert DegreeRow(1, 0, (3, 4, 2)).torsion == (2, 4, 3)
+        assert DegreeRow(1, 0, (5, 9, 3, 8)).counts == ((8, 1), (3, 1), (9, 1), (5, 1))
+
+    def test_zero_multiplicities_dropped(self):
+        row = DegreeRow.from_counts(3, 0, {2: 0, 9: 0})
+        assert row == DegreeRow(3, 0, ()) and row.counts == () and row.is_zero()
+
+    def test_repr_keeps_dataclass_text(self):
+        assert repr(DegreeRow.from_counts(2, 1, {3: 1, 2: 2})) == (
+            "DegreeRow(degree=2, free_rank=1, torsion=(2, 2, 3))"
+        )
+
+    def test_immutable(self):
+        row = DegreeRow(0, 1, (2,))
+        with pytest.raises(FrozenInstanceError):
+            row.free_rank = 2
+        with pytest.raises(FrozenInstanceError):
+            row.counts = ()
+
+    @pytest.mark.parametrize("order", [0, 1, 6])
+    def test_non_prime_power_order_rejected(self, order):
+        with pytest.raises(ValueError):
+            DegreeRow(1, 0, (2, order))
+        with pytest.raises(ValueError):
+            DegreeRow.from_counts(1, 0, {order: 1})
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError):
+            DegreeRow.from_counts(1, 0, {2: 3, 3: -1})
+
+    @pytest.mark.parametrize("degree, free_rank", [(-1, 0), (0, -1)])
+    def test_negative_degree_or_rank_rejected(self, degree, free_rank):
+        with pytest.raises(ValueError):
+            DegreeRow(degree, free_rank, ())
+        with pytest.raises(ValueError):
+            DegreeRow.from_counts(degree, free_rank, {})
