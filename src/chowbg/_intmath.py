@@ -8,6 +8,7 @@ on 15-digit primes or on products of two large primes.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -78,8 +79,6 @@ def p_valuation(n: int, p: int) -> int:
 
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a in (Z/m)^*; a must be coprime to m >= 2."""
-    from math import gcd
-
     if m < 2 or gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
     k = 1

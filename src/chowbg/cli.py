@@ -15,7 +15,7 @@ import sys
 from ._intmath import is_prime, prime_power_decompose
 from .errors import FieldParseError, GroupParseError, UnsupportedError
 from .fields import galois_fixed_exponent, parse_field
-from .groups import format_group, parse_group_expr, sylow_profile
+from .groups import format_group, generator_bound, parse_group_expr, sylow_profile
 from .models import (
     chow_model,
     chow_model_localized,
@@ -140,7 +140,8 @@ def _localization_json(loc: Localization) -> dict:
     return obj
 
 
-def table_to_json_obj(table: ChowTable) -> dict:
+def _json_header(table: ChowTable) -> dict:
+    """The schema, group, field and localization keys shared by every table verb."""
     return {
         "schema": JSON_SCHEMA_VERSION,
         "group": format_group(table.group) if table.group is not None else None,
@@ -150,6 +151,12 @@ def table_to_json_obj(table: ChowTable) -> dict:
             else None
         ),
         "localization": _localization_json(table.localization),
+    }
+
+
+def table_to_json_obj(table: ChowTable) -> dict:
+    return {
+        **_json_header(table),
         "bound": table.bound,
         "degrees": [
             {
@@ -218,18 +225,7 @@ def _run_series(args, out) -> int:
     kind = "mod-p-dimension" if args.mod is not None else "free-rank"
     values = [row.free_rank for row in table.rows]
     if args.format == "json":
-        obj = table_to_json_obj(table)
-        _emit_json(
-            {
-                "schema": JSON_SCHEMA_VERSION,
-                "group": obj["group"],
-                "field": obj["field"],
-                "localization": obj["localization"],
-                "kind": kind,
-                "values": values,
-            },
-            out,
-        )
+        _emit_json({**_json_header(table), "kind": kind, "values": values}, out)
     else:
         out.write(f"group: {format_group(table.group)}\n")
         out.write(f"kind: {kind}\n")
@@ -284,8 +280,6 @@ def _run_galois_exponent(args, out) -> int:
 
 
 def _run_bound(args, out) -> int:
-    from .groups import generator_bound
-
     g = parse_group_expr(args.group)
     value = generator_bound(g)
     if args.format == "json":

@@ -45,7 +45,7 @@ from .graded import (
     is_normalized,
     normalize,
 )
-from .tables import ChowTable, _row_counts, _table_from_counts
+from .tables import ChowTable, _row_counts, _table_from_counts, _tensor_counts
 
 
 def rotation_orbit_summary(n: int, p: int, excluded_diagonals: int) -> int:
@@ -180,24 +180,13 @@ def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
     """
     require_prime(p)
     bound = table.bound
-    # rows come in degree order, so the classes are sorted by degree
-    classes = [(row.degree, q, m) for row in table.rows for q, m in _row_counts(row).items()]
-
-    tuples = [Counter() for _ in range(bound + 1)]
-    tuples[0][0] = 1  # the empty tuple; gcd(0, x) = x
+    factor = [(row.degree, _row_counts(row)) for row in table.rows]
+    # the empty tuple, then the p-fold Kunneth power over (degree sum, gcd)
+    tuples = [{0: 1}] + [{} for _ in range(bound)]
     for _ in range(p):
-        longer = [Counter() for _ in range(bound + 1)]
-        for d, here in enumerate(tuples):
-            for e, q, m in classes:
-                if d + e > bound:
-                    break
-                acc = longer[d + e]
-                for g, n in here.items():
-                    h = gcd(g, q)
-                    if h != 1:  # gcd 1 is absorbing and contributes nothing
-                        acc[h] += n * m
-        tuples = longer
+        tuples = _tensor_counts(tuples, factor, bound)
 
+    classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
     for e, q, m in classes:
         if p * e <= bound:
             tuples[p * e][q] -= m

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from ._intmath import is_prime, multiplicative_order, p_valuation, require_prime
 from .errors import FieldParseError, UnsupportedError
@@ -91,20 +92,14 @@ def contains_mu(k: FieldDescriptor, m: int) -> bool:
         # Q(mu_a) contains mu_m iff m divides a (for even a) or 2a (odd a)
         cap = 2
         for a in k.adjoined:
-            cap = _lcm(cap, a if a % 2 == 0 else 2 * a)
+            cap = lcm(cap, a if a % 2 == 0 else 2 * a)
         return cap % m == 0
     # F_l(mu_a) is the field with l**r elements, r the order of l mod lcm(adjoined)
     l = k.characteristic
     r = 1
     for a in k.adjoined:
-        r = _lcm(r, multiplicative_order(l % a, a) if a > 1 else 1)
+        r = lcm(r, multiplicative_order(l % a, a) if a > 1 else 1)
     return (l**r - 1) % m == 0
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 FIELD_RULE_ESTABLISHED = "established"

@@ -206,6 +206,23 @@ def format_group(g: GroupExpr) -> str:
 # parser
 
 
+def _cyclic_term(n: int) -> GroupExpr:
+    return abelian_expr((CyclicZ(n).n,))  # CyclicZ validates n; Z/1 is trivial
+
+
+# Terms without an argument, and terms of one integer that their node's
+# constructor validates.  No token is a prefix of another.
+_ATOMS = (("1", Trivial), ("Gm", Gm), ("G2", G2))
+_INTEGER_TERMS = (
+    ("Z/", _cyclic_term),
+    ("GL(", GL),
+    ("O(", O),
+    ("SO(", SO),
+    ("Sp(", Sp),
+    ("S_", Symmetric),
+)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -256,55 +273,21 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        if self.lookahead("1"):
-            self.pos += 1
-            return Trivial()
-        if self.lookahead("Z/"):
-            self.pos += 2
-            n, at = self.integer()
-            if n < 1:
-                raise self.error("cyclic order must be >= 1", at)
-            return abelian_expr((n,))
-        if self.lookahead("Gm"):
-            self.pos += 2
-            return Gm()
-        if self.lookahead("GL("):
-            self.pos += 3
-            n, at = self.integer()
-            if n < 1:
-                raise self.error("GL rank must be >= 1", at)
-            self.expect(")")
-            return GL(n)
-        if self.lookahead("G2"):
-            self.pos += 2
-            return G2()
-        if self.lookahead("O("):
-            self.pos += 2
-            n, at = self.integer()
-            if n < 1:
-                raise self.error("O rank must be >= 1", at)
-            self.expect(")")
-            return O(n)
-        if self.lookahead("SO("):
-            self.pos += 3
-            n, at = self.integer()
-            if n < 1:
-                raise self.error("SO rank must be >= 1", at)
-            self.expect(")")
-            return SO(n)
-        if self.lookahead("Sp("):
-            self.pos += 3
-            n, at = self.integer()
-            if n < 2 or n % 2 != 0:
-                raise self.error("Sp argument must be even and >= 2", at)
-            self.expect(")")
-            return Sp(n)
-        if self.lookahead("S_"):
-            self.pos += 2
-            n, at = self.integer()
-            if n < 1:
-                raise self.error("symmetric group degree must be >= 1", at)
-            return Symmetric(n)
+        for token, node in _ATOMS:
+            if self.lookahead(token):
+                self.pos += len(token)
+                return node()
+        for token, node in _INTEGER_TERMS:
+            if self.lookahead(token):
+                self.pos += len(token)
+                n, at = self.integer()
+                try:
+                    g = node(n)
+                except ValueError as e:
+                    raise self.error(str(e), at) from None
+                if token.endswith("("):
+                    self.expect(")")
+                return g
         if self.lookahead("wr("):
             self.pos += 3
             p, at = self.integer()

@@ -2,15 +2,17 @@
 
 Dispatch strategy:
 
-* finite abelian groups with enough roots of unity, and Gm, get the
-  symmetric algebra on their character group;
+* the point, finite abelian groups with enough roots of unity, and the
+  classical groups (through their catalog presentations, Gm included) are
+  all tensor products of one-generator rings ``Z[x]/(m x)``, built by
+  ``tables.polynomial_table``: a finite abelian group gets the symmetric
+  algebra on its character group, one degree-1 generator per cyclic factor;
 * a cyclic group of prime order over a field lacking its roots of unity
   gets the degree-filtered table via the cyclotomic-character image;
 * products use the Kunneth rule on integral tables, ``tables.tensor_tables``;
 * wreath products wr(p, G) apply the codimension cyclic power,
   ``cyclic.cyclic_power_table``, to the table of G (fields must contain
   the p-th roots of unity);
-* the classical groups expand their catalog presentations;
 * symmetric groups are assembled from their p-local parts, which are
   supported exactly when the p-Sylow subgroup is trivial or of order p.
 
@@ -20,9 +22,9 @@ returning a guess.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
-from ._intmath import factorint, is_prime, require_prime
+from ._intmath import is_prime, require_prime
 from .cyclic import cyclic_power_table
 from .errors import UnsupportedError
 from .fields import (
@@ -61,16 +63,9 @@ from .tables import (
     ChowTable,
     DegreeRow,
     Localization,
+    polynomial_table,
     tensor_tables,
 )
-
-
-def _cyclic_table(m: int, bound: int) -> ChowTable:
-    """Symmetric algebra on one character of order m: Z[x]/(m x); m = 1 is the point."""
-    counts = {p**e: 1 for p, e in factorint(m)}
-    rows = [DegreeRow(0, 1, ())]
-    rows += [DegreeRow.from_counts(d, 0, counts) for d in range(1, bound + 1)]
-    return ChowTable(rows=tuple(rows), bound=bound)
 
 
 def _merge_provenance(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
@@ -116,7 +111,7 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
 def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     match g:
         case Trivial():
-            return _cyclic_table(1, bound)
+            return polynomial_table((), bound)
         case Gm() | GL() | O() | SO() | Sp() | G2():
             return _classical_model(g, k, bound)
         case CyclicZ() | FiniteAbelian():
@@ -154,11 +149,11 @@ def _abelian_model(g, k, bound):
                 f"B(Z/{m}) has no tame model in characteristic {k.characteristic}"
             )
     if all(contains_mu(k, m) for m in factors):
-        return reduce(tensor_tables, (_cyclic_table(m, bound) for m in factors))
+        return polynomial_table([(1, m) for m in factors], bound)
     # general-field path: only a single prime-order cyclic group is established
     if len(factors) == 1 and is_prime(factors[0]):
         p = factors[0]
-        full = _cyclic_table(p, bound).with_metadata(group=CyclicZ(p))
+        full = polynomial_table([(1, p)], bound).with_metadata(group=CyclicZ(p))
         filtered = apply_cyclotomic_invariants(full, cyclotomic_order(k, p))
         flags: tuple[str, ...] = (EXACT,)
         if invariance_rule_status(k, p) == FIELD_RULE_EXTRAPOLATED:

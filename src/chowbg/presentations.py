@@ -1,20 +1,19 @@
 """Ring presentations for the classical-group catalog.
 
 Every exact presentation in the catalog is a polynomial ring on Chern
-classes modulo relations of the single shape ``m * generator = 0``, so a
-presentation expands to an additive table by monomial counting: a monomial
-is free iff it avoids every torsion generator, and otherwise generates a
-cyclic group of order the gcd of the coefficients it meets.
+classes modulo relations of the single shape ``m * generator = 0``, so its
+additive table is the tensor product of one ring ``Z[x]/(m x)`` per
+generator (m = 0 when no relation names it), built by
+``tables.polynomial_table``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import UnsupportedError
 from .groups import G2, GL, SO, O, Gm, GroupExpr, Sp, format_group
-from .tables import EXACT, ChowTable, DegreeRow
+from .tables import ChowTable, polynomial_table
 
 EXACT_PRESENTATION = "exact"
 GENERATORS_ONLY = "generators-only"
@@ -77,38 +76,13 @@ def catalog_presentation(g: GroupExpr) -> RingPresentation:
 
 
 def additive_table_from_presentation(pres: RingPresentation, bound: int) -> ChowTable:
-    """Expand an exact presentation into per-degree free ranks and torsion.
-
-    Dynamic program over generators: states are (degree, torsion gcd so
-    far), with gcd 0 standing for a torsion-free monomial.
-    """
+    """Expand an exact presentation into per-degree free ranks and torsion:
+    the tensor product of one ring ``Z[x]/(m x)`` per generator."""
     if pres.completeness != EXACT_PRESENTATION:
         raise UnsupportedError(
             f"presentation for {format_group(pres.group)} lists generators only; "
             "no additive table can be certified"
         )
     coeff = {name: m for m, name in pres.torsion_relations}
-    state: dict[tuple[int, int], int] = {(0, 0): 1}
-    for name, gdeg in pres.generators:
-        m = coeff.get(name)
-        new: dict[tuple[int, int], int] = {}
-        for (deg, key), count in state.items():
-            e = 0
-            while deg + e * gdeg <= bound:
-                if e == 0 or m is None:
-                    nk = key
-                else:
-                    nk = m if key == 0 else gcd(key, m)
-                slot = (deg + e * gdeg, nk)
-                new[slot] = new.get(slot, 0) + count
-                e += 1
-        state = new
-    free = [0] * (bound + 1)
-    torsion: list[dict[int, int]] = [{} for _ in range(bound + 1)]
-    for (deg, key), count in state.items():
-        if key == 0:
-            free[deg] = count
-        elif key >= 2:
-            torsion[deg][key] = count
-    rows = tuple(DegreeRow.from_counts(d, free[d], torsion[d]) for d in range(bound + 1))
-    return ChowTable(rows=rows, bound=bound, group=pres.group, provenance=(EXACT,))
+    generators = [(degree, coeff.get(name, 0)) for name, degree in pres.generators]
+    return polynomial_table(generators, bound).with_metadata(group=pres.group)

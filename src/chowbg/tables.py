@@ -9,7 +9,10 @@ the number of cyclic summands.  ``row.torsion`` is the expanded view, one
 entry per summand, built on demand.  Tables optionally carry the group,
 base field, localization and provenance of the computation that produced
 them.
-``tensor_tables`` is the Kunneth product of two integral tables.
+``tensor_tables`` is the Kunneth product of two integral tables, and
+``polynomial_table`` folds the same rule over one-generator rings
+``Z[x]/(m x)``: the table of every catalog group built without a wreath
+or a symmetric group.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import chain, repeat
 from math import gcd
 from typing import TYPE_CHECKING
 
-from ._intmath import prime_power_decompose
+from ._intmath import factorint, prime_power_decompose
 
 if TYPE_CHECKING:  # only for annotations; avoids import cycles
     from .fields import FieldDescriptor
@@ -172,23 +175,52 @@ def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
     """
     bound = min(a.bound, b.bound)
     left = [_row_counts(r) for r in a.rows[: bound + 1]]
-    right = [_row_counts(r) for r in b.rows[: bound + 1]]
-    out = [Counter() for _ in range(bound + 1)]
+    right = [(r.degree, _row_counts(r)) for r in b.rows[: bound + 1]]
+    return _table_from_counts(_tensor_counts(left, right, bound))
+
+
+def polynomial_table(generators, bound: int) -> ChowTable:
+    """Integral table of the tensor product of the rings ``Z[x]/(m x)``, one
+    per ``(degree, m)`` generator, with m = 0 for ``Z[x]``; no generators
+    give the point.
+
+    Each monomial is free if it avoids every generator with m >= 2, and
+    otherwise cyclic of order the gcd of the coefficients it meets: the
+    Kunneth rule of ``tensor_tables``, folded one generator at a time.
+    """
+    counts = [{0: 1}] + [{} for _ in range(bound)]
+    for degree, m in generators:
+        x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
+        factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
+        counts = _tensor_counts(counts, factor, bound)
+    return _table_from_counts(counts)
+
+
+def _tensor_counts(left, right, bound: int) -> list[dict[int, int]]:
+    """Kunneth product of {order: multiplicity} counts through ``bound``,
+    order 0 standing for Z: ``left`` has one dict per degree, ``right`` is
+    (degree, dict) pairs in increasing degree.  Coprime pairs are dropped."""
+    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
     for i, x in enumerate(left):
-        for j, y in enumerate(right[: bound + 1 - i]):
+        if not x:
+            continue
+        for j, y in right:
+            if i + j > bound:
+                break
             acc = out[i + j]
             for p, m in x.items():
                 for q, n in y.items():
-                    acc[gcd(p, q)] += m * n
-    return _table_from_counts(out)
+                    h = gcd(p, q)
+                    if h != 1:
+                        acc[h] = acc.get(h, 0) + m * n
+    return out
 
 
-def _table_from_counts(out: list[Counter]) -> ChowTable:
-    """Table whose degree-d row has the {order: multiplicity} counts ``out[d]``;
-    order 0 is the free rank and order 1 is dropped."""
+def _table_from_counts(out: list[dict[int, int]]) -> ChowTable:
+    """Table whose degree-d row has the {order: multiplicity} counts ``out[d]``,
+    order 0 being the free rank."""
     rows = []
     for d, counts in enumerate(out):
-        del counts[1]
         free = counts.pop(0, 0)
         rows.append(DegreeRow.from_counts(d, free, counts))
     return ChowTable(rows=tuple(rows), bound=len(out) - 1)

@@ -120,6 +120,19 @@ class TestOtherVerbs:
         assert code == 0
         assert "series: 1 1 1 1 1 1 1" in out
 
+    @pytest.mark.parametrize("loc", [["--prime", "2"], ["--mod", "2"]])
+    def test_series_json_header_matches_describe(self, loc):
+        args = ["S_3", "--max-degree", "4", "--format", "json", *loc]
+        code, out, _ = invoke(["series", *args])
+        assert code == 0
+        series = json.loads(out)
+        _, out, _ = invoke(["describe", *args])
+        described = json.loads(out)
+        for key in ("group", "field", "localization"):
+            assert series[key] == described[key]
+        assert list(series) == ["schema", "group", "field", "localization", "kind", "values"]
+        assert series["values"] == [d["free_rank"] for d in described["degrees"]]
+
     def test_presentation_table(self):
         code, out, _ = invoke(["presentation", "O(3)"])
         assert code == 0

@@ -65,6 +65,31 @@ class TestParser:
         with pytest.raises(GroupParseError):
             parse_group_expr("wr(4, 1)")
 
+    @pytest.mark.parametrize(
+        "text, message, offset",
+        [
+            ("Z/0", "cyclic order must be >= 1", 2),
+            ("GL(0)", "GL rank must be >= 1", 3),
+            ("O(0)", "O rank must be >= 1", 2),
+            ("SO(0)", "SO rank must be >= 1", 3),
+            ("Sp(3)", "Sp argument must be even and >= 2", 3),
+            ("S_0", "symmetric group degree must be >= 1", 2),
+            ("wr(4, Z/2)", "wreath degree must be prime", 3),
+            # the prime is checked before the inner expression is parsed
+            ("wr(4, ??)", "wreath degree must be prime", 3),
+            ("Gm x GL( 0)", "GL rank must be >= 1", 9),
+        ],
+    )
+    def test_node_error_message_and_offset(self, text, message, offset):
+        with pytest.raises(GroupParseError) as exc:
+            parse_group_expr(text)
+        assert str(exc.value) == f"{message} (byte {offset})"
+        assert exc.value.offset == offset
+
+    def test_order_one_cyclic_is_trivial(self):
+        assert parse_group_expr("Z/1") == Trivial()
+        assert parse_group_expr("Z/1 x Gm") == Gm()
+
     @given(group_exprs())
     def test_roundtrip(self, g):
         assert parse_group_expr(format_group(g)) == g

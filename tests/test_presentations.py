@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from chowbg._intmath import factorint
 from chowbg.errors import UnsupportedError
-from chowbg.groups import parse_group_expr
+from chowbg.groups import Trivial, parse_group_expr
 from chowbg.presentations import (
     EXACT_PRESENTATION,
     GENERATORS_ONLY,
+    RingPresentation,
     additive_table_from_presentation,
     catalog_presentation,
 )
@@ -105,3 +109,41 @@ class TestExpansion:
         elapsed = time.monotonic() - start
         assert elapsed < 60
         assert t.rows[64].free_rank > 0
+
+
+@st.composite
+def coefficient_presentations(draw):
+    """1-4 generators of degree 1-4, each with no relation or m * g = 0 for
+    m in {2, 3, 4, 6, 12}, composite coefficients included."""
+    degrees = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    generators = tuple((f"g{i}", d) for i, d in enumerate(degrees))
+    relations = tuple(
+        (m, name)
+        for name, _ in generators
+        if (m := draw(st.sampled_from((None, 2, 3, 4, 6, 12)))) is not None
+    )
+    return RingPresentation(Trivial(), generators, relations, EXACT_PRESENTATION)
+
+
+def prime_power_split(orders):
+    return sorted(p**e for q in orders for p, e in factorint(q))
+
+
+class TestCompositeCoefficients:
+    def test_six_torsion_generator(self):
+        p = RingPresentation(Trivial(), (("a", 1), ("b", 2)), ((6, "a"),), EXACT_PRESENTATION)
+        t = additive_table_from_presentation(p, 3)
+        assert [(r.free_rank, r.torsion) for r in t.rows] == [
+            (1, ()),
+            (0, (2, 3)),
+            (1, (2, 3)),
+            (0, (2, 2, 3, 3)),
+        ]
+
+    @given(coefficient_presentations(), st.integers(min_value=0, max_value=10))
+    def test_matches_bruteforce_enumeration(self, pres, bound):
+        t = additive_table_from_presentation(pres, bound)
+        expected = monomial_table(pres.generators, {n: m for m, n in pres.torsion_relations}, bound)
+        for row in t.rows:
+            rank, orders = expected[row.degree]
+            assert (row.free_rank, sorted(row.torsion)) == (rank, prime_power_split(orders))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.graded import tensor, to_table
-from chowbg.tables import ChowTable, DegreeRow, tensor_tables, torsion_sort_key
+from chowbg.tables import ChowTable, DegreeRow, polynomial_table, tensor_tables, torsion_sort_key
 from oracles import run_length_row_value, run_length_torsion_json
 from strategies import graded_groups
 
@@ -42,6 +42,28 @@ class TestTensorTables:
     @given(graded_groups(), graded_groups())
     def test_matches_labelled_tensor(self, a, b):
         assert tensor_tables(to_table(a), to_table(b)) == to_table(tensor(a, b))
+
+
+generator_lists = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=4), st.sampled_from((0, 1, 2, 3, 4, 6, 12))),
+    max_size=3,
+)
+
+
+class TestPolynomialTable:
+    def test_point(self):
+        assert polynomial_table((), 2) == table((1, ()), (0, ()), (0, ()))
+
+    def test_composite_coefficient_splits(self):
+        assert polynomial_table([(2, 12)], 4) == table(
+            (1, ()), (0, ()), (0, (4, 3)), (0, ()), (0, (4, 3))
+        )
+
+    @given(generator_lists, generator_lists, st.integers(min_value=0, max_value=8))
+    def test_concatenation_is_tensor_product(self, a, b, bound):
+        assert polynomial_table(a + b, bound) == tensor_tables(
+            polynomial_table(a, bound), polynomial_table(b, bound)
+        )
 
 
 class TestDegreeRow:
