@@ -22,14 +22,14 @@ the requirement that the trivial group reproduce the Z[x]/(px) table
 (see the wreath base-case tests).
 
 ``cyclic_power_codim`` and ``cyclic_power_dim`` list the labelled summands
-one rotation orbit at a time; they are the reference.  The compute path is
-``cyclic_power_table``, which gives the same codimension rows by counting
-orbits of (degree, order) classes with Burnside's lemma.
+one rotation orbit at a time; they are the reference and the test oracle.
+The compute path is ``tables.cyclic_power_table`` (re-exported here), which
+gives the same codimension rows by counting orbits of (degree, order)
+classes with Burnside's lemma.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import gcd
 
 from ._intmath import require_prime
@@ -45,7 +45,7 @@ from .graded import (
     is_normalized,
     normalize,
 )
-from .tables import ChowTable, _row_counts, _table_from_counts, _tensor_counts
+from .tables import cyclic_power_table  # noqa: F401  (re-exported: the compute path)
 
 
 def rotation_orbit_summary(n: int, p: int, excluded_diagonals: int) -> int:
@@ -61,25 +61,27 @@ def rotation_orbit_summary(n: int, p: int, excluded_diagonals: int) -> int:
 
 
 def _orbit_representatives(degrees: list[int], p: int, budget: int | None):
-    """Minimal-rotation representatives of index p-tuples, degree sum <= budget."""
+    """Minimal-rotation representatives of index p-tuples, degree sum <= budget,
+    in lexicographic order.  The Fredricksen-Kessler-Maiorana recursion grows
+    only prefixes of minimal rotations, tracking their period; a full tuple
+    is minimal iff its period divides p."""
     n = len(degrees)
-    rep = [0] * p
+    rep = [0] * (p + 1)  # rep[1..p]; rep[0] seeds the first position
     found: list[tuple[int, ...]] = []
 
-    def descend(pos: int, total: int) -> None:
-        if pos == p:
-            t = tuple(rep)
-            if all(t <= t[k:] + t[:k] for k in range(1, p)):
-                found.append(t)
+    def descend(pos: int, period: int, total: int) -> None:
+        if pos > p:
+            if p % period == 0:
+                found.append(tuple(rep[1:]))
             return
-        for i in range(n):
+        for i in range(rep[pos - period], n):
             d = degrees[i]
             if budget is not None and total + d > budget:
                 continue
             rep[pos] = i
-            descend(pos + 1, total + d)
+            descend(pos + 1, period if i == rep[pos - period] else pos, total + d)
 
-    descend(0, 0)
+    descend(1, 1, 0)
     return found
 
 
@@ -153,7 +155,6 @@ def cyclic_power_dim(group: GradedAbelianGroup, p: int) -> GradedAbelianGroup:
     out_bound = p * d if group.valid_through >= d else group.valid_through
     lo = max(0, p * d - out_bound)
 
-    out: list[CyclicSummand] = []
     raw: list[CyclicSummand] = []
     _tensor_summands(summands, p, in_s, None, raw)
     for s, member in zip(summands, in_s):
@@ -164,48 +165,3 @@ def cyclic_power_dim(group: GradedAbelianGroup, p: int) -> GradedAbelianGroup:
             raw.append(CyclicSummand(p, j, Alpha(s.label, j)))
     out = [s for s in raw if lo <= s.degree <= p * d]
     return normalize(GradedAbelianGroup(Dim(p * d), tuple(out), out_bound))
-
-
-def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
-    """Cyclic power in codimension grading on per-row (order -> multiplicity)
-    counts: the rows of ``to_table(cyclic_power_codim(from_table(table), p))``.
-
-    A class is a (degree e, order q) pair with multiplicity m, q = 0 free.
-    Ordered p-tuples of summands are counted by a p-fold convolution over
-    (degree sum, gcd).  For p prime every non-constant tuple lies in a free
-    rotation orbit, so its orbits number (tuples - constant tuples) / p;
-    a constant tuple is its own orbit and is kept unless its class is in
-    S, where gamma and alpha replace it.  A gcd of prime powers is a prime
-    power, 0 or 1, so no CRT split is needed.
-    """
-    require_prime(p)
-    bound = table.bound
-    factor = [(row.degree, _row_counts(row)) for row in table.rows]
-    # the empty tuple, then the p-fold Kunneth power over (degree sum, gcd)
-    tuples = [{0: 1}] + [{} for _ in range(bound)]
-    for _ in range(p):
-        tuples = _tensor_counts(tuples, factor, bound)
-
-    classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
-    for e, q, m in classes:
-        if p * e <= bound:
-            tuples[p * e][q] -= m
-    out = [Counter() for _ in range(bound + 1)]
-    for d, here in enumerate(tuples):
-        for g, n in here.items():
-            orbits, rest = divmod(n, p)
-            if rest:
-                raise ArithmeticError(
-                    f"{n} non-constant {p}-tuples in degree {d} with gcd {g} "
-                    f"do not form free rotation orbits"
-                )
-            out[d][g] = orbits
-    for e, q, m in classes:
-        if q == 0 or q % p == 0:
-            if p * e <= bound:
-                out[p * e][p * q] += m  # gamma
-            for t in range(p * e + 1, bound + 1):
-                out[t][p] += m  # alpha
-        elif p * e <= bound:
-            out[p * e][q] += m  # constant tuples outside S
-    return _table_from_counts(out)

@@ -67,17 +67,21 @@ def parse_field(text: str) -> FieldDescriptor:
 
 
 def cyclotomic_order(k: FieldDescriptor, p: int) -> int:
-    """Order of the image of the mod-p cyclotomic character; divides p - 1."""
+    """Order of the image of the mod-p cyclotomic character; divides p - 1.
+    Over the field with q elements it is the order of q mod p."""
     require_prime(p)
     if k.characteristic == p:
         raise ValueError(f"characteristic {p} field has no tame mu_{p}")
-    if k.kind == ALGEBRAICALLY_CLOSED or p == 2:
-        return 1
-    if any(m % p == 0 for m in k.adjoined):
+    if contains_mu(k, p):
         return 1
     if k.characteristic == 0:
         return p - 1
-    return multiplicative_order(k.characteristic % p, p)
+    return multiplicative_order(pow(k.characteristic, _extension_degree(k), p), p)
+
+
+def _extension_degree(k: FieldDescriptor) -> int:
+    """r with F_l(mu_a, ...) the field with l**r elements: the lcm of the orders of l mod a."""
+    return lcm(*(multiplicative_order(k.characteristic % a, a) for a in k.adjoined if a > 1))
 
 
 def contains_mu(k: FieldDescriptor, m: int) -> bool:
@@ -94,12 +98,8 @@ def contains_mu(k: FieldDescriptor, m: int) -> bool:
         for a in k.adjoined:
             cap = lcm(cap, a if a % 2 == 0 else 2 * a)
         return cap % m == 0
-    # F_l(mu_a) is the field with l**r elements, r the order of l mod lcm(adjoined)
-    l = k.characteristic
-    r = 1
-    for a in k.adjoined:
-        r = lcm(r, multiplicative_order(l % a, a) if a > 1 else 1)
-    return (l**r - 1) % m == 0
+    # F_q contains mu_m iff m divides q - 1
+    return pow(k.characteristic, _extension_degree(k), m) == 1
 
 
 FIELD_RULE_ESTABLISHED = "established"

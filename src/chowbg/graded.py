@@ -66,19 +66,6 @@ def label_key(label: Label):
     raise TypeError(f"not a label: {label!r}")
 
 
-def format_label(label: Label) -> str:
-    match label:
-        case Generator(name):
-            return name
-        case Tensor(parts):
-            return "(" + "*".join(format_label(x) for x in parts) + ")"
-        case Gamma(inner):
-            return f"gamma({format_label(inner)})"
-        case Alpha(inner, j):
-            return f"alpha[{j}]({format_label(inner)})"
-    raise TypeError(f"not a label: {label!r}")
-
-
 # ---------------------------------------------------------------------------
 # gradings and groups
 

@@ -11,10 +11,12 @@ Dispatch strategy:
   gets the degree-filtered table via the cyclotomic-character image;
 * products use the Kunneth rule on integral tables, ``tables.tensor_tables``;
 * wreath products wr(p, G) apply the codimension cyclic power,
-  ``cyclic.cyclic_power_table``, to the table of G (fields must contain
+  ``tables.cyclic_power_table``, to the table of G (fields must contain
   the p-th roots of unity);
-* symmetric groups are assembled from their p-local parts, which are
-  supported exactly when the p-Sylow subgroup is trivial or of order p.
+* symmetric groups are ``polynomial_table``s too: the p-local part is
+  ``Z[x]/(p x)`` with ``deg x = p - 1`` while the p-Sylow subgroup has
+  order p (the point while it is trivial), and the integral table for
+  n <= 3 is the Kunneth product of the 2- and 3-local rings.
 
 Anything outside this territory raises UnsupportedError rather than
 returning a guess.
@@ -25,7 +27,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._intmath import is_prime, require_prime
-from .cyclic import cyclic_power_table
 from .errors import UnsupportedError
 from .fields import (
     COMPLEX,
@@ -58,11 +59,11 @@ from .presentations import additive_table_from_presentation, catalog_presentatio
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
-    INTEGRAL,
     UPPER_BOUND,
     ChowTable,
     DegreeRow,
     Localization,
+    cyclic_power_table,
     polynomial_table,
     tensor_tables,
 )
@@ -192,8 +193,9 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
 
     In the cyclic case the normalizer acts on the Sylow subgroup through
     the full scalar group, so the stable classes are the scalar invariants:
-    one Z/p in every positive degree divisible by p - 1.  The outcome is
-    the same for every base field of characteristic != p.
+    one Z/p in every positive degree divisible by p - 1, the ring
+    ``Z[x]/(p x)`` with ``deg x = p - 1``.  The outcome is the same for
+    every base field of characteristic != p.
     """
     require_prime(p)
     if n < 1:
@@ -204,17 +206,8 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
             f"the {p}-Sylow subgroup of S_{n} is not cyclic; the stable-element "
             "computation beyond prime-order Sylow subgroups is not available"
         )
-    rows = [DegreeRow(0, 1, ())]
-    for d in range(1, bound + 1):
-        stable = n >= p and d % (p - 1) == 0
-        rows.append(DegreeRow.from_counts(d, 0, {p: 1} if stable else {}))
-    return ChowTable(
-        rows=tuple(rows),
-        bound=bound,
-        group=Symmetric(n),
-        field=k,
-        localization=Localization("at_prime", p),
-        provenance=(EXACT,),
+    return polynomial_table([(p - 1, p)] if n >= p else [], bound).with_metadata(
+        group=Symmetric(n), field=k, localization=Localization("at_prime", p)
     )
 
 
@@ -236,7 +229,8 @@ def chow_symmetric_sylow_bound(
 
 def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX) -> ChowTable:
     """Integral table of CH^*(BS_n) for n <= 3: degree 0 is Z and each
-    positive degree is the direct sum of the p-local torsion over p <= n."""
+    positive degree is the direct sum of the p-local torsion over p <= n,
+    the Kunneth product of the local rings (mixed monomials have gcd 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 3:
@@ -249,25 +243,8 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
             f"the integral table of S_{n} mixes all primes <= {n}, so the "
             f"characteristic must be 0 or larger than {n}"
         )
-    torsion = [{} for _ in range(bound + 1)]
-    for p in (2, 3):
-        if p > n:
-            continue
-        local = chow_symmetric_local(n, p, field, bound)
-        for row in local.rows[1:]:
-            for q, m in row.counts:
-                torsion[row.degree][q] = torsion[row.degree].get(q, 0) + m
-    rows = (DegreeRow(0, 1, ()),) + tuple(
-        DegreeRow.from_counts(d, 0, torsion[d]) for d in range(1, bound + 1)
-    )
-    return ChowTable(
-        rows=rows,
-        bound=bound,
-        group=Symmetric(n),
-        field=field,
-        localization=INTEGRAL,
-        provenance=(EXACT,),
-    )
+    generators = [(p - 1, p) for p in (2, 3) if p <= n]
+    return polynomial_table(generators, bound).with_metadata(group=Symmetric(n), field=field)
 
 
 def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:

@@ -36,6 +36,9 @@ class RingPresentation:
             raise ValueError("torsion coefficients must be >= 2")
         if any(n not in names for _, n in self.torsion_relations):
             raise ValueError("relation names a missing generator")
+        related = [n for _, n in self.torsion_relations]
+        if len(set(related)) != len(related):
+            raise ValueError("each generator takes at most one torsion relation")
         if self.completeness not in (EXACT_PRESENTATION, GENERATORS_ONLY):
             raise ValueError(f"unknown completeness {self.completeness!r}")
 

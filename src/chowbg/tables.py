@@ -9,10 +9,13 @@ the number of cyclic summands.  ``row.torsion`` is the expanded view, one
 entry per summand, built on demand.  Tables optionally carry the group,
 base field, localization and provenance of the computation that produced
 them.
-``tensor_tables`` is the Kunneth product of two integral tables, and
+``tensor_tables`` is the Kunneth product of two integral tables,
 ``polynomial_table`` folds the same rule over one-generator rings
-``Z[x]/(m x)``: the table of every catalog group built without a wreath
-or a symmetric group.
+``Z[x]/(m x)`` (the table of every catalog group but a wreath product),
+and ``cyclic_power_table`` is the codimension cyclic power that builds
+wreath products.  All three run one gcd loop, ``_tensor_counts``, on
+per-degree ``{order: multiplicity}`` dicts with order 0 standing for Z;
+that format never leaves this module.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import chain, repeat
 from math import gcd
 from typing import TYPE_CHECKING
 
-from ._intmath import factorint, prime_power_decompose
+from ._intmath import factorint, prime_power_decompose, require_prime
 
 if TYPE_CHECKING:  # only for annotations; avoids import cycles
     from .fields import FieldDescriptor
@@ -143,7 +146,7 @@ class ChowTable:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if [r.degree for r in self.rows] != list(range(self.bound + 1)):
+        if self.bound < 0 or [r.degree for r in self.rows] != list(range(self.bound + 1)):
             raise ValueError("table must have one row per degree 0..bound")
 
     def row(self, degree: int) -> DegreeRow:
@@ -188,7 +191,7 @@ def polynomial_table(generators, bound: int) -> ChowTable:
     otherwise cyclic of order the gcd of the coefficients it meets: the
     Kunneth rule of ``tensor_tables``, folded one generator at a time.
     """
-    counts = [{0: 1}] + [{} for _ in range(bound)]
+    counts = [{0: 1} if d == 0 else {} for d in range(bound + 1)]
     for degree, m in generators:
         x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
         factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
@@ -214,6 +217,50 @@ def _tensor_counts(left, right, bound: int) -> list[dict[int, int]]:
                     if h != 1:
                         acc[h] = acc.get(h, 0) + m * n
     return out
+
+
+def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
+    """Cyclic power in codimension grading on per-row (order -> multiplicity)
+    counts: the rows of the labelled reference
+    ``to_table(cyclic.cyclic_power_codim(from_table(table), p))``.
+
+    A class is a (degree e, order q) pair with multiplicity m, q = 0 free;
+    S is the classes with p | q.  Ordered p-tuples of summands are counted
+    by a p-fold convolution over (degree sum, gcd), and Burnside's lemma
+    turns them into rotation orbits: (tuples + (p - 1) * constant tuples)
+    / p, since each nontrivial rotation fixes just the constant tuples.
+    The constant tuple of a class in S is dropped, and gamma (``Z/(p q)``
+    in degree p e) and alpha (``Z/p`` in every degree above p e) take its
+    place.  A gcd of prime powers is a prime power, 0 or 1, so no CRT
+    split is needed.
+    """
+    require_prime(p)
+    bound = table.bound
+    factor = [(row.degree, _row_counts(row)) for row in table.rows]
+    # the empty tuple, then the p-fold Kunneth power over (degree sum, gcd)
+    out = [{0: 1}] + [{} for _ in range(bound)]
+    for _ in range(p):
+        out = _tensor_counts(out, factor, bound)
+
+    classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
+    for e, q, m in classes:
+        if p * e <= bound:  # (p - 1) m fixed points; p m fewer where S drops them
+            out[p * e][q] += -m if q % p == 0 else (p - 1) * m
+    for d, here in enumerate(out):
+        for g, n in here.items():
+            orbits, rest = divmod(n, p)
+            if rest:
+                raise ArithmeticError(
+                    f"Burnside count {n} in degree {d} with gcd {g} is not a multiple of {p}"
+                )
+            here[g] = orbits
+    for e, q, m in classes:
+        if q % p == 0:
+            if p * e <= bound:
+                out[p * e][p * q] = out[p * e].get(p * q, 0) + m  # gamma
+            for t in range(p * e + 1, bound + 1):
+                out[t][p] = out[t].get(p, 0) + m  # alpha
+    return _table_from_counts(out)
 
 
 def _table_from_counts(out: list[dict[int, int]]) -> ChowTable:

@@ -8,6 +8,7 @@ right.
 
 from __future__ import annotations
 
+from itertools import count
 from itertools import product as cartesian
 from math import gcd
 
@@ -59,6 +60,24 @@ def scalar_invariant_degrees(p, bound):
     return [
         i for i in range(bound + 1) if all(pow(c, i, p) == 1 for c in range(1, p))
     ]
+
+
+def symmetric_rows(primes, bound):
+    """(free rank, torsion) per degree of a symmetric-group table whose
+    p-local part is one Z/p in each positive scalar-invariant degree, summed
+    over the given primes (in increasing order)."""
+    invariant = {p: set(scalar_invariant_degrees(p, bound)) for p in primes}
+    return [
+        (1, ()) if d == 0 else (0, tuple(p for p in primes if d in invariant[p]))
+        for d in range(bound + 1)
+    ]
+
+
+def cyclotomic_order_by_search(l, a, p):
+    """Smallest t >= 1 with p | q**t - 1, where q = l**r is the size of
+    F_l(mu_a): r is the smallest exponent with a | l**r - 1."""
+    r = next(r for r in count(1) if (l**r - 1) % a == 0)
+    return next(t for t in count(1) if (l ** (r * t) - 1) % p == 0)
 
 
 def galois_exponent_by_search(p, i, max_r=64):

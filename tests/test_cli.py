@@ -58,6 +58,13 @@ class TestDescribe:
         assert "  4: Z/5" in out
         assert "  5: 0" in out
 
+    def test_field_extension_rows(self):
+        # F_2(mu_3) is F_4, whose Frobenius x -> x**4 has order 2 on mu_5
+        code, out, _ = invoke(["describe", "Z/5", "--field", "F_2(mu_3)", "--max-degree", "8"])
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("  ")]
+        assert rows == [f"  {d}: {'Z' if d == 0 else 'Z/5' if d % 2 == 0 else '0'}" for d in range(9)]
+
     def test_unsupported_exit_3(self):
         code, out, err = invoke(["describe", "SO(6)"])
         assert code == 3

@@ -1,9 +1,13 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowbg import cyclic, tables
 from chowbg._intmath import factorint
 from chowbg.cyclic import (
+    _orbit_representatives,
     cyclic_power_codim,
     cyclic_power_dim,
     cyclic_power_table,
@@ -60,6 +64,20 @@ class TestOrbitSummary:
     @given(st.integers(min_value=0, max_value=6), st.sampled_from([2, 3, 5]))
     def test_matches_bruteforce_orbit_listing(self, n, p):
         assert rotation_orbit_summary(n, p, 0) == len(rotation_orbits(n, p))
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4), max_size=5),
+        st.sampled_from([2, 3, 5]),
+        st.none() | st.integers(min_value=0, max_value=12),
+    )
+    def test_representatives_are_the_minimal_rotations(self, degrees, p, budget):
+        expected = [
+            t
+            for t in product(range(len(degrees)), repeat=p)
+            if (budget is None or sum(degrees[i] for i in t) <= budget)
+            and all(t <= t[k:] + t[:k] for k in range(1, p))
+        ]
+        assert _orbit_representatives(degrees, p, budget) == expected
 
 
 class TestDimMode:
@@ -154,6 +172,9 @@ class TestCountedTable:
             groups = graded_groups()
         g = data.draw(groups)
         assert cyclic_power_table(to_table(g), p).rows == to_table(cyclic_power_codim(g, p)).rows
+
+    def test_compute_path_is_reexported(self):
+        assert cyclic.cyclic_power_table is tables.cyclic_power_table
 
     def test_height_three_tower_at_14(self):
         # counts of the labelled reference path on wr(2, wr(2, wr(2, Z/2))) @ 14

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from chowbg.errors import FieldParseError
@@ -15,7 +15,7 @@ from chowbg.fields import (
 )
 from chowbg.groups import CyclicZ
 from chowbg.models import chow_model
-from oracles import galois_exponent_by_search
+from oracles import cyclotomic_order_by_search, galois_exponent_by_search
 
 
 class TestParseField:
@@ -53,6 +53,23 @@ class TestCyclotomicOrder:
     def test_adjoined(self):
         assert cyclotomic_order(parse_field("Q(mu_5)"), 5) == 1
         assert cyclotomic_order(parse_field("F_2(mu_7)"), 7) == 1
+
+    def test_finite_field_extensions(self):
+        # F_2(mu_3) is F_4 and 4 has order 2 mod 5; F_3(mu_5) is F_81, 81 = 4 mod 7
+        assert cyclotomic_order(parse_field("F_2(mu_3)"), 5) == 2
+        assert cyclotomic_order(parse_field("F_3(mu_5)"), 7) == 3
+
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.integers(min_value=1, max_value=30),
+        st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    )
+    def test_finite_fields_match_search_oracle(self, l, a, p):
+        assume(a % l != 0 and p != l)
+        k = parse_field(f"F_{l}(mu_{a})")
+        expected = cyclotomic_order_by_search(l, a, p)
+        assert cyclotomic_order(k, p) == expected
+        assert contains_mu(k, p) == (expected == 1)
 
     def test_p_equals_two_trivial(self):
         assert cyclotomic_order(parse_field("Q"), 2) == 1

@@ -26,8 +26,8 @@ from chowbg.models import (
     localize_table,
     mod_p_table,
 )
-from chowbg.tables import EXACT, UPPER_BOUND
-from oracles import kunneth_factors, labelled_kunneth_table
+from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization
+from oracles import kunneth_factors, labelled_kunneth_table, symmetric_rows
 from strategies import graded_groups, group_exprs
 
 C = parse_field("C")
@@ -40,6 +40,10 @@ def model(text, field=C, bound=10):
 
 def row_orders(row):
     return (row.free_rank, tuple(sorted(row.torsion)))
+
+
+def row_orders_list(table):
+    return [(r.free_rank, r.torsion) for r in table.rows]
 
 
 class TestDispatch:
@@ -208,6 +212,25 @@ class TestSymmetricLocal:
             support = [r.degree for r in t.rows if not r.is_zero()]
             assert support == scalar_invariant_degrees(p, 12)
 
+    def test_rows_match_scalar_invariant_oracle(self):
+        # full rows, not only the support: one Z/p per scalar-invariant degree
+        for p in (2, 3, 5, 7, 11, 13):
+            for n in range(1, 2 * p):
+                for bound in range(41):
+                    t = chow_symmetric_local(n, p, C, bound)
+                    expected = symmetric_rows([p] if n >= p else [], bound)
+                    assert row_orders_list(t) == expected
+                    assert (t.group, t.field, t.localization) == (
+                        Symmetric(n),
+                        C,
+                        Localization("at_prime", p),
+                    )
+
+    def test_negative_bound_rejected(self):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="one row per degree"):
+                chow_symmetric_local(n, 3, C, -1)
+
     def test_field_independent(self):
         fields = [C, parse_field("Q(mu_3)"), parse_field("F_2(mu_3)"), parse_field("F_7")]
         tables = [chow_symmetric_local(4, 3, k, 8) for k in fields]
@@ -274,6 +297,17 @@ class TestSymmetricIntegral:
     def test_s1(self):
         t = chow_integral_symmetric(1, 5)
         assert all(r.is_zero() for r in t.rows[1:])
+
+    def test_rows_match_summed_local_oracle(self):
+        for n in (1, 2, 3):
+            for bound in range(41):
+                t = chow_integral_symmetric(n, bound, Q)
+                assert row_orders_list(t) == symmetric_rows([p for p in (2, 3) if p <= n], bound)
+                assert (t.group, t.field, t.localization) == (Symmetric(n), Q, INTEGRAL)
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="one row per degree"):
+            chow_integral_symmetric(3, -1)
 
     def test_s4_rejected(self):
         with pytest.raises(UnsupportedError):

@@ -61,6 +61,13 @@ class TestCatalog:
                 assert (degree % 2 == 1) == (name in related)
 
 
+class TestValidation:
+    def test_repeated_relation_rejected(self):
+        # 2a = 3a = 0 forces a = 0; keeping only the last relation would give Z/3
+        with pytest.raises(ValueError, match="at most one torsion relation"):
+            RingPresentation(Trivial(), (("a", 1),), ((2, "a"), (3, "a")), EXACT_PRESENTATION)
+
+
 class TestExpansion:
     def test_o3_degree_2(self):
         t = additive_table_from_presentation(pres("O(3)"), 3)
