@@ -1,22 +1,25 @@
 """Top-level table builder: CH^*(BG) for the supported catalog.
 
-Dispatch strategy:
+Every group is a list of Kunneth factors, and ``chow_model`` multiplies
+them with one ``tables.polynomial_table`` call:
 
-* the point, finite abelian groups with enough roots of unity, and the
-  classical groups (through their catalog presentations, Gm included) are
-  all tensor products of one-generator rings ``Z[x]/(m x)``, built by
-  ``tables.polynomial_table``: a finite abelian group gets the symmetric
-  algebra on its character group, one degree-1 generator per cyclic factor;
-* a cyclic group of prime order over a field lacking its roots of unity
-  gets the degree-filtered table via the cyclotomic-character image;
-* products use the Kunneth rule on integral tables, ``tables.tensor_tables``;
-* wreath products wr(p, G) apply the codimension cyclic power,
-  ``tables.cyclic_power_table``, to the table of G (fields must contain
-  the p-th roots of unity);
-* symmetric groups are ``polynomial_table``s too: the p-local part is
-  ``Z[x]/(p x)`` with ``deg x = p - 1`` while the p-Sylow subgroup has
-  order p (the point while it is trivial), and the integral table for
-  n <= 3 is the Kunneth product of the 2- and 3-local rings.
+* the point is the empty list;
+* a classical group (Gm included) is the ``(degree, m)`` generator list of
+  its catalog presentation, one ring ``Z[x]/(m x)`` per Chern class;
+* a finite abelian group with enough roots of unity in the field is the
+  symmetric algebra on its character group, one ``(1, m)`` generator per
+  cyclic factor;
+* a cyclic group of prime order p over a field lacking mu_p is ``(t, p)``,
+  the ring ``Z[x^t]/(p x^t)`` of invariants, where t is the order of the
+  cyclotomic-character image (``fields.apply_cyclotomic_invariants`` is
+  the reference for this filter);
+* the integral table of a symmetric group S_n, n <= 3, is ``(p - 1, p)``
+  for each prime p <= n: the p-local ring ``Z[x]/(p x)`` with
+  ``deg x = p - 1`` while the p-Sylow subgroup has order p;
+* a wreath product wr(p, G) is one table factor, the codimension cyclic
+  power ``tables.cyclic_power_table`` of the table of G (fields must
+  contain the p-th roots of unity);
+* a product concatenates the lists of its terms (the Kunneth rule).
 
 Anything outside this territory raises UnsupportedError rather than
 returning a guess.
@@ -32,7 +35,6 @@ from .fields import (
     COMPLEX,
     FIELD_RULE_EXTRAPOLATED,
     FieldDescriptor,
-    apply_cyclotomic_invariants,
     contains_mu,
     cyclotomic_order,
     invariance_rule_status,
@@ -55,7 +57,7 @@ from .groups import (
     format_group,
     sylow_profile,
 )
-from .presentations import additive_table_from_presentation, catalog_presentation
+from .presentations import catalog_presentation, presentation_generators
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
@@ -65,16 +67,7 @@ from .tables import (
     Localization,
     cyclic_power_table,
     polynomial_table,
-    tensor_tables,
 )
-
-
-def _merge_provenance(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
-    kind = UPPER_BOUND if UPPER_BOUND in a + b else EXACT
-    flags: tuple[str, ...] = (kind,)
-    if EXTRAPOLATED_FIELD in a + b:
-        flags += (EXTRAPOLATED_FIELD,)
-    return flags
 
 
 def localize_table(table: ChowTable, p: int) -> ChowTable:
@@ -104,45 +97,44 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
 @lru_cache(maxsize=None)
 def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Integral additive table of CH^*(BG) over k through the given degree."""
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    return _model(g, k, bound).with_metadata(group=g, field=k)
+    factors, extrapolated = _model(g, k, bound)
+    provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
+    return polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
 
 
-def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
+def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
+    """The Kunneth factors of CH^*(BG) over k, generators and wreath tables,
+    and whether the field rule behind any of them is extrapolated."""
     match g:
         case Trivial():
-            return polynomial_table((), bound)
+            return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
-            return _classical_model(g, k, bound)
+            if isinstance(g, (O, SO)) and k.characteristic == 2:
+                raise UnsupportedError(
+                    f"CH^*(B{format_group(g)}) is only established in characteristic != 2"
+                )
+            if isinstance(g, G2):
+                raise UnsupportedError(
+                    "only generators of CH^*(BG2) are known (c1..c7); no additive table "
+                    "can be certified, but the presentation command lists the generators"
+                )
+            return presentation_generators(catalog_presentation(g)), False
         case CyclicZ() | FiniteAbelian():
-            return _abelian_model(g, k, bound)
+            return _abelian_generators(g, k)
         case Symmetric(n):
-            return chow_integral_symmetric(n, bound, field=k)
+            return _symmetric_generators(n, k), False
         case Wreath(p, inner):
-            return chow_wreath(p, chow_model(inner, k, bound))
+            table = chow_wreath(p, chow_model(inner, k, bound))
+            return [table], EXTRAPOLATED_FIELD in table.provenance
         case Product(left, right):
-            a, b = _model(left, k, bound), _model(right, k, bound)
-            return tensor_tables(a, b).with_metadata(
-                provenance=_merge_provenance(a.provenance, b.provenance)
-            )
+            (a, x), (b, y) = _model(left, k, bound), _model(right, k, bound)
+            return a + b, x or y
     raise TypeError(f"not a group expression: {g!r}")
 
 
-def _classical_model(g, k, bound):
-    if isinstance(g, (O, SO)) and k.characteristic == 2:
-        raise UnsupportedError(
-            f"CH^*(B{format_group(g)}) is only established in characteristic != 2"
-        )
-    if isinstance(g, G2):
-        raise UnsupportedError(
-            "only generators of CH^*(BG2) are known (c1..c7); no additive table "
-            "can be certified, but the presentation command lists the generators"
-        )
-    return additive_table_from_presentation(catalog_presentation(g), bound)
-
-
-def _abelian_model(g, k, bound):
+def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
+    """``_model`` of a finite abelian group: ``(1, m)`` per cyclic factor, or
+    ``(t, p)`` for a single Z/p over a field without mu_p."""
     factors = (g.n,) if isinstance(g, CyclicZ) else g.factors
     for m in factors:
         if k.characteristic != 0 and m % k.characteristic == 0:
@@ -150,16 +142,12 @@ def _abelian_model(g, k, bound):
                 f"B(Z/{m}) has no tame model in characteristic {k.characteristic}"
             )
     if all(contains_mu(k, m) for m in factors):
-        return polynomial_table([(1, m) for m in factors], bound)
+        return [(1, m) for m in factors], False
     # general-field path: only a single prime-order cyclic group is established
     if len(factors) == 1 and is_prime(factors[0]):
         p = factors[0]
-        full = polynomial_table([(1, p)], bound).with_metadata(group=CyclicZ(p))
-        filtered = apply_cyclotomic_invariants(full, cyclotomic_order(k, p))
-        flags: tuple[str, ...] = (EXACT,)
-        if invariance_rule_status(k, p) == FIELD_RULE_EXTRAPOLATED:
-            flags += (EXTRAPOLATED_FIELD,)
-        return filtered.with_metadata(provenance=flags)
+        extrapolated = invariance_rule_status(k, p) == FIELD_RULE_EXTRAPOLATED
+        return [(cyclotomic_order(k, p), p)], extrapolated
     raise UnsupportedError(
         f"{k.name or 'the base field'} lacks the roots of unity needed for "
         f"{format_group(g)}; only a single Z/p is established over such fields"
@@ -231,6 +219,13 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     """Integral table of CH^*(BS_n) for n <= 3: degree 0 is Z and each
     positive degree is the direct sum of the p-local torsion over p <= n,
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
+    return polynomial_table(_symmetric_generators(n, field), bound).with_metadata(
+        group=Symmetric(n), field=field
+    )
+
+
+def _symmetric_generators(n: int, field: FieldDescriptor) -> list[tuple[int, int]]:
+    """The ``(p - 1, p)`` generators of the integral table of S_n, n <= 3."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > 3:
@@ -243,8 +238,7 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
             f"the integral table of S_{n} mixes all primes <= {n}, so the "
             f"characteristic must be 0 or larger than {n}"
         )
-    generators = [(p - 1, p) for p in (2, 3) if p <= n]
-    return polynomial_table(generators, bound).with_metadata(group=Symmetric(n), field=field)
+    return [(p - 1, p) for p in (2, 3) if p <= n]
 
 
 def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:

@@ -1,10 +1,10 @@
 """Ring presentations for the classical-group catalog.
 
 Every exact presentation in the catalog is a polynomial ring on Chern
-classes modulo relations of the single shape ``m * generator = 0``, so its
-additive table is the tensor product of one ring ``Z[x]/(m x)`` per
-generator (m = 0 when no relation names it), built by
-``tables.polynomial_table``.
+classes modulo relations of the single shape ``m * generator = 0``, so it
+is a list of ``(degree, m)`` generators, one ring ``Z[x]/(m x)`` per
+Chern class (m = 0 when no relation names it): the Kunneth factors that
+``tables.polynomial_table`` multiplies into the additive table.
 """
 
 from __future__ import annotations
@@ -78,14 +78,18 @@ def catalog_presentation(g: GroupExpr) -> RingPresentation:
     raise UnsupportedError(f"no catalog presentation for {format_group(g)}")
 
 
-def additive_table_from_presentation(pres: RingPresentation, bound: int) -> ChowTable:
-    """Expand an exact presentation into per-degree free ranks and torsion:
-    the tensor product of one ring ``Z[x]/(m x)`` per generator."""
+def presentation_generators(pres: RingPresentation) -> list[tuple[int, int]]:
+    """The ``(degree, m)`` generators of an exact presentation, one ring
+    ``Z[x]/(m x)`` per Chern class, for ``tables.polynomial_table``."""
     if pres.completeness != EXACT_PRESENTATION:
         raise UnsupportedError(
             f"presentation for {format_group(pres.group)} lists generators only; "
             "no additive table can be certified"
         )
     coeff = {name: m for m, name in pres.torsion_relations}
-    generators = [(degree, coeff.get(name, 0)) for name, degree in pres.generators]
-    return polynomial_table(generators, bound).with_metadata(group=pres.group)
+    return [(degree, coeff.get(name, 0)) for name, degree in pres.generators]
+
+
+def additive_table_from_presentation(pres: RingPresentation, bound: int) -> ChowTable:
+    """Expand an exact presentation into per-degree free ranks and torsion."""
+    return polynomial_table(presentation_generators(pres), bound).with_metadata(group=pres.group)

@@ -9,11 +9,11 @@ the number of cyclic summands.  ``row.torsion`` is the expanded view, one
 entry per summand, built on demand.  Tables optionally carry the group,
 base field, localization and provenance of the computation that produced
 them.
-``tensor_tables`` is the Kunneth product of two integral tables,
-``polynomial_table`` folds the same rule over one-generator rings
-``Z[x]/(m x)`` (the table of every catalog group but a wreath product),
-and ``cyclic_power_table`` is the codimension cyclic power that builds
-wreath products.  All three run one gcd loop, ``_tensor_counts``, on
+``polynomial_table`` is the Kunneth product of a list of factors:
+one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
+whole tables (the wreath products); ``tensor_tables`` is its two-table
+case.  ``cyclic_power_table`` is the codimension cyclic power that builds
+wreath products.  Both run one gcd loop, ``_tensor_counts``, on
 per-degree ``{order: multiplicity}`` dicts with order 0 standing for Z;
 that format never leaves this module.
 """
@@ -168,33 +168,33 @@ def _row_counts(row: DegreeRow) -> dict[int, int]:
 
 def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
     """Graded tensor product over Z of two integral tables, through the
-    smaller bound.
+    smaller bound: ``polynomial_table([a, b], min(a.bound, b.bound))``."""
+    return polynomial_table([a, b], min(a.bound, b.bound))
+
+
+def polynomial_table(factors, bound: int) -> ChowTable:
+    """Integral table through ``bound`` of the tensor product of the factors,
+    folded one at a time: a ``(degree, m)`` generator is the ring
+    ``Z[x]/(m x)``, with m = 0 for ``Z[x]``, and a ``ChowTable`` of bound at
+    least ``bound`` enters as its rows; no factors give the point.
 
     ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
     pairs contribute nothing.  There is no Tor correction: this models the
     Chow Kunneth rule, which is an isomorphism for the spaces treated here.
-    Rows are combined as (order -> multiplicity) counts, so the work grows
-    with the distinct orders per row, not with the number of summands.
+    So a monomial in the generators is free if it avoids every generator
+    with m >= 2, and otherwise cyclic of order the gcd of the coefficients
+    it meets.
     """
-    bound = min(a.bound, b.bound)
-    left = [_row_counts(r) for r in a.rows[: bound + 1]]
-    right = [(r.degree, _row_counts(r)) for r in b.rows[: bound + 1]]
-    return _table_from_counts(_tensor_counts(left, right, bound))
-
-
-def polynomial_table(generators, bound: int) -> ChowTable:
-    """Integral table of the tensor product of the rings ``Z[x]/(m x)``, one
-    per ``(degree, m)`` generator, with m = 0 for ``Z[x]``; no generators
-    give the point.
-
-    Each monomial is free if it avoids every generator with m >= 2, and
-    otherwise cyclic of order the gcd of the coefficients it meets: the
-    Kunneth rule of ``tensor_tables``, folded one generator at a time.
-    """
+    if len(factors) == 1 and isinstance(factors[0], ChowTable):  # its own product: no copy
+        return ChowTable(factors[0].rows[: bound + 1], bound)
     counts = [{0: 1} if d == 0 else {} for d in range(bound + 1)]
-    for degree, m in generators:
-        x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
-        factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
+    for f in factors:
+        if isinstance(f, ChowTable):
+            factor = [(d, _row_counts(f.row(d))) for d in range(bound + 1)]
+        else:
+            degree, m = f
+            x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
+            factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
         counts = _tensor_counts(counts, factor, bound)
     return _table_from_counts(counts)
 

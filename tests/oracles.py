@@ -8,6 +8,7 @@ right.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import count
 from itertools import product as cartesian
 from math import gcd
@@ -15,6 +16,7 @@ from math import gcd
 from chowbg._intmath import prime_power_decompose
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import CyclicZ, FiniteAbelian, Product
+from chowbg.tables import EXACT, EXTRAPOLATED_FIELD, UPPER_BOUND, tensor_tables
 
 
 def monomial_table(generators, relations, bound):
@@ -124,6 +126,17 @@ def kunneth_factors(g):
         case FiniteAbelian(factors):
             return [CyclicZ(m) for m in factors]
     return [g]
+
+
+def pairwise_kunneth_table(factor_tables):
+    """Kunneth product of integral tables folded pairwise with
+    ``tensor_tables``, with their provenance merged: upper-bound if any
+    factor is one, else exact, plus extrapolated-field if any factor is."""
+    flags = [flag for table in factor_tables for flag in table.provenance]
+    provenance = (UPPER_BOUND if UPPER_BOUND in flags else EXACT,)
+    if EXTRAPOLATED_FIELD in flags:
+        provenance += (EXTRAPOLATED_FIELD,)
+    return reduce(tensor_tables, factor_tables).with_metadata(provenance=provenance)
 
 
 def labelled_kunneth_table(factor_tables):

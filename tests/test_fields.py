@@ -15,6 +15,7 @@ from chowbg.fields import (
 )
 from chowbg.groups import CyclicZ
 from chowbg.models import chow_model
+from chowbg.tables import polynomial_table
 from oracles import cyclotomic_order_by_search, galois_exponent_by_search
 
 
@@ -146,6 +147,15 @@ class TestInvariantFiltering:
         for a, b in zip(coarse.rows, fine.rows):
             if not a.is_zero():
                 assert a == b
+
+    def test_generator_matches_filter(self):
+        # the (t, p) generator of the model path is the filtered Z[x]/(p x) table
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            for t in (t for t in range(1, p) if (p - 1) % t == 0):
+                for bound in range(41):
+                    full = polynomial_table([(1, p)], bound).with_metadata(group=CyclicZ(p))
+                    filtered = apply_cyclotomic_invariants(full, t)
+                    assert polynomial_table([(t, p)], bound).rows == filtered.rows
 
     def test_rejects_nondivisor(self):
         with pytest.raises(ValueError):

@@ -26,12 +26,18 @@ from chowbg.models import (
     localize_table,
     mod_p_table,
 )
-from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization
-from oracles import kunneth_factors, labelled_kunneth_table, symmetric_rows
+from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization, polynomial_table
+from oracles import (
+    kunneth_factors,
+    labelled_kunneth_table,
+    pairwise_kunneth_table,
+    symmetric_rows,
+)
 from strategies import graded_groups, group_exprs
 
 C = parse_field("C")
 Q = parse_field("Q")
+KUNNETH_FIELDS = [parse_field(k) for k in ("C", "Q", "Q(mu_3)", "F_2", "F_7", "F_2(mu_3)")]
 
 
 def model(text, field=C, bound=10):
@@ -131,6 +137,52 @@ class TestDispatch:
             return
         assert chow_model(g, C, bound).rows == labelled_kunneth_table(factors).rows
 
+    @settings(max_examples=80, deadline=None)
+    @given(group_exprs(), st.sampled_from(KUNNETH_FIELDS), st.integers(min_value=0, max_value=5))
+    def test_single_fold_matches_pairwise_fold(self, g, k, bound):
+        try:
+            factors = [chow_model(h, k, bound) for h in kunneth_factors(g)]
+        except UnsupportedError:
+            # a failing term, or a cyclic factor failing on its own, fails the whole group
+            with pytest.raises(UnsupportedError):
+                chow_model(g, k, bound)
+            return
+        try:
+            table = chow_model(g, k, bound)
+        except UnsupportedError:
+            # only a finite abelian group can fail when each cyclic factor alone
+            # is supported: a field lacking its roots of unity
+            assert any(isinstance(h, FiniteAbelian) for h in _product_terms(g))
+            return
+        expected = pairwise_kunneth_table(factors)
+        assert (table.rows, table.provenance) == (expected.rows, expected.provenance)
+        assert (table.group, table.field, table.localization) == (g, k, INTEGRAL)
+
+    def test_one_polynomial_table_per_memo_miss(self, monkeypatch):
+        calls = []
+
+        def counting(factors, bound):
+            calls.append(bound)
+            return polynomial_table(factors, bound)
+
+        monkeypatch.setattr("chowbg.models.polynomial_table", counting)
+        chow_model.cache_clear()
+        for text in ("wr(2, wr(2, Z/2)) x GL(2) x Z/3", "wr(2, Z/2) x O(3)", "Z/5 x S_3"):
+            model(text, bound=6)
+        assert len(calls) == chow_model.cache_info().misses == 5
+
+    def test_negative_bound_gets_one_message(self):
+        for text in ("Z/3", "GL(2)", "wr(2, Z/2)"):
+            with pytest.raises(ValueError, match="one row per degree"):
+                chow_model(parse_group_expr(text), C, -1)
+        for g in (CyclicZ(3), Symmetric(3)):
+            with pytest.raises(ValueError, match="one row per degree"):
+                chow_model_localized(g, C, -1, 3)
+            with pytest.raises(ValueError, match="one row per degree"):
+                chow_model_mod_p(g, C, -1, 3)
+        with pytest.raises(ValueError, match="one row per degree"):
+            chow_symmetric_sylow_bound(4, 2, -1)
+
     def test_cache_consistent_across_threads(self):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -139,6 +191,10 @@ class TestDispatch:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: chow_model(g, C, 8), range(32)))
         assert all(t == results[0] for t in results)
+
+
+def _product_terms(g):
+    return _product_terms(g.left) + _product_terms(g.right) if isinstance(g, Product) else [g]
 
 
 class TestWreath:

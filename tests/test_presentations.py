@@ -11,6 +11,7 @@ from chowbg.presentations import (
     RingPresentation,
     additive_table_from_presentation,
     catalog_presentation,
+    presentation_generators,
 )
 from oracles import monomial_table, poincare_coefficients
 
@@ -84,6 +85,13 @@ class TestExpansion:
     def test_generators_only_rejected(self):
         with pytest.raises(UnsupportedError):
             additive_table_from_presentation(pres("G2"), 4)
+        with pytest.raises(UnsupportedError):
+            presentation_generators(pres("G2"))
+
+    def test_generator_list(self):
+        # one (degree, m) per Chern class, m = 0 where no relation names it
+        assert presentation_generators(pres("O(3)")) == [(1, 2), (2, 0), (3, 2)]
+        assert presentation_generators(pres("Sp(4)")) == [(2, 0), (4, 0)]
 
     @pytest.mark.parametrize("text", ["O(1)", "O(2)", "O(3)", "O(4)", "O(5)", "O(6)", "SO(5)", "SO(7)"])
     def test_matches_bruteforce_enumeration(self, text):

@@ -65,6 +65,26 @@ class TestPolynomialTable:
             polynomial_table(a, bound), polynomial_table(b, bound)
         )
 
+    @given(
+        st.lists(graded_groups(), min_size=1, max_size=3),
+        generator_lists,
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_table_factors_match_tensor_tables_fold(self, groups, generators, trim):
+        tables = [to_table(g) for g in groups]
+        bound = max(0, min(t.bound for t in tables) - trim)
+        expected = polynomial_table(generators, bound)
+        for t in tables:
+            expected = tensor_tables(expected, t)
+        assert polynomial_table(tables + generators, bound) == expected
+
+    def test_table_factor_below_bound_rejected(self):
+        short = table((1, ()))
+        with pytest.raises(ValueError, match="one row per degree"):
+            polynomial_table([short], 1)
+        with pytest.raises(ValueError, match="outside table bound"):
+            polynomial_table([(1, 2), short], 1)
+
 
 class TestDegreeRow:
     @given(row_args)
