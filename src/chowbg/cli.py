@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._intmath import is_prime, prime_power_decompose
@@ -337,7 +338,16 @@ def main() -> None:
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull and exit
+        # with EPIPE's status, as the Python docs' SIGPIPE note does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

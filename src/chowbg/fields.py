@@ -9,10 +9,10 @@ unity.  t = 1 exactly when the field already contains them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import lcm
 
 from ._intmath import is_prime, multiplicative_order, p_valuation, require_prime
+from ._record import Record
 from .errors import FieldParseError, UnsupportedError
 from .groups import CyclicZ
 from .tables import ChowTable, DegreeRow
@@ -22,20 +22,27 @@ PRIME_FIELD = "prime_field"
 CYCLOTOMIC_EXTENSION = "cyclotomic_extension"
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
-    characteristic: int  # 0 or a prime
-    kind: str
-    adjoined: tuple[int, ...] = ()  # orders m of adjoined root-of-unity groups
-    name: str = ""
+class FieldDescriptor(Record):
+    __slots__ = ("characteristic", "kind", "adjoined", "name")
 
-    def __post_init__(self):
-        if self.characteristic != 0 and not is_prime(self.characteristic):
+    def __init__(
+        self,
+        characteristic: int,  # 0 or a prime
+        kind: str,
+        adjoined: tuple[int, ...] = (),  # orders m of adjoined root-of-unity groups
+        name: str = "",
+    ):
+        if characteristic != 0 and not is_prime(characteristic):
             raise ValueError("characteristic must be 0 or prime")
-        if self.kind not in (ALGEBRAICALLY_CLOSED, PRIME_FIELD, CYCLOTOMIC_EXTENSION):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == CYCLOTOMIC_EXTENSION and not self.adjoined:
+        if kind not in (ALGEBRAICALLY_CLOSED, PRIME_FIELD, CYCLOTOMIC_EXTENSION):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == CYCLOTOMIC_EXTENSION and not adjoined:
             raise ValueError("cyclotomic extension needs at least one adjoined order")
+        setattr_ = object.__setattr__
+        setattr_(self, "characteristic", characteristic)
+        setattr_(self, "kind", kind)
+        setattr_(self, "adjoined", adjoined)
+        setattr_(self, "name", name)
 
 
 COMPLEX = FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name="C")
@@ -123,8 +130,7 @@ def invariance_rule_status(k: FieldDescriptor, p: int) -> str:
 # the Galois fixed-subgroup exponent
 
 
-@dataclass(frozen=True)
-class GaloisFixedSpec:
+class GaloisFixedSpec(Record):
     """Fixed subgroup of degree-i classes with coefficients twisted i times.
 
     exponent None: the fixed subgroup is zero (degree not a multiple of
@@ -132,9 +138,13 @@ class GaloisFixedSpec:
     multiplication by p**c.
     """
 
-    prime: int
-    codegree: int
-    exponent: int | None
+    __slots__ = ("prime", "codegree", "exponent")
+
+    def __init__(self, prime: int, codegree: int, exponent: int | None):
+        setattr_ = object.__setattr__
+        setattr_(self, "prime", prime)
+        setattr_(self, "codegree", codegree)
+        setattr_(self, "exponent", exponent)
 
     def is_zero(self) -> bool:
         return self.exponent is None

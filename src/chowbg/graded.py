@@ -16,10 +16,10 @@ immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from ._intmath import factorint, is_prime_power, require_prime
+from ._record import Record
 from .errors import GradingError
 from .tables import ChowTable, DegreeRow
 
@@ -28,25 +28,33 @@ from .tables import ChowTable, DegreeRow
 # provenance labels
 
 
-@dataclass(frozen=True, slots=True)
-class Generator:
-    name: str
+class Generator(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class Tensor:
-    parts: tuple["Label", ...]
+class Tensor(Record):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Label, ...]):
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, slots=True)
-class Gamma:
-    inner: "Label"
+class Gamma(Record):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Label):
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
-class Alpha:
-    inner: "Label"
-    target_degree: int
+class Alpha(Record):
+    __slots__ = ("inner", "target_degree")
+
+    def __init__(self, inner: Label, target_degree: int):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "target_degree", target_degree)
 
 
 Label = Generator | Tensor | Gamma | Alpha
@@ -70,19 +78,22 @@ def label_key(label: Label):
 # gradings and groups
 
 
-@dataclass(frozen=True, slots=True)
-class Codim:
+class Codim(Record):
     """Grading by codimension; degrees 0..valid_through are authoritative."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class Dim:
+
+class Dim(Record):
     """Grading by dimension; ambient None means unbounded ambient dimension.
 
     With ambient d and bound D, dimensions d-D..d are authoritative.
     """
 
-    ambient: int | None = None
+    __slots__ = ("ambient",)
+
+    def __init__(self, ambient: int | None = None):
+        object.__setattr__(self, "ambient", ambient)
 
 
 CODIM = Codim()
@@ -90,31 +101,33 @@ CODIM = Codim()
 Grading = Codim | Dim
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicSummand:
-    order: int  # 0 = infinite cyclic; prime power >= 2 after normalize
-    degree: int
-    label: Label
+class CyclicSummand(Record):
+    __slots__ = ("order", "degree", "label")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+    def __init__(self, order: int, degree: int, label: Label):
+        # order 0 = infinite cyclic; prime power >= 2 after normalize
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        setattr_ = object.__setattr__
+        setattr_(self, "order", order)
+        setattr_(self, "degree", degree)
+        setattr_(self, "label", label)
 
 
 def _summand_key(s: CyclicSummand):
     return (s.degree, s.order, label_key(s.label))
 
 
-@dataclass(frozen=True)
-class GradedAbelianGroup:
-    grading: Grading
-    summands: tuple[CyclicSummand, ...]
-    valid_through: int
+class GradedAbelianGroup(Record):
+    __slots__ = ("grading", "summands", "valid_through")
 
-    def __post_init__(self):
-        object.__setattr__(self, "summands", tuple(self.summands))
+    def __init__(self, grading: Grading, summands: tuple[CyclicSummand, ...], valid_through: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "grading", grading)
+        setattr_(self, "summands", tuple(summands))
+        setattr_(self, "valid_through", valid_through)
         if self.valid_through < 0:
             raise ValueError("valid_through must be >= 0")
         lo, hi = self.window()

@@ -15,106 +15,106 @@ canonical tree and reparsing gives the tree back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._intmath import invariant_factors, is_prime
+from ._record import Record
 from .errors import GroupParseError, UnsupportedError
 
 
-@dataclass(frozen=True, slots=True)
-class Trivial:
-    pass
+class Trivial(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicZ:
-    n: int
+class CyclicZ(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("cyclic order must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteAbelian:
-    factors: tuple[int, ...]  # invariant factors, decreasing divisibility chain
+class FiniteAbelian(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if len(self.factors) < 1 or any(f < 2 for f in self.factors):
+    def __init__(self, factors: tuple[int, ...]):
+        # invariant factors, decreasing divisibility chain
+        if len(factors) < 1 or any(f < 2 for f in factors):
             raise ValueError("invariant factors must be >= 2")
-        if any(a % b != 0 for a, b in zip(self.factors, self.factors[1:])):
+        if any(a % b != 0 for a, b in zip(factors, factors[1:])):
             raise ValueError("factors must form a divisibility chain, largest first")
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True, slots=True)
-class Gm:
-    pass
+class Gm(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class GL:
-    n: int
+class GL(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("GL rank must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class O:
-    n: int
+class O(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("O rank must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class SO:
-    n: int
+class SO(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("SO rank must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class Sp:
-    n: int  # the matrix size 2n; always even
+class Sp(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 2 or self.n % 2 != 0:
+    def __init__(self, n: int):
+        # the matrix size 2n; always even
+        if n < 2 or n % 2 != 0:
             raise ValueError("Sp argument must be even and >= 2")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class G2:
-    pass
+class G2(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Symmetric:
-    n: int
+class Symmetric(Record):
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise ValueError("symmetric group degree must be >= 1")
+        object.__setattr__(self, "n", n)
 
 
-@dataclass(frozen=True, slots=True)
-class Wreath:
-    p: int
-    inner: "GroupExpr"
+class Wreath(Record):
+    __slots__ = ("p", "inner")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
+    def __init__(self, p: int, inner: GroupExpr):
+        if not is_prime(p):
             raise ValueError("wreath degree must be prime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    left: "GroupExpr"
-    right: "GroupExpr"
+class Product(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: GroupExpr, right: GroupExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 GroupExpr = (
@@ -370,8 +370,7 @@ def generator_bound(g: GroupExpr) -> int:
     )
 
 
-@dataclass(frozen=True)
-class SylowProfile:
+class SylowProfile(Record):
     """Shape of the p-Sylow subgroup of a symmetric group.
 
     Each base-p digit d at position i contributes d copies of the i-fold
@@ -379,8 +378,11 @@ class SylowProfile:
     Sylow subgroup is the product of those factors.
     """
 
-    prime: int
-    heights: tuple[int, ...]
+    __slots__ = ("prime", "heights")
+
+    def __init__(self, prime: int, heights: tuple[int, ...]):
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "heights", heights)
 
     def group(self) -> GroupExpr:
         return combine_product([wreath_tower(self.prime, h) for h in self.heights])

@@ -9,8 +9,7 @@ Chern class (m = 0 when no relation names it): the Kunneth factors that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import UnsupportedError
 from .groups import G2, GL, SO, O, Gm, GroupExpr, Sp, format_group
 from .tables import ChowTable, polynomial_table
@@ -19,28 +18,35 @@ EXACT_PRESENTATION = "exact"
 GENERATORS_ONLY = "generators-only"
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    group: GroupExpr
-    generators: tuple[tuple[str, int], ...]  # (name, degree)
-    torsion_relations: tuple[tuple[int, str], ...]  # (m, name): m * name = 0
-    completeness: str  # EXACT_PRESENTATION | GENERATORS_ONLY
+class RingPresentation(Record):
+    __slots__ = ("group", "generators", "torsion_relations", "completeness")
 
-    def __post_init__(self):
-        names = [n for n, _ in self.generators]
+    def __init__(
+        self,
+        group: GroupExpr,
+        generators: tuple[tuple[str, int], ...],  # (name, degree)
+        torsion_relations: tuple[tuple[int, str], ...],  # (m, name): m * name = 0
+        completeness: str,  # EXACT_PRESENTATION | GENERATORS_ONLY
+    ):
+        names = [n for n, _ in generators]
         if len(set(names)) != len(names):
             raise ValueError("generator names must be unique")
-        if any(d < 1 for _, d in self.generators):
+        if any(d < 1 for _, d in generators):
             raise ValueError("generator degrees must be >= 1")
-        if any(m < 2 for m, _ in self.torsion_relations):
+        if any(m < 2 for m, _ in torsion_relations):
             raise ValueError("torsion coefficients must be >= 2")
-        if any(n not in names for _, n in self.torsion_relations):
+        if any(n not in names for _, n in torsion_relations):
             raise ValueError("relation names a missing generator")
-        related = [n for _, n in self.torsion_relations]
+        related = [n for _, n in torsion_relations]
         if len(set(related)) != len(related):
             raise ValueError("each generator takes at most one torsion relation")
-        if self.completeness not in (EXACT_PRESENTATION, GENERATORS_ONLY):
-            raise ValueError(f"unknown completeness {self.completeness!r}")
+        if completeness not in (EXACT_PRESENTATION, GENERATORS_ONLY):
+            raise ValueError(f"unknown completeness {completeness!r}")
+        setattr_ = object.__setattr__
+        setattr_(self, "group", group)
+        setattr_(self, "generators", generators)
+        setattr_(self, "torsion_relations", torsion_relations)
+        setattr_(self, "completeness", completeness)
 
 
 def _chern(indices) -> tuple[tuple[str, int], ...]:

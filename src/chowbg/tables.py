@@ -21,29 +21,30 @@ that format never leaves this module.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd
 from typing import TYPE_CHECKING
 
 from ._intmath import factorint, prime_power_decompose, require_prime
+from ._record import Record
 
 if TYPE_CHECKING:  # only for annotations; avoids import cycles
     from .fields import FieldDescriptor
     from .groups import GroupExpr
 
 
-@dataclass(frozen=True)
-class Localization:
-    kind: str  # "integral" | "at_prime" | "mod_p"
-    prime: int | None = None
+class Localization(Record):
+    __slots__ = ("kind", "prime")
 
-    def __post_init__(self):
-        if self.kind not in ("integral", "at_prime", "mod_p"):
-            raise ValueError(f"unknown localization kind {self.kind!r}")
-        if (self.prime is None) != (self.kind == "integral"):
+    def __init__(self, kind: str, prime: int | None = None):
+        # kind: "integral" | "at_prime" | "mod_p"
+        if kind not in ("integral", "at_prime", "mod_p"):
+            raise ValueError(f"unknown localization kind {kind!r}")
+        if (prime is None) != (kind == "integral"):
             raise ValueError("prime required exactly for at_prime / mod_p")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "prime", prime)
 
 
 INTEGRAL = Localization("integral")
@@ -65,7 +66,7 @@ def torsion_sort_key(order: int) -> tuple[int, int]:
     return pe
 
 
-class DegreeRow:
+class DegreeRow(Record):
     """One degree of a table: free rank and torsion (order, multiplicity) pairs.
 
     ``DegreeRow(degree, free_rank, torsion)`` takes the torsion as one order
@@ -108,46 +109,38 @@ class DegreeRow:
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.counts
 
-    def _key(self):
-        return (self.degree, self.free_rank, self.counts)
-
-    def __eq__(self, other):
-        if other.__class__ is not DegreeRow:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __repr__(self):
         return (
             f"DegreeRow(degree={self.degree!r}, free_rank={self.free_rank!r}, "
             f"torsion={self.torsion!r})"
         )
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
 
 
-@dataclass(frozen=True)
-class ChowTable:
-    rows: tuple[DegreeRow, ...]
-    bound: int
-    group: "GroupExpr | None" = None
-    field: "FieldDescriptor | None" = None
-    localization: Localization = INTEGRAL
-    provenance: tuple[str, ...] = (EXACT,)
+class ChowTable(Record):
+    __slots__ = ("rows", "bound", "group", "field", "localization", "provenance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.bound < 0 or [r.degree for r in self.rows] != list(range(self.bound + 1)):
+    def __init__(
+        self,
+        rows: tuple[DegreeRow, ...],
+        bound: int,
+        group: GroupExpr | None = None,
+        field: FieldDescriptor | None = None,
+        localization: Localization = INTEGRAL,
+        provenance: tuple[str, ...] = (EXACT,),
+    ):
+        rows = tuple(rows)
+        if bound < 0 or [r.degree for r in rows] != list(range(bound + 1)):
             raise ValueError("table must have one row per degree 0..bound")
+        setattr_ = object.__setattr__
+        setattr_(self, "rows", rows)
+        setattr_(self, "bound", bound)
+        setattr_(self, "group", group)
+        setattr_(self, "field", field)
+        setattr_(self, "localization", localization)
+        setattr_(self, "provenance", provenance)
 
     def row(self, degree: int) -> DegreeRow:
         if not 0 <= degree <= self.bound:
@@ -155,7 +148,10 @@ class ChowTable:
         return self.rows[degree]
 
     def with_metadata(self, **kw) -> "ChowTable":
-        return replace(self, **kw)
+        """A copy with the given fields replaced; an unknown field is a TypeError."""
+        for name in self.__slots__:
+            kw.setdefault(name, getattr(self, name))
+        return ChowTable(**kw)
 
 
 def _row_counts(row: DegreeRow) -> dict[int, int]:

@@ -1,0 +1,93 @@
+"""The CLI as a fresh ``python -m chowbg.cli`` process.
+
+In-process tests call ``chowbg.cli.run`` and cannot see what only a new
+interpreter shows: warnings printed while ``runpy`` starts the module, or
+errors raised when the standard streams are flushed at exit.  Here a
+stratified sample of the benchmark's ``cli-small`` references runs one
+process per request, and a reader that leaves early must not get a
+traceback.  The benchmark's modules are imported, never changed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = str(ROOT / "bench")
+sys.path.insert(0, BENCH)
+
+from answer import digest, err_class  # noqa: E402
+from workloads import catalog, request_key  # noqa: E402
+
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+CLI = [sys.executable, "-m", "chowbg.cli"]
+
+
+def _flag(argv, name, default):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def _strata_sample():
+    """The first ordinary cli-small request of each (verb, format, exit code,
+    error class) stratum, with its reference."""
+    with open(os.path.join(BENCH, "refs.json")) as f:
+        refs = json.load(f)["cli-small"]
+    sample = {}
+    for slice_name, argv in catalog("cli-small"):
+        if slice_name not in ("normal", "error"):
+            continue
+        ref = refs[request_key(argv)]
+        key = (argv[0], _flag(argv, "--format", "table"), ref["exit"], ref["err"])
+        sample.setdefault(key, (argv, ref))
+    return list(sample.values())
+
+
+def test_fresh_processes_match_references():
+    sample = _strata_sample()
+    assert len(sample) == 29
+    mismatches = []
+    for argv, ref in sample:
+        child = subprocess.run([*CLI, *argv], env=ENV, capture_output=True, timeout=60)
+        err = child.stderr.decode("utf-8")
+        got = {"exit": child.returncode, "out": digest(child.stdout), "err": err_class(err)}
+        if got != {key: ref[key] for key in got}:
+            mismatches.append((argv, got))
+        assert "Traceback" not in err, argv
+        if child.returncode == 0:
+            assert err == "", argv
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "argv, exits",
+    [
+        # 1.4 kB: the whole answer may be in the pipe before the reader leaves
+        (
+            ("describe", "Z/5 x GL(1)", "--field", "Q", "--max-degree", "8", "--format", "json"),
+            (0, 1),
+        ),
+        # 113 kB: more than a pipe buffer holds, so the writer is still
+        # writing when the reader leaves, however stdout is buffered
+        (("describe", "GL(2) x Z/6", "--max-degree", "400", "--format", "json"), (1,)),
+    ],
+)
+def test_early_closed_stdout_gives_no_traceback(argv, exits):
+    child = subprocess.Popen(
+        [*CLI, *argv], env=ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    try:
+        head = child.stdout.read(300)
+        child.stdout.close()
+        err = child.stderr.read()
+    finally:
+        child.wait(timeout=60)
+        child.stderr.close()
+    assert len(head) == 300
+    assert b"Traceback" not in err and err == b""
+    assert child.returncode in exits

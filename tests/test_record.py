@@ -1,0 +1,345 @@
+"""The value classes behave as the frozen dataclasses they replace.
+
+Every class built on ``chowbg._record.Record`` keeps the dataclass repr
+text, class-sensitive equality and hashing, positional ``match``
+patterns, pickling, ``FrozenInstanceError`` on assignment and deletion,
+and its constructor's validation messages in their original order.  The
+last test guards the reason for ``Record``: importing the CLI must not
+load ``dataclasses`` or ``inspect``.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
+from pathlib import Path
+
+import pytest
+
+import chowbg
+from chowbg.errors import GradingError
+from chowbg.fields import FieldDescriptor, galois_fixed_exponent, parse_field
+from chowbg.graded import (
+    CODIM,
+    Alpha,
+    Codim,
+    CyclicSummand,
+    Dim,
+    Gamma,
+    Generator,
+    GradedAbelianGroup,
+    Tensor,
+)
+from chowbg.groups import (
+    G2,
+    GL,
+    SO,
+    CyclicZ,
+    FiniteAbelian,
+    Gm,
+    O,
+    Product,
+    Sp,
+    Symmetric,
+    Trivial,
+    Wreath,
+    sylow_profile,
+)
+from chowbg.presentations import RingPresentation, catalog_presentation
+from chowbg.tables import INTEGRAL, ChowTable, DegreeRow, Localization
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# one sample of every Record class, with the repr its frozen dataclass gave
+SAMPLES = [
+    (Trivial(), "Trivial()"),
+    (CyclicZ(2), "CyclicZ(n=2)"),
+    (FiniteAbelian((4, 2)), "FiniteAbelian(factors=(4, 2))"),
+    (Gm(), "Gm()"),
+    (GL(2), "GL(n=2)"),
+    (O(3), "O(n=3)"),
+    (SO(5), "SO(n=5)"),
+    (Sp(4), "Sp(n=4)"),
+    (G2(), "G2()"),
+    (Symmetric(4), "Symmetric(n=4)"),
+    (Wreath(3, CyclicZ(3)), "Wreath(p=3, inner=CyclicZ(n=3))"),
+    (Product(GL(1), O(2)), "Product(left=GL(n=1), right=O(n=2))"),
+    (sylow_profile(6, 2), "SylowProfile(prime=2, heights=(1, 2))"),
+    (Generator("e1"), "Generator(name='e1')"),
+    (
+        Tensor((Generator("a"), Generator("b"))),
+        "Tensor(parts=(Generator(name='a'), Generator(name='b')))",
+    ),
+    (Gamma(Generator("a")), "Gamma(inner=Generator(name='a'))"),
+    (Alpha(Generator("a"), 4), "Alpha(inner=Generator(name='a'), target_degree=4)"),
+    (Codim(), "Codim()"),
+    (Dim(), "Dim(ambient=None)"),
+    (Dim(5), "Dim(ambient=5)"),
+    (
+        CyclicSummand(4, 1, Generator("t")),
+        "CyclicSummand(order=4, degree=1, label=Generator(name='t'))",
+    ),
+    (
+        GradedAbelianGroup(CODIM, [CyclicSummand(0, 0, Generator("e"))], 2),
+        "GradedAbelianGroup(grading=Codim(), summands=(CyclicSummand(order=0, degree=0, "
+        "label=Generator(name='e')),), valid_through=2)",
+    ),
+    (Localization("at_prime", 3), "Localization(kind='at_prime', prime=3)"),
+    (INTEGRAL, "Localization(kind='integral', prime=None)"),
+    (
+        ChowTable((DegreeRow(0, 1, ()),), 0),
+        "ChowTable(rows=(DegreeRow(degree=0, free_rank=1, torsion=()),), bound=0, "
+        "group=None, field=None, localization=Localization(kind='integral', prime=None), "
+        "provenance=('exact',))",
+    ),
+    (
+        parse_field("C"),
+        "FieldDescriptor(characteristic=0, kind='algebraically_closed', adjoined=(), name='C')",
+    ),
+    (
+        parse_field("F_2(mu_3)"),
+        "FieldDescriptor(characteristic=2, kind='cyclotomic_extension', adjoined=(3,), "
+        "name='F_2(mu_3)')",
+    ),
+    (galois_fixed_exponent(3, 4), "GaloisFixedSpec(prime=3, codegree=4, exponent=1)"),
+    (galois_fixed_exponent(3, 3), "GaloisFixedSpec(prime=3, codegree=3, exponent=None)"),
+    (
+        catalog_presentation(O(2)),
+        "RingPresentation(group=O(n=2), generators=(('c1', 1), ('c2', 2)), "
+        "torsion_relations=((2, 'c1'),), completeness='exact')",
+    ),
+]
+
+VALUES = [value for value, _ in SAMPLES]
+
+
+def _ids(samples):
+    return [text.split("(", 1)[0] for _, text in samples]
+
+
+@pytest.mark.parametrize("value, text", SAMPLES, ids=_ids(SAMPLES))
+def test_repr_keeps_dataclass_text(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_ids(SAMPLES))
+def test_equal_copies_hash_equally(value):
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin is not value
+    assert twin == value and not twin != value
+    assert type(twin) is type(value) and hash(twin) == hash(value)
+
+
+def test_classes_with_equal_fields_differ():
+    same_fields = [CyclicZ(2), GL(2), O(2), SO(2), Sp(2), Symmetric(2)]
+    assert len(set(same_fields)) == len(same_fields)
+    for a in same_fields:
+        for b in same_fields:
+            assert (a == b) == (a is b)
+    assert Trivial() != Gm() != G2() != Codim()
+    assert Gamma(Generator("a")) != Generator("a")
+    assert CyclicZ(2) != (2,) and CyclicZ(2) != 2
+    assert DegreeRow(0, 1, ()) != (0, 1, ())
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_ids(SAMPLES))
+def test_assignment_and_deletion_raise(value):
+    for name in value.__match_args__ + ("extra",):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=_ids(SAMPLES))
+def test_fields_are_slots(value):
+    assert value.__slots__ == value.__match_args__
+    assert not hasattr(value, "__dict__")
+
+
+def test_degree_row_uses_record_freezing():
+    row = DegreeRow(1, 0, (2, 2, 3))
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'counts'"):
+        del row.counts
+    assert row == DegreeRow.from_counts(1, 0, {3: 1, 2: 2})
+    assert hash(row) == hash(DegreeRow.from_counts(1, 0, {3: 1, 2: 2}))
+
+
+def test_positional_match_patterns():
+    def shape(value):
+        match value:
+            case Wreath(p, CyclicZ(n)):
+                return ("wreath", p, n)
+            case Product(left, right):
+                return ("product", shape(left), shape(right))
+            case Alpha(Generator(name), j):
+                return ("alpha", name, j)
+            case CyclicSummand(order, degree, _):
+                return ("summand", order, degree)
+            case Localization(kind, prime):
+                return (kind, prime)
+            case Dim(ambient=None):
+                return "unbounded"
+            case Trivial():
+                return "point"
+        return None
+
+    assert shape(Product(Wreath(3, CyclicZ(3)), Trivial())) == (
+        "product",
+        ("wreath", 3, 3),
+        "point",
+    )
+    assert shape(Alpha(Generator("a"), 4)) == ("alpha", "a", 4)
+    assert shape(CyclicSummand(4, 1, Generator("t"))) == ("summand", 4, 1)
+    assert shape(Localization("mod_p", 5)) == ("mod_p", 5)
+    assert shape(Dim()) == "unbounded"
+    assert Wreath.__match_args__ == ("p", "inner")
+    assert Codim.__match_args__ == ()
+
+
+def test_keyword_construction_and_defaults():
+    assert Localization(kind="integral") == INTEGRAL
+    assert FieldDescriptor(characteristic=0, kind="algebraically_closed", name="C") == (
+        parse_field("C")
+    )
+    table = ChowTable(rows=[DegreeRow(0, 1, ())], bound=0)
+    assert table.rows == (DegreeRow(0, 1, ()),) and table.provenance == ("exact",)
+    assert table.localization is INTEGRAL and table.group is None and table.field is None
+
+
+def test_with_metadata_replaces_fields():
+    table = ChowTable((DegreeRow(0, 1, ()),), 0)
+    changed = table.with_metadata(group=GL(1), provenance=("exact", "upper-bound"))
+    assert changed.group == GL(1) and changed.provenance == ("exact", "upper-bound")
+    assert changed.rows is table.rows and changed.bound == 0
+    assert table.group is None
+    with pytest.raises(ValueError, match="one row per degree"):
+        table.with_metadata(bound=1)
+    with pytest.raises(TypeError):
+        table.with_metadata(bogus=1)
+
+
+G = Generator("g")
+FAULTS = [
+    (lambda: CyclicZ(0), ValueError, "cyclic order must be >= 1"),
+    (lambda: FiniteAbelian(()), ValueError, "invariant factors must be >= 2"),
+    (lambda: FiniteAbelian((2, 1)), ValueError, "invariant factors must be >= 2"),
+    (
+        lambda: FiniteAbelian((2, 4)),
+        ValueError,
+        "factors must form a divisibility chain, largest first",
+    ),
+    (lambda: GL(0), ValueError, "GL rank must be >= 1"),
+    (lambda: O(0), ValueError, "O rank must be >= 1"),
+    (lambda: SO(0), ValueError, "SO rank must be >= 1"),
+    (lambda: Sp(3), ValueError, "Sp argument must be even and >= 2"),
+    (lambda: Sp(0), ValueError, "Sp argument must be even and >= 2"),
+    (lambda: Symmetric(0), ValueError, "symmetric group degree must be >= 1"),
+    (lambda: Wreath(4, CyclicZ(2)), ValueError, "wreath degree must be prime"),
+    (lambda: CyclicSummand(-1, -1, G), ValueError, "order must be >= 0, got -1"),
+    (lambda: CyclicSummand(0, -1, G), ValueError, "degree must be >= 0, got -1"),
+    (lambda: GradedAbelianGroup(CODIM, (), -1), ValueError, "valid_through must be >= 0"),
+    (
+        lambda: GradedAbelianGroup(CODIM, [CyclicSummand(0, 3, G)], 2),
+        GradingError,
+        "summand degree 3 outside authoritative window [0, 2]",
+    ),
+    (
+        lambda: GradedAbelianGroup(Dim(10), [CyclicSummand(0, 3, G)], 2),
+        GradingError,
+        "summand degree 3 outside authoritative window [8, 10]",
+    ),
+    (lambda: Localization("local"), ValueError, "unknown localization kind 'local'"),
+    (
+        lambda: Localization("integral", 2),
+        ValueError,
+        "prime required exactly for at_prime / mod_p",
+    ),
+    (lambda: Localization("mod_p"), ValueError, "prime required exactly for at_prime / mod_p"),
+    (lambda: ChowTable((), -1), ValueError, "table must have one row per degree 0..bound"),
+    (
+        lambda: ChowTable((DegreeRow(1, 0, ()),), 0),
+        ValueError,
+        "table must have one row per degree 0..bound",
+    ),
+    (lambda: FieldDescriptor(4, "weird"), ValueError, "characteristic must be 0 or prime"),
+    (lambda: FieldDescriptor(0, "weird"), ValueError, "unknown field kind 'weird'"),
+    (
+        lambda: FieldDescriptor(0, "cyclotomic_extension"),
+        ValueError,
+        "cyclotomic extension needs at least one adjoined order",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c1", 1), ("c1", 0)), ((1, "c9"),), "maybe"),
+        ValueError,
+        "generator names must be unique",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c0", 0),), ((1, "c9"),), "maybe"),
+        ValueError,
+        "generator degrees must be >= 1",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c1", 1),), ((1, "c9"),), "maybe"),
+        ValueError,
+        "torsion coefficients must be >= 2",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c1", 1),), ((2, "c9"),), "maybe"),
+        ValueError,
+        "relation names a missing generator",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c1", 1),), ((2, "c1"), (3, "c1")), "maybe"),
+        ValueError,
+        "each generator takes at most one torsion relation",
+    ),
+    (
+        lambda: RingPresentation(GL(2), (("c1", 1),), (), "maybe"),
+        ValueError,
+        "unknown completeness 'maybe'",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, error, message", FAULTS, ids=[m for _, _, m in FAULTS])
+def test_validation_messages_kept(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error and str(info.value) == message
+
+
+ALL_NAMES = [
+    "Alpha", "CODIM", "ChowTable", "Codim", "CyclicSummand", "DegreeRow", "Dim",
+    "FieldDescriptor", "FieldParseError", "GaloisFixedSpec", "Gamma", "Generator",
+    "GradedAbelianGroup", "GradingError", "GroupExpr", "GroupParseError", "Localization",
+    "RingPresentation", "SylowProfile", "Tensor", "UnsupportedError",
+    "abelian_invariant_factors", "abelianization", "additive_table_from_presentation",
+    "apply_cyclotomic_invariants", "catalog_presentation", "chow_integral_symmetric",
+    "chow_model", "chow_model_localized", "chow_model_mod_p", "chow_symmetric_local",
+    "chow_symmetric_sylow_bound", "chow_wreath", "contains_mu", "convert_to_codim",
+    "cyclic", "cyclic_power_codim", "cyclic_power_dim", "cyclotomic_order",
+    "degree_orders", "direct_sum", "errors", "fields", "format_group",
+    "galois_fixed_exponent", "generator_bound", "graded", "group_dimension", "groups",
+    "localize", "localize_table", "mod_p_dimension", "mod_p_table", "models", "normalize",
+    "parse_field", "parse_group_expr", "presentations", "rotation_orbit_summary",
+    "sylow_profile", "tables", "tensor", "to_table",
+]  # fmt: skip
+
+
+def test_cli_import_skips_dataclasses_and_keeps_exports():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = (
+        "import sys, chowbg.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0 and child.stderr == ""
+    assert child.stdout == "[]\n"
+    assert len(ALL_NAMES) == 63
+    assert sorted(chowbg.__all__) == ALL_NAMES
