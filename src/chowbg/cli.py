@@ -2,8 +2,10 @@
 
 Verbs: describe, series, presentation, galois-exponent, bound, sylow.
 Exit codes: 0 success, 2 parse error (group or field text, with byte
-offset), 3 unsupported computation.  Output is deterministic: rows and
-torsion are emitted in canonical order, JSON objects in fixed key order.
+offset) or usage error (bad flags or integers), 3 unsupported
+computation, 1 stdout closed before the output was written.  Output is
+deterministic: rows and torsion are emitted in canonical order, JSON
+objects in fixed key order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from ._intmath import is_prime, prime_power_decompose
 from .errors import FieldParseError, GroupParseError, UnsupportedError
 from .fields import galois_fixed_exponent, parse_field
-from .groups import format_group, generator_bound, parse_group_expr, sylow_profile
+from .groups import format_group, generator_bound, parse_group_expr
 from .models import (
     chow_model,
     chow_model_localized,
@@ -46,47 +48,42 @@ def _int_arg(minimum: int, prime: bool = False):
     return parse
 
 
-def _add_table_flags(sub: argparse.ArgumentParser, with_group: bool = True) -> None:
-    if with_group:
-        sub.add_argument("group", help="group expression, e.g. 'O(3)' or 'Z/4 x Z/2'")
-    sub.add_argument("--max-degree", type=_int_arg(0), default=10)
-    sub.add_argument("--field", default="C", help="C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)")
-    loc = sub.add_mutually_exclusive_group()
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per verb, with its runner as ``args.run``; shared flags come from parents."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("table", "json"), default="table")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--max-degree", type=_int_arg(0), default=10)
+    table.add_argument("--field", default="C", help="C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)")
+    located = argparse.ArgumentParser(add_help=False, parents=[table])
+    located.add_argument("group", help="group expression, e.g. 'O(3)' or 'Z/4 x Z/2'")
     prime = _int_arg(2, prime=True)
+    loc = located.add_mutually_exclusive_group()
     loc.add_argument("--prime", type=prime, help="localize at this prime")
     loc.add_argument("--mod", type=prime, help="report F_p dimensions at this prime")
-    sub.add_argument("--format", choices=("table", "json"), default="table")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chowbg",
         description="Additive structure and presentations of Chow rings of classifying spaces",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    _add_table_flags(sub.add_parser("describe", help="per-degree additive table"))
-    _add_table_flags(sub.add_parser("series", help="per-degree numeric series"))
+    def verb(name, help, runner, *parents):
+        # --format after the shared flags: -h and 'ambiguous option' errors list in this order
+        sub_parser = sub.add_parser(name, help=help, parents=[*parents, output])
+        sub_parser.set_defaults(run=runner)
+        return sub_parser
 
-    pres = sub.add_parser("presentation", help="catalog ring presentation")
-    pres.add_argument("group")
-    pres.add_argument("--format", choices=("table", "json"), default="table")
-
-    gal = sub.add_parser("galois-exponent", help="Galois fixed-subgroup exponent")
-    gal.add_argument("--prime", type=_int_arg(2, prime=True), required=True)
+    verb("describe", "per-degree additive table", _run_describe, located)
+    verb("series", "per-degree numeric series", _run_series, located)
+    verb("presentation", "catalog ring presentation", _run_presentation).add_argument("group")
+    gal = verb("galois-exponent", "Galois fixed-subgroup exponent", _run_galois_exponent)
+    gal.add_argument("--prime", type=prime, required=True)
     gal.add_argument("--degree", type=_int_arg(1), required=True)
-    gal.add_argument("--format", choices=("table", "json"), default="table")
-
-    bnd = sub.add_parser("bound", help="generator degree bound")
-    bnd.add_argument("group")
-    bnd.add_argument("--format", choices=("table", "json"), default="table")
-
-    syl = sub.add_parser("sylow", help="table of the p-Sylow subgroup of S_n")
+    verb("bound", "generator degree bound", _run_bound).add_argument("group")
+    syl = verb("sylow", "table of the p-Sylow subgroup of S_n", _run_sylow, table)
     syl.add_argument("n", type=_int_arg(1))
-    syl.add_argument("--prime", type=_int_arg(2, prime=True), required=True)
-    syl.add_argument("--max-degree", type=_int_arg(0), default=10)
-    syl.add_argument("--field", default="C")
-    syl.add_argument("--format", choices=("table", "json"), default="table")
+    syl.add_argument("--prime", type=prime, required=True)
     return parser
 
 
@@ -202,8 +199,8 @@ def _emit_json(obj: dict, out) -> None:
 # verbs
 
 
-def _compute_table(group_text: str, args) -> ChowTable:
-    g = parse_group_expr(group_text)
+def _compute_table(args) -> ChowTable:
+    g = parse_group_expr(args.group)
     k = parse_field(args.field)
     if args.prime is not None:
         return chow_model_localized(g, k, args.max_degree, args.prime)
@@ -212,8 +209,7 @@ def _compute_table(group_text: str, args) -> ChowTable:
     return chow_model(g, k, args.max_degree)
 
 
-def _run_describe(args, out) -> int:
-    table = _compute_table(args.group, args)
+def _emit_table(table: ChowTable, args, out) -> int:
     if args.format == "json":
         _emit_json(table_to_json_obj(table), out)
     else:
@@ -221,8 +217,12 @@ def _run_describe(args, out) -> int:
     return 0
 
 
+def _run_describe(args, out) -> int:
+    return _emit_table(_compute_table(args), args, out)
+
+
 def _run_series(args, out) -> int:
-    table = _compute_table(args.group, args)
+    table = _compute_table(args)
     kind = "mod-p-dimension" if args.mod is not None else "free-rank"
     values = [row.free_rank for row in table.rows]
     if args.format == "json":
@@ -295,25 +295,9 @@ def _run_bound(args, out) -> int:
 def _run_sylow(args, out) -> int:
     k = parse_field(args.field)
     table = chow_symmetric_sylow_bound(args.n, args.prime, args.max_degree, field=k)
-    if args.format == "json":
-        _emit_json(table_to_json_obj(table), out)
-    else:
-        profile = sylow_profile(args.n, args.prime)
-        out.write(
-            f"{args.prime}-Sylow subgroup of S_{args.n}: {format_group(profile.group())}\n"
-        )
-        render_table(table, out)
-    return 0
-
-
-_VERBS = {
-    "describe": _run_describe,
-    "series": _run_series,
-    "presentation": _run_presentation,
-    "galois-exponent": _run_galois_exponent,
-    "bound": _run_bound,
-    "sylow": _run_sylow,
-}
+    if args.format == "table":  # the table's group is the Sylow subgroup
+        out.write(f"{args.prime}-Sylow subgroup of S_{args.n}: {format_group(table.group)}\n")
+    return _emit_table(table, args, out)
 
 
 def run(argv: list[str], out=None, err=None) -> int:
@@ -325,7 +309,7 @@ def run(argv: list[str], out=None, err=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _VERBS[args.verb](args, out)
+        return args.run(args, out)
     except (GroupParseError, FieldParseError) as exc:
         err.write(f"parse error: {exc}\n")
         return 2

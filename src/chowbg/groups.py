@@ -313,18 +313,6 @@ def parse_group_expr(text: str) -> GroupExpr:
 # structural data
 
 
-def is_finite(g: GroupExpr) -> bool:
-    match g:
-        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric():
-            return True
-        case Wreath(_, inner):
-            return is_finite(inner)
-        case Product(left, right):
-            return is_finite(left) and is_finite(right)
-        case _:
-            return False
-
-
 def group_dimension(g: GroupExpr) -> int:
     """Dimension as an algebraic group; finite groups have dimension 0."""
     match g:
@@ -339,10 +327,12 @@ def group_dimension(g: GroupExpr) -> int:
             return m * (2 * m + 1)
         case G2():
             return 14
+        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric():
+            return 0
+        case Wreath(p, inner):
+            return p * group_dimension(inner)
         case Product(left, right):
             return group_dimension(left) + group_dimension(right)
-        case _ if is_finite(g):
-            return 0
     raise TypeError(f"not a group expression: {g!r}")
 
 

@@ -83,11 +83,12 @@ def localize_table(table: ChowTable, p: int) -> ChowTable:
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each row, reported in the free-rank column: the free
     rank plus the number of p-power torsion summands."""
-    local = localize_table(table, p)
+    require_prime(p)
     rows = tuple(
-        DegreeRow(r.degree, r.free_rank + sum(m for _, m in r.counts), ()) for r in local.rows
+        DegreeRow(r.degree, r.free_rank + sum(m for q, m in r.counts if q % p == 0), ())
+        for r in table.rows
     )
-    return local.with_metadata(rows=rows, localization=Localization("mod_p", p))
+    return table.with_metadata(rows=rows, localization=Localization("mod_p", p))
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +220,13 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     """Integral table of CH^*(BS_n) for n <= 3: degree 0 is Z and each
     positive degree is the direct sum of the p-local torsion over p <= n,
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
-    return polynomial_table(_symmetric_generators(n, field), bound).with_metadata(
-        group=Symmetric(n), field=field
-    )
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return chow_model(Symmetric(n), field, bound)
 
 
 def _symmetric_generators(n: int, field: FieldDescriptor) -> list[tuple[int, int]]:
     """The ``(p - 1, p)`` generators of the integral table of S_n, n <= 3."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > 3:
         raise UnsupportedError(
             f"the integral table of S_{n} for n >= 4 needs stable elements for a "

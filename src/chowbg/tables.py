@@ -109,12 +109,6 @@ class DegreeRow(Record):
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.counts
 
-    def __repr__(self):
-        return (
-            f"DegreeRow(degree={self.degree!r}, free_rank={self.free_rank!r}, "
-            f"torsion={self.torsion!r})"
-        )
-
     def __reduce__(self):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
 

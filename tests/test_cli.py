@@ -109,6 +109,12 @@ class TestJsonRoundTrip:
         table = table_from_json_obj(obj)
         assert table_to_json_obj(table) == obj
 
+    def test_other_schema_version_rejected(self):
+        code, out, _ = invoke(["describe", "O(3)", "--max-degree", "1", "--format", "json"])
+        obj = {**json.loads(out), "schema": 2}
+        with pytest.raises(ValueError, match="unsupported schema version 2"):
+            table_from_json_obj(obj)
+
     def test_equals_library_value(self):
         code, out, _ = invoke(["describe", "O(3)", "--max-degree", "5", "--format", "json"])
         assert code == 0
@@ -180,6 +186,11 @@ class TestOtherVerbs:
         assert code == 0
         assert "2-Sylow subgroup of S_6: Z/2 x wr(2, Z/2)" in out
         assert "  1: (Z/2)^3" in out
+
+    def test_sylow_needs_roots_of_unity_exit_3(self):
+        code, out, err = invoke(["sylow", "3", "--prime", "3", "--field", "Q"])
+        assert (code, out) == (3, "")
+        assert err.startswith("unsupported: Sylow wreath towers need the 3-th roots of unity")
 
     def test_sylow_requires_prime(self):
         code, _, _ = invoke(["sylow", "6"])

@@ -9,6 +9,7 @@ from chowbg.groups import (
     CyclicZ,
     FiniteAbelian,
     Gm,
+    O,
     Product,
     Symmetric,
     Trivial,
@@ -86,6 +87,18 @@ class TestParser:
         assert str(exc.value) == f"{message} (byte {offset})"
         assert exc.value.offset == offset
 
+    def test_parenthesised_terms(self):
+        assert parse_group_expr("(O(3) x Z/2) x GL(1)") == Product(
+            Product(O(3), CyclicZ(2)), GL(1)
+        )
+        assert parse_group_expr("((Z/2))") == CyclicZ(2)
+
+    def test_unclosed_parenthesis_offset(self):
+        with pytest.raises(GroupParseError) as exc:
+            parse_group_expr("(O(3)")
+        assert str(exc.value) == "expected ')' (byte 5)"
+        assert exc.value.offset == 5
+
     def test_order_one_cyclic_is_trivial(self):
         assert parse_group_expr("Z/1") == Trivial()
         assert parse_group_expr("Z/1 x Gm") == Gm()
@@ -108,10 +121,19 @@ class TestDimension:
             ("S_6", 0),
             ("wr(2, Z/2)", 0),
             ("GL(2) x Gm", 5),
+            ("wr(2, GL(1))", 2),
+            ("wr(3, O(2))", 3),
+            ("wr(2, GL(1)) x Z/2", 2),
         ],
     )
     def test_values(self, text, dim):
         assert group_dimension(parse_group_expr(text)) == dim
+
+    @given(group_exprs(), st.sampled_from([2, 3, 5]), group_exprs())
+    def test_wreath_multiplies_and_product_adds(self, g, p, h):
+        assert group_dimension(g) >= 0
+        assert group_dimension(Wreath(p, g)) == p * group_dimension(g)
+        assert group_dimension(Product(g, h)) == group_dimension(g) + group_dimension(h)
 
 
 class TestGeneratorBound:

@@ -218,6 +218,10 @@ class TestWreath:
         t = chow_model(g, C, 2)
         assert tuple(sorted(t.rows[1].torsion)) == abelian_invariant_factors(g)
 
+    def test_upper_bound_inner_rejected(self):
+        with pytest.raises(UnsupportedError, match="exact inner table"):
+            chow_wreath(2, chow_symmetric_sylow_bound(4, 2, 3))
+
     def test_group_metadata(self):
         t = model("wr(3, Z/3)", bound=2)
         assert t.group == Wreath(3, CyclicZ(3))
@@ -302,6 +306,10 @@ class TestSymmetricLocal:
         with pytest.raises(UnsupportedError):
             chow_symmetric_local(3, 3, parse_field("F_3"), 4)
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            chow_symmetric_local(0, 3, C, 4)
+
     def test_localized_dispatch(self):
         t = chow_model_localized(parse_group_expr("S_5"), Q, 4, 3)
         assert t.rows == chow_symmetric_local(5, 3, Q, 4).rows
@@ -368,6 +376,13 @@ class TestSymmetricIntegral:
     def test_s4_rejected(self):
         with pytest.raises(UnsupportedError):
             chow_integral_symmetric(4, 4)
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            chow_integral_symmetric(0, 4)
+
+    def test_memoized_with_dispatch(self):
+        assert chow_integral_symmetric(3, 4, Q) is chow_model(Symmetric(3), Q, 4)
 
     def test_small_characteristic_rejected(self):
         with pytest.raises(UnsupportedError):

@@ -91,7 +91,7 @@ SAMPLES = [
     (INTEGRAL, "Localization(kind='integral', prime=None)"),
     (
         ChowTable((DegreeRow(0, 1, ()),), 0),
-        "ChowTable(rows=(DegreeRow(degree=0, free_rank=1, torsion=()),), bound=0, "
+        "ChowTable(rows=(DegreeRow(degree=0, free_rank=1, counts=()),), bound=0, "
         "group=None, field=None, localization=Localization(kind='integral', prime=None), "
         "provenance=('exact',))",
     ),

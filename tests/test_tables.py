@@ -129,8 +129,11 @@ class TestDegreeRow:
 
     def test_repr_keeps_dataclass_text(self):
         assert repr(DegreeRow.from_counts(2, 1, {3: 1, 2: 2})) == (
-            "DegreeRow(degree=2, free_rank=1, torsion=(2, 2, 3))"
+            "DegreeRow(degree=2, free_rank=1, counts=((2, 2), (3, 1)))"
         )
+
+    def test_repr_size_does_not_grow_with_multiplicity(self):
+        assert len(repr(DegreeRow.from_counts(0, 0, {2: 10**6}))) < 100
 
     def test_immutable(self):
         row = DegreeRow(0, 1, (2,))
