@@ -26,9 +26,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def require_prime(p: int, what: str = "p") -> None:
+def require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"{what} must be prime, got {p}")
+        raise ValueError(f"p must be prime, got {p}")
 
 
 @lru_cache(maxsize=4096)
@@ -78,15 +78,17 @@ def p_valuation(n: int, p: int) -> int:
 
 
 def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)^*; a must be coprime to m >= 2."""
+    """Order of a in (Z/m)^*, a coprime to m >= 2: start from phi(m) and divide
+    out each prime factor q while a**(order / q) is still 1."""
     if m < 2 or gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit modulo {m}")
-    k = 1
-    x = a % m
-    while x != 1:
-        x = (x * a) % m
-        k += 1
-    return k
+    order = 1
+    for q, e in factorint(m):
+        order *= q ** (e - 1) * (q - 1)
+    for q, _ in factorint(order):
+        while order % q == 0 and pow(a, order // q, m) == 1:
+            order //= q
+    return order
 
 
 def invariant_factors(divisors) -> tuple[int, ...]:

@@ -184,8 +184,14 @@ def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:
     return table.with_metadata(rows=rows)
 
 
-def require_char_ne(k: FieldDescriptor, p: int, what: str) -> None:
-    if k.characteristic == p:
-        raise UnsupportedError(
-            f"{what} is not defined over fields of characteristic {p}"
-        )
+def require_char_ne(k: FieldDescriptor, m: int, what: str) -> None:
+    """Tameness: raise UnsupportedError when char k divides m."""
+    if k.characteristic != 0 and m % k.characteristic == 0:
+        raise UnsupportedError(f"{what} is only established in characteristic prime to {m}")
+
+
+def require_mu(k: FieldDescriptor, m: int, what: str) -> None:
+    """Tameness, then mu_m in k: raise UnsupportedError unless both hold."""
+    require_char_ne(k, m, what)
+    if not contains_mu(k, m):
+        raise UnsupportedError(f"{what} needs the roots of unity of order {m} in the base field")

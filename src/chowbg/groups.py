@@ -7,10 +7,16 @@ Grammar (whitespace-insensitive)::
           | "SO(" int ")" | "Sp(" int ")" | "G2" | "S_" int
           | "wr(" prime "," expr ")" | "(" expr ")"
 
-The parser produces canonical trees: trivial factors are dropped, runs of
-adjacent finite cyclic factors collapse into a single ``FiniteAbelian``
-node in invariant-factor form, and products fold to the left.  Printing a
-canonical tree and reparsing gives the tree back.
+The parser produces canonical trees (``combine_product``):
+
+* a parenthesised sub-product is spliced in: ``A x (B x C)`` has three terms;
+* trivial factors are dropped;
+* all finite abelian factors, adjacent or not, are gathered into one node in
+  invariant-factor form at the place of the first: ``Z/2 x GL(1) x Z/3``
+  is ``Z/6 x GL(1)``;
+* products are binary ``Product`` nodes folded to the left.
+
+Printing a canonical tree and reparsing gives the tree back.
 """
 
 from __future__ import annotations
@@ -144,33 +150,32 @@ def abelian_expr(orders) -> GroupExpr:
 
 
 def combine_product(terms) -> GroupExpr:
-    """Canonical product: drop trivial factors, merge adjacent abelian runs,
-    fold to the left."""
-    merged: list[GroupExpr] = []
-    for t in terms:
-        if isinstance(t, Trivial):
-            continue
-        if isinstance(t, (CyclicZ, FiniteAbelian)) and merged and isinstance(
-            merged[-1], (CyclicZ, FiniteAbelian)
-        ):
-            merged[-1] = abelian_expr(_cyclic_orders(merged[-1]) + _cyclic_orders(t))
-        else:
-            merged.append(t)
-    if not merged:
+    """Canonical product: splice sub-products in, drop trivial factors,
+    gather every finite abelian factor into one invariant-factor node at the
+    place of the first, fold to the left."""
+    flat: list[GroupExpr] = []
+    orders: list[int] = []
+    at = 0
+    stack = list(terms)[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Product):
+            stack += (t.right, t.left)
+        elif isinstance(t, (CyclicZ, FiniteAbelian)):
+            if not orders:
+                at = len(flat)
+            orders += (t.n,) if isinstance(t, CyclicZ) else t.factors
+        elif not isinstance(t, Trivial):
+            flat.append(t)
+    abelian = abelian_expr(orders)
+    if not isinstance(abelian, Trivial):
+        flat.insert(at, abelian)
+    if not flat:
         return Trivial()
-    expr = merged[0]
-    for t in merged[1:]:
+    expr = flat[0]
+    for t in flat[1:]:
         expr = Product(expr, t)
     return expr
-
-
-def _cyclic_orders(g: GroupExpr) -> tuple[int, ...]:
-    match g:
-        case CyclicZ(n):
-            return (n,)
-        case FiniteAbelian(factors):
-            return factors
-    raise TypeError(f"not an abelian node: {g!r}")
 
 
 def format_group(g: GroupExpr) -> str:

@@ -13,16 +13,16 @@ them with one ``tables.polynomial_table`` call:
   the ring ``Z[x^t]/(p x^t)`` of invariants, where t is the order of the
   cyclotomic-character image (``fields.apply_cyclotomic_invariants`` is
   the reference for this filter);
-* the integral table of a symmetric group S_n, n <= 3, is ``(p - 1, p)``
-  for each prime p <= n: the p-local ring ``Z[x]/(p x)`` with
-  ``deg x = p - 1`` while the p-Sylow subgroup has order p;
+* a symmetric group S_n has one generator per prime p <= n, of degree
+  p - 1 and order p: the p-local ring ``Z[x]/(p x)``, while the p-Sylow
+  subgroup is cyclic (n < 2p);
 * a wreath product wr(p, G) is one table factor, the codimension cyclic
-  power ``tables.cyclic_power_table`` of the table of G (fields must
-  contain the p-th roots of unity);
+  power ``tables.cyclic_power_table`` of the table of G;
 * a product concatenates the lists of its terms (the Kunneth rule).
 
-Anything outside this territory raises UnsupportedError rather than
-returning a guess.
+Every rule assumes a characteristic prime to the orders it involves, checked
+by ``fields.require_char_ne``, and the wreath rule mu_p in k, by ``require_mu``.
+Anything outside this territory raises UnsupportedError, never a guess.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .fields import (
     cyclotomic_order,
     invariance_rule_status,
     require_char_ne,
+    require_mu,
 )
 from .groups import (
     G2,
@@ -110,20 +111,13 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
         case Trivial():
             return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
-            if isinstance(g, (O, SO)) and k.characteristic == 2:
-                raise UnsupportedError(
-                    f"CH^*(B{format_group(g)}) is only established in characteristic != 2"
-                )
-            if isinstance(g, G2):
-                raise UnsupportedError(
-                    "only generators of CH^*(BG2) are known (c1..c7); no additive table "
-                    "can be certified, but the presentation command lists the generators"
-                )
+            if isinstance(g, (O, SO)):
+                require_char_ne(k, 2, f"CH^*(B{format_group(g)})")
             return presentation_generators(catalog_presentation(g)), False
         case CyclicZ() | FiniteAbelian():
             return _abelian_generators(g, k)
         case Symmetric(n):
-            return _symmetric_generators(n, k), False
+            return _symmetric_generators(n, k, (p for p in range(2, n + 1) if is_prime(p))), False
         case Wreath(p, inner):
             table = chow_wreath(p, chow_model(inner, k, bound))
             return [table], EXTRAPOLATED_FIELD in table.provenance
@@ -138,10 +132,7 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
     ``(t, p)`` for a single Z/p over a field without mu_p."""
     factors = (g.n,) if isinstance(g, CyclicZ) else g.factors
     for m in factors:
-        if k.characteristic != 0 and m % k.characteristic == 0:
-            raise UnsupportedError(
-                f"B(Z/{m}) has no tame model in characteristic {k.characteristic}"
-            )
+        require_char_ne(k, m, f"B(Z/{m})")
     if all(contains_mu(k, m) for m in factors):
         return [(1, m) for m in factors], False
     # general-field path: only a single prime-order cyclic group is established
@@ -165,11 +156,7 @@ def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
     if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
         raise UnsupportedError("wreath construction needs an exact inner table")
     if inner.field is not None:
-        require_char_ne(inner.field, p, f"wr({p}, -)")
-        if not contains_mu(inner.field, p):
-            raise UnsupportedError(
-                f"wreath tables need the {p}-th roots of unity in the base field"
-            )
+        require_mu(inner.field, p, f"wr({p}, -)")
     group = Wreath(p, inner.group) if inner.group is not None else None
     return cyclic_power_table(inner, p).with_metadata(
         group=group, field=inner.field, provenance=inner.provenance
@@ -189,13 +176,7 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    require_char_ne(k, p, f"the {p}-local table of S_{n}")
-    if n >= 2 * p:
-        raise UnsupportedError(
-            f"the {p}-Sylow subgroup of S_{n} is not cyclic; the stable-element "
-            "computation beyond prime-order Sylow subgroups is not available"
-        )
-    return polynomial_table([(p - 1, p)] if n >= p else [], bound).with_metadata(
+    return polynomial_table(_symmetric_generators(n, k, (p,)), bound).with_metadata(
         group=Symmetric(n), field=k, localization=Localization("at_prime", p)
     )
 
@@ -206,11 +187,7 @@ def chow_symmetric_sylow_bound(
     """Exact table of the p-Sylow subgroup of S_n, an upper bound containing
     the p-local Chow groups of BS_n as a split summand."""
     require_prime(p)
-    require_char_ne(field, p, f"the {p}-Sylow table of S_{n}")
-    if not contains_mu(field, p):
-        raise UnsupportedError(
-            f"Sylow wreath towers need the {p}-th roots of unity in the base field"
-        )
+    require_mu(field, p, f"the {p}-Sylow table of S_{n}")
     profile = sylow_profile(n, p)
     table = chow_model(profile.group(), field, bound)
     return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
@@ -225,19 +202,21 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     return chow_model(Symmetric(n), field, bound)
 
 
-def _symmetric_generators(n: int, field: FieldDescriptor) -> list[tuple[int, int]]:
-    """The ``(p - 1, p)`` generators of the integral table of S_n, n <= 3."""
-    if n > 3:
-        raise UnsupportedError(
-            f"the integral table of S_{n} for n >= 4 needs stable elements for a "
-            "non-cyclic 2-Sylow subgroup, which is outside this catalog"
-        )
-    if field.characteristic != 0 and field.characteristic <= n:
-        raise UnsupportedError(
-            f"the integral table of S_{n} mixes all primes <= {n}, so the "
-            f"characteristic must be 0 or larger than {n}"
-        )
-    return [(p - 1, p) for p in (2, 3) if p <= n]
+def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int, int]]:
+    """The generators of CH^*(BS_n) at each prime of ``primes``: none while
+    the p-Sylow subgroup is trivial (n < p), degree p - 1 and order p while
+    it is cyclic of order p (n < 2p); a larger Sylow subgroup raises."""
+    generators = []
+    for p in primes:
+        require_char_ne(k, p, f"the {p}-local table of S_{n}")
+        if n >= 2 * p:
+            raise UnsupportedError(
+                f"the {p}-Sylow subgroup of S_{n} is not cyclic; the stable-element "
+                "computation beyond prime-order Sylow subgroups is not available"
+            )
+        if n >= p:
+            generators.append((p - 1, p))
+    return generators
 
 
 def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:

@@ -90,7 +90,7 @@ def presentation_generators(pres: RingPresentation) -> list[tuple[int, int]]:
     if pres.completeness != EXACT_PRESENTATION:
         raise UnsupportedError(
             f"presentation for {format_group(pres.group)} lists generators only; "
-            "no additive table can be certified"
+            "no additive table can be certified, but the presentation command lists the generators"
         )
     coeff = {name: m for m, name in pres.torsion_relations}
     return [(degree, coeff.get(name, 0)) for name, degree in pres.generators]

@@ -19,6 +19,7 @@ from chowbg.groups import (
     Wreath,
     abelian_expr,
     combine_product,
+    format_group,
 )
 
 SMALL_ORDERS = (0, 2, 3, 4, 5, 8, 9, 12)
@@ -82,3 +83,18 @@ def atomic_groups(draw):
 def group_exprs(draw, max_terms=3):
     terms = draw(st.lists(atomic_groups(), min_size=1, max_size=max_terms))
     return combine_product(terms)
+
+
+@st.composite
+def parenthesised_products(draw, max_terms=5):
+    """Atomic groups and a product text of them with random parentheses."""
+    terms = draw(st.lists(atomic_groups(), min_size=1, max_size=max_terms))
+
+    def write(ts):
+        if len(ts) == 1:
+            return format_group(ts[0])
+        cut = draw(st.integers(min_value=1, max_value=len(ts) - 1))
+        parts = (write(ts[:cut]), write(ts[cut:]))
+        return " x ".join(f"({part})" if draw(st.booleans()) else part for part in parts)
+
+    return terms, write(terms)

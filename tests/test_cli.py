@@ -2,11 +2,14 @@ import io
 import json
 
 import pytest
+from hypothesis import given
 
 from chowbg.cli import run, table_from_json_obj, table_to_json_obj
+from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
-from chowbg.groups import parse_group_expr
+from chowbg.groups import combine_product, format_group, parse_group_expr
 from chowbg.models import chow_model
+from strategies import parenthesised_products
 
 
 def invoke(argv):
@@ -122,6 +125,42 @@ class TestJsonRoundTrip:
         assert table == chow_model(parse_group_expr("O(3)"), parse_field("C"), 5)
 
 
+class TestCanonicalProducts:
+    @given(parenthesised_products())
+    def test_text_and_json_round_trip(self, case):
+        terms, text = case
+        g = parse_group_expr(text)
+        assert g == combine_product(terms)
+        assert parse_group_expr(format_group(g)) == g
+        try:
+            table = chow_model(g, parse_field("C"), 2)
+        except UnsupportedError:
+            return
+        assert table_from_json_obj(table_to_json_obj(table)) == table
+
+    @pytest.mark.parametrize(
+        "text, group",
+        [
+            ("Z/2 x (Z/3 x GL(1))", "Z/6 x GL(1)"),
+            ("GL(1) x Z/2 x O(3) x (Z/4 x (Sp(2) x Z/3))", "GL(1) x Z/12 x Z/2 x O(3) x Sp(2)"),
+        ],
+    )
+    def test_group_line_reparses_to_the_same_table(self, text, group):
+        code, out, _ = invoke(["describe", text, "--max-degree", "3", "--format", "json"])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["group"] == group
+        table = table_from_json_obj(obj)
+        assert table == chow_model(parse_group_expr(text), parse_field("C"), 3)
+
+    @pytest.mark.parametrize("text", ["Z/3 x GL(1) x Z/3", "Z/3 x Gm x Z/5"])
+    def test_scattered_abelian_factors_need_roots_of_unity(self, text):
+        # the abelian factors form one group, Z/3 x Z/3 or Z/15, whatever lies between
+        code, out, err = invoke(["describe", text, "--field", "Q"])
+        assert (code, out) == (3, "")
+        assert err.startswith("unsupported: Q lacks the roots of unity")
+
+
 class TestOtherVerbs:
     def test_series_gl2(self):
         code, out, _ = invoke(["series", "GL(2)", "--max-degree", "8"])
@@ -173,6 +212,18 @@ class TestOtherVerbs:
         )
         assert json.loads(out)["exponent"] == 2
 
+    def test_g2_table_exit_3_names_the_presentation_command(self):
+        code, out, err = invoke(["describe", "G2"])
+        assert (code, out) == (3, "")
+        assert "lists generators only" in err
+        assert "the presentation command lists the generators" in err
+
+    def test_large_adjoined_root_of_unity(self):
+        # the order of 2 mod 10**9 + 7 is 500000003, found from the factorization
+        code, out, _ = invoke(["describe", "Z/3", "--field", "F_2(mu_1000000007)", "--max-degree", "2"])
+        assert code == 0
+        assert out.splitlines()[-2:] == ["  1: 0", "  2: Z/3"]
+
     def test_bound(self):
         code, out, _ = invoke(["bound", "G2"])
         assert (code, out) == (0, "35\n")
@@ -190,7 +241,7 @@ class TestOtherVerbs:
     def test_sylow_needs_roots_of_unity_exit_3(self):
         code, out, err = invoke(["sylow", "3", "--prime", "3", "--field", "Q"])
         assert (code, out) == (3, "")
-        assert err.startswith("unsupported: Sylow wreath towers need the 3-th roots of unity")
+        assert err.startswith("unsupported: the 3-Sylow table of S_3 needs the roots of unity of order 3")
 
     def test_sylow_requires_prime(self):
         code, _, _ = invoke(["sylow", "6"])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -390,6 +392,69 @@ class TestSymmetricIntegral:
 
     def test_via_dispatch(self):
         assert model("S_3", bound=4).rows == chow_integral_symmetric(3, 4).rows
+
+
+F_2, F_3 = parse_field("F_2"), parse_field("F_3")
+TAME = "is only established in characteristic prime to"
+MU = "needs the roots of unity of order"
+
+
+class TestFieldGuards:
+    """Each field hypothesis is checked by one guard, whichever entry point
+    reaches it: tameness (char k prime to the order) and mu_p in k."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: model("O(3)", F_2), f"CH^*(BO(3)) {TAME} 2"),
+            (lambda: model("Z/6", F_3), f"B(Z/6) {TAME} 6"),
+            (lambda: model("wr(3, Z/3)", Q), f"wr(3, -) {MU} 3"),
+            (lambda: chow_wreath(3, model("Z/3", Q)), f"wr(3, -) {MU} 3"),
+            (lambda: chow_symmetric_sylow_bound(3, 3, 4, Q), f"the 3-Sylow table of S_3 {MU} 3"),
+            (lambda: chow_symmetric_sylow_bound(3, 3, 4, F_3), f"the 3-Sylow table of S_3 {TAME} 3"),
+            (lambda: model("S_3", F_3), f"the 3-local table of S_3 {TAME} 3"),
+            (lambda: chow_symmetric_local(3, 3, F_3, 4), f"the 3-local table of S_3 {TAME} 3"),
+            (
+                lambda: chow_model_localized(Symmetric(3), F_3, 4, 3),
+                f"the 3-local table of S_3 {TAME} 3",
+            ),
+        ],
+        ids=[
+            "O(3)/F_2",
+            "Z6/F_3",
+            "wreath/Q",
+            "chow_wreath/Q",
+            "sylow/Q",
+            "sylow/F_3",
+            "S_3/F_3",
+            "S_3-local/F_3",
+            "S_3-localized/F_3",
+        ],
+    )
+    def test_guard_fires(self, build, message):
+        with pytest.raises(UnsupportedError, match="^" + re.escape(message)):
+            build()
+
+    def test_integral_symmetric_raises_at_first_noncyclic_prime(self):
+        # the primes are produced lazily, so a huge n stops at p = 2
+        with pytest.raises(UnsupportedError, match="^the 2-Sylow subgroup of S_10000000 is not cyclic"):
+            model("S_10000000", C)
+
+    def test_symmetric_local_equals_localized_integral(self):
+        fields = [parse_field(k) for k in ("C", "Q", "Q(mu_3)", "F_2", "F_3", "F_5", "F_7(mu_5)")]
+        compared = 0
+        for n in (1, 2, 3):
+            for p in (2, 3, 5, 7):
+                for k in fields:
+                    for bound in range(9):
+                        try:
+                            local = chow_model_localized(Symmetric(n), k, bound, p)
+                            integral = chow_model(Symmetric(n), k, bound)
+                        except UnsupportedError:
+                            continue
+                        assert local == localize_table(integral, p)
+                        compared += 1
+        assert compared == 567
 
 
 class TestLocalizations:
