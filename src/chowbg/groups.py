@@ -105,7 +105,22 @@ class Symmetric(Record):
         object.__setattr__(self, "n", n)
 
 
-class Wreath(Record):
+class _Node(Record):
+    """A record with group children.  Its hash, the hash of its field values
+    as for any record, is computed once at construction from the children's
+    cached hashes, so hashing a deep tree (a memo key) costs O(1) and never
+    recurses."""
+
+    __slots__ = ("_hash",)
+
+    def _seal(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._values(self)))
+
+    def __hash__(self):
+        return self._hash
+
+
+class Wreath(_Node):
     __slots__ = ("p", "inner")
 
     def __init__(self, p: int, inner: GroupExpr):
@@ -113,14 +128,16 @@ class Wreath(Record):
             raise ValueError("wreath degree must be prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "inner", inner)
+        self._seal()
 
 
-class Product(Record):
+class Product(_Node):
     __slots__ = ("left", "right")
 
     def __init__(self, left: GroupExpr, right: GroupExpr):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        self._seal()
 
 
 GroupExpr = (

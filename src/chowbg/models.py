@@ -23,11 +23,17 @@ them with one ``tables.polynomial_table`` call:
 Every rule assumes a characteristic prime to the orders it involves, checked
 by ``fields.require_char_ne``, and the wreath rule mu_p in k, by ``require_mu``.
 Anything outside this territory raises UnsupportedError, never a guess.
+
+Tables are graded: the table through degree b is the first b + 1 rows of the
+table through any larger degree.  So ``chow_model`` keeps one widest table per
+(group, field) and serves every smaller bound as a row slice of it, and the
+mod-p view counts the p-power torsion of the integral table in one pass.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import namedtuple
+from threading import Lock
 
 from ._intmath import is_prime, require_prime
 from .errors import UnsupportedError
@@ -62,6 +68,7 @@ from .presentations import catalog_presentation, presentation_generators
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
+    INTEGRAL,
     UPPER_BOUND,
     ChowTable,
     DegreeRow,
@@ -85,23 +92,71 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each row, reported in the free-rank column: the free
     rank plus the number of p-power torsion summands."""
     require_prime(p)
-    rows = tuple(
-        DegreeRow(r.degree, r.free_rank + sum(m for q, m in r.counts if q % p == 0), ())
-        for r in table.rows
-    )
-    return table.with_metadata(rows=rows, localization=Localization("mod_p", p))
+    rows = []
+    for r in table.rows:
+        rank = r.free_rank + sum(m for q, m in r.counts if q % p == 0)
+        rows.append(DegreeRow.from_counts(r.degree, rank, ()))
+    return table.with_metadata(rows=tuple(rows), localization=Localization("mod_p", p))
 
 
 # ---------------------------------------------------------------------------
 # the dispatcher
 
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+_served: dict = {}  # (g, k, bound) -> the table returned for it
+_widest: dict = {}  # (g, k) -> the table of the largest bound built
+_stats = [0, 0]  # hits, misses
+_lock = Lock()  # guards the stores and the counts; a build runs outside it
 
-@lru_cache(maxsize=None)
+
 def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """Integral additive table of CH^*(BG) over k through the given degree."""
+    """Integral additive table of CH^*(BG) over k through the given degree.
+
+    Memoized on the grading: the table through degree b is the first b + 1
+    rows of the table through any larger degree, so one widest table per
+    (g, k) serves every smaller bound as a row slice.  A repeated
+    (g, k, bound) returns the same object, and only a larger bound builds
+    again.  ``chow_model.cache_info()`` counts a slice as a hit, so the
+    misses are the ``polynomial_table`` calls; ``chow_model.cache_clear()``
+    empties both stores and the counts.  The memo lives in this function,
+    not in a wrapper, so a wreath tower recurses two frames per level.
+    """
+    key = (g, k, bound)
+    with _lock:
+        table = _served.get(key)
+        if table is None:
+            wide = _widest.get((g, k))
+            if wide is not None and 0 <= bound <= wide.bound:
+                rows = wide.rows[: bound + 1]
+                table = ChowTable(rows, bound, g, k, INTEGRAL, wide.provenance)
+                _served[key] = table
+        if table is not None:
+            _stats[0] += 1
+            return table
+        _stats[1] += 1
     factors, extrapolated = _model(g, k, bound)
     provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-    return polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
+    table = polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
+    with _lock:
+        wide = _widest.get((g, k))
+        if wide is None or bound > wide.bound:
+            _widest[(g, k)] = table
+        return _served.setdefault(key, table)  # a concurrent build may have stored first
+
+
+def _cache_info() -> CacheInfo:
+    return CacheInfo(_stats[0], _stats[1], len(_served))
+
+
+def _cache_clear() -> None:
+    with _lock:
+        _served.clear()
+        _widest.clear()
+        _stats[:] = [0, 0]
+
+
+chow_model.cache_info = _cache_info
+chow_model.cache_clear = _cache_clear
 
 
 def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
@@ -229,4 +284,10 @@ def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
-    return mod_p_table(chow_model_localized(g, k, bound, p), p)
+    """F_p-dimension table: ``mod_p_table`` reads only the p-power torsion,
+    so it applies to the table ``chow_model_localized`` would localize,
+    with the same checks in the same order and no localized copy."""
+    require_prime(p)
+    if isinstance(g, Symmetric):
+        return mod_p_table(chow_symmetric_local(g.n, p, k, bound), p)
+    return mod_p_table(chow_model(g, k, bound), p)

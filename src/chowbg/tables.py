@@ -13,9 +13,10 @@ them.
 one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
 whole tables (the wreath products); ``tensor_tables`` is its two-table
 case.  ``cyclic_power_table`` is the codimension cyclic power that builds
-wreath products.  Both run one gcd loop, ``_tensor_counts``, on
-per-degree ``{order: multiplicity}`` dicts with order 0 standing for Z;
-that format never leaves this module.
+wreath products.  Both run the gcd loop of ``_tensor_counts`` on
+per-degree ``{order: multiplicity}`` dicts with order 0 standing for Z,
+the cyclic power by square-and-multiply with ``_square_counts`` for the
+squarings; that format never leaves this module.
 """
 
 from __future__ import annotations
@@ -209,6 +210,46 @@ def _tensor_counts(left, right, bound: int) -> list[dict[int, int]]:
     return out
 
 
+def _square_counts(x: list[dict[int, int]], bound: int) -> list[dict[int, int]]:
+    """``_tensor_counts`` of per-degree counts with themselves through
+    ``bound``: each unordered pair of degrees i < j is visited once and
+    counted twice, the product being commutative."""
+    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for i in range(bound // 2 + 1):
+        a = x[i]
+        if not a:
+            continue
+        for j in range(i, bound - i + 1):
+            b = x[j]
+            if not b:
+                continue
+            w = 1 if i == j else 2
+            acc = out[i + j]
+            for p, m in a.items():
+                for q, n in b.items():
+                    h = gcd(p, q)
+                    if h != 1:
+                        acc[h] = acc.get(h, 0) + w * m * n
+    return out
+
+
+def _power_counts(factor, p: int, bound: int) -> list[dict[int, int]]:
+    """The p-fold Kunneth power of ``factor``, (degree, counts) pairs in
+    increasing degree, through ``bound``, by square-and-multiply over the
+    bits of p (Knuth, TAOCP vol. 2, 4.6.3): about log2(p) squarings and
+    one product with ``factor`` per further set bit, where the repeated
+    product takes p.  It holds because the gcd rule is associative and
+    commutative and a dropped gcd of 1 stays 1 in every later product."""
+    out = [{} for _ in range(bound + 1)]
+    for d, counts in factor:
+        out[d] = counts
+    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds new dicts
+        out = _square_counts(out, bound)
+        if bit == "1":
+            out = _tensor_counts(out, factor, bound)
+    return out
+
+
 def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
     """Cyclic power in codimension grading on per-row (order -> multiplicity)
     counts: the rows of the labelled reference
@@ -216,21 +257,18 @@ def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
 
     A class is a (degree e, order q) pair with multiplicity m, q = 0 free;
     S is the classes with p | q.  Ordered p-tuples of summands are counted
-    by a p-fold convolution over (degree sum, gcd), and Burnside's lemma
-    turns them into rotation orbits: (tuples + (p - 1) * constant tuples)
-    / p, since each nontrivial rotation fixes just the constant tuples.
-    The constant tuple of a class in S is dropped, and gamma (``Z/(p q)``
-    in degree p e) and alpha (``Z/p`` in every degree above p e) take its
-    place.  A gcd of prime powers is a prime power, 0 or 1, so no CRT
-    split is needed.
+    by the p-fold Kunneth power over (degree sum, gcd), taken by squaring
+    (``_power_counts``), and Burnside's lemma turns them into rotation
+    orbits: (tuples + (p - 1) * constant tuples) / p, since each
+    nontrivial rotation fixes just the constant tuples.  The constant tuple
+    of a class in S is dropped, and gamma (``Z/(p q)`` in degree p e) and
+    alpha (``Z/p`` in every degree above p e) take its place.  A gcd of
+    prime powers is a prime power, 0 or 1, so no CRT split is needed.
     """
     require_prime(p)
     bound = table.bound
     factor = [(row.degree, _row_counts(row)) for row in table.rows]
-    # the empty tuple, then the p-fold Kunneth power over (degree sum, gcd)
-    out = [{0: 1}] + [{} for _ in range(bound)]
-    for _ in range(p):
-        out = _tensor_counts(out, factor, bound)
+    out = _power_counts(factor, p, bound)
 
     classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
     for e, q, m in classes:

@@ -16,7 +16,7 @@ from math import gcd
 from chowbg._intmath import prime_power_decompose
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import CyclicZ, FiniteAbelian, Product
-from chowbg.tables import EXACT, EXTRAPOLATED_FIELD, UPPER_BOUND, tensor_tables
+from chowbg.tables import EXACT, EXTRAPOLATED_FIELD, UPPER_BOUND, _tensor_counts, tensor_tables
 
 
 def monomial_table(generators, relations, bound):
@@ -98,6 +98,17 @@ def rotation_orbits(n, p):
     for t in cartesian(range(n), repeat=p):
         orbits.add(frozenset(t[k:] + t[:k] for k in range(p)))
     return orbits
+
+
+def repeated_power_counts(factor, p, bound):
+    """The p-fold Kunneth power of ``factor``, (degree, {order: multiplicity})
+    pairs in increasing degree, through ``bound``: p products with
+    ``tables._tensor_counts`` starting from the point, one factor at a time
+    (the route ``cyclic_power_table`` took before squaring)."""
+    out = [{0: 1}] + [{} for _ in range(bound)]
+    for _ in range(p):
+        out = _tensor_counts(out, factor, bound)
+    return out
 
 
 def cyclic_square_of_plane():

@@ -91,3 +91,13 @@ def test_early_closed_stdout_gives_no_traceback(argv, exits):
     assert len(head) == 300
     assert b"Traceback" not in err and err == b""
     assert child.returncode in exits
+
+
+def test_flat_product_of_500_terms():
+    # the memo hashes the left-deep Product tree: each node caches its hash
+    text = " x ".join(["GL(1) x O(1)"] * 250)
+    child = subprocess.run(
+        [*CLI, "describe", text, "--max-degree", "3"], env=ENV, capture_output=True, timeout=60
+    )
+    assert child.returncode == 0 and child.stderr == b""
+    assert child.stdout.startswith(b"group: GL(1) x O(1) x ")

@@ -1,4 +1,7 @@
+import hashlib
+import json
 from itertools import product
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from chowbg import cyclic, tables
 from chowbg._intmath import factorint
+from chowbg.cli import table_to_json_obj
 from chowbg.cyclic import (
     _orbit_representatives,
     cyclic_power_codim,
@@ -31,7 +35,7 @@ from chowbg.graded import (
 from chowbg.groups import CyclicZ, O, Wreath, abelian_invariant_factors
 from chowbg.models import chow_model
 from chowbg.tables import DegreeRow
-from oracles import cyclic_square_of_plane, rotation_orbits
+from oracles import cyclic_square_of_plane, repeated_power_counts, rotation_orbits
 from strategies import graded_groups
 
 
@@ -175,6 +179,27 @@ class TestCountedTable:
 
     def test_compute_path_is_reexported(self):
         assert cyclic.cyclic_power_table is tables.cyclic_power_table
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    @settings(max_examples=30, deadline=None)
+    @given(graded_groups(max_bound=8))
+    def test_squaring_matches_repeated_product(self, p, g):
+        table = to_table(g)
+        factor = [(row.degree, tables._row_counts(row)) for row in table.rows]
+        squared = tables._power_counts(factor, p, table.bound)
+        assert squared == repeated_power_counts(factor, p, table.bound)
+
+    def test_wr_101_at_300_pinned(self):
+        # the sha256 of this JSON before the power was taken by squaring
+        chow_model.cache_clear()
+        start = perf_counter()
+        table = chow_model(Wreath(101, CyclicZ(2)), COMPLEX, 300)
+        elapsed = perf_counter() - start
+        text = json.dumps(table_to_json_obj(table), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2419af562f3545025e8fb290fa0de33456c24ad919d3d2923c3849c51f376757"
+        )
+        assert elapsed < 2.0
 
     def test_height_three_tower_at_14(self):
         # counts of the labelled reference path on wr(2, wr(2, wr(2, Z/2))) @ 14

@@ -1,7 +1,8 @@
 import re
+import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chowbg.errors import UnsupportedError
@@ -518,3 +519,94 @@ def abelian_invariant_factors_elementary(g):
         for p, e in factorint(f):
             out.append(p**e)
     return out
+
+
+def _outcome(call):
+    """The table fields a call returns, or the type and text of its error."""
+    try:
+        t = call()
+    except (UnsupportedError, ValueError) as error:
+        return type(error), str(error)
+    return t.rows, t.bound, t.group, t.field, t.localization, t.provenance
+
+
+class TestGradedMemo:
+    """One widest table per (group, field) serves every smaller bound."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        group_exprs(),
+        st.sampled_from(KUNNETH_FIELDS),
+        st.integers(min_value=-2, max_value=6),
+        st.integers(min_value=0, max_value=4),
+    )
+    @example(Wreath(2, CyclicZ(5)), parse_field("Q(mu_3)"), 3, 2)  # extrapolated provenance
+    @example(CyclicZ(5), parse_field("F_2"), -1, 3)
+    def test_slice_equals_cold_table(self, g, k, bound, extra):
+        chow_model.cache_clear()
+        cold = _outcome(lambda: chow_model(g, k, bound))
+        chow_model.cache_clear()
+        wide = _outcome(lambda: chow_model(g, k, max(bound, 0) + extra))
+        wide_built = not isinstance(wide[0], type)  # an error outcome starts with its type
+        misses = chow_model.cache_info().misses
+        assert _outcome(lambda: chow_model(g, k, bound)) == cold
+        if bound >= 0 and wide_built:
+            assert chow_model.cache_info().misses == misses  # served as a slice
+
+    def test_slice_is_a_hit_without_polynomial_table(self, monkeypatch):
+        calls = []
+
+        def counting(factors, bound):
+            calls.append(bound)
+            return polynomial_table(factors, bound)
+
+        monkeypatch.setattr("chowbg.models.polynomial_table", counting)
+        chow_model.cache_clear()
+        g = parse_group_expr("wr(2, Z/2) x GL(2)")
+        wide = chow_model(g, C, 9)
+        assert chow_model.cache_info()[:2] == (0, 2) and len(calls) == 2
+        narrow = chow_model(g, C, 4)
+        assert narrow.rows == wide.rows[:5] and narrow.bound == 4
+        assert chow_model(g, C, 4) is narrow
+        info = chow_model.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 3) and len(calls) == 2
+        chow_model(g, C, 12)  # a larger bound builds again
+        assert chow_model.cache_info().misses == 4 and len(calls) == 4
+        chow_model.cache_clear()
+        info = chow_model.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert chow_model(g, C, 4) is not narrow and len(calls) == 6
+
+    def test_counts_exact_across_threads(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        # no wreath: every call is one lookup, so hits + misses counts the calls
+        groups = [parse_group_expr(t) for t in ("Z/6 x GL(1)", "O(3)", "S_3", "Sp(4) x Z/4")]
+        calls = [(g, b) for g in groups for b in range(1, 9)] * 8
+        chow_model.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda c: chow_model(c[0], C, c[1]), calls))
+        finally:
+            sys.setswitchinterval(interval)
+        info = chow_model.cache_info()
+        assert info.hits + info.misses == len(calls) and info.currsize == len(groups) * 8
+        served = {}
+        for call, table in zip(calls, results):
+            assert served.setdefault(call, table) is table  # one object per key
+        chow_model.cache_clear()
+        assert all(chow_model(g, C, b) == t for (g, b), t in served.items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(group_exprs(), st.builds(Symmetric, st.integers(min_value=1, max_value=9))),
+        st.sampled_from(KUNNETH_FIELDS),
+        st.integers(min_value=-1, max_value=6),
+        st.sampled_from([2, 3, 5, 7]),
+    )
+    def test_mod_p_matches_localized_composition(self, g, k, bound, p):
+        # the route before the one-pass view: localize, then count F_p-dimensions
+        expected = _outcome(lambda: mod_p_table(chow_model_localized(g, k, bound, p), p))
+        assert _outcome(lambda: chow_model_mod_p(g, k, bound, p)) == expected
