@@ -16,10 +16,14 @@ The parser produces canonical trees (``combine_product``):
   is ``Z/6 x GL(1)``;
 * products are binary ``Product`` nodes folded to the left.
 
-Printing a canonical tree and reparsing gives the tree back.
+Printing a canonical tree and reparsing gives the tree back.  The parser keeps
+its open ``(`` and ``wr(p,`` frames on a stack, ``product_terms`` is the one
+walk over a product, and the printer spells terms with the parser's tokens.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from ._intmath import invariant_factors, is_prime
 from ._record import Record
@@ -166,6 +170,17 @@ def abelian_expr(orders) -> GroupExpr:
     return FiniteAbelian(inv)
 
 
+def product_terms(g: GroupExpr):
+    """The factors of g from left to right, nested products spliced in."""
+    stack = [g]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Product):
+            stack += (t.right, t.left)
+        else:
+            yield t
+
+
 def combine_product(terms) -> GroupExpr:
     """Canonical product: splice sub-products in, drop trivial factors,
     gather every finite abelian factor into one invariant-factor node at the
@@ -173,12 +188,8 @@ def combine_product(terms) -> GroupExpr:
     flat: list[GroupExpr] = []
     orders: list[int] = []
     at = 0
-    stack = list(terms)[::-1]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Product):
-            stack += (t.right, t.left)
-        elif isinstance(t, (CyclicZ, FiniteAbelian)):
+    for t in (u for term in terms for u in product_terms(term)):
+        if isinstance(t, (CyclicZ, FiniteAbelian)):
             if not orders:
                 at = len(flat)
             orders += (t.n,) if isinstance(t, CyclicZ) else t.factors
@@ -187,45 +198,11 @@ def combine_product(terms) -> GroupExpr:
     abelian = abelian_expr(orders)
     if not isinstance(abelian, Trivial):
         flat.insert(at, abelian)
-    if not flat:
-        return Trivial()
-    expr = flat[0]
-    for t in flat[1:]:
-        expr = Product(expr, t)
-    return expr
-
-
-def format_group(g: GroupExpr) -> str:
-    match g:
-        case Trivial():
-            return "1"
-        case CyclicZ(n):
-            return f"Z/{n}"
-        case FiniteAbelian(factors):
-            return " x ".join(f"Z/{f}" for f in factors)
-        case Gm():
-            return "Gm"
-        case GL(n):
-            return f"GL({n})"
-        case O(n):
-            return f"O({n})"
-        case SO(n):
-            return f"SO({n})"
-        case Sp(n):
-            return f"Sp({n})"
-        case G2():
-            return "G2"
-        case Symmetric(n):
-            return f"S_{n}"
-        case Wreath(p, inner):
-            return f"wr({p}, {format_group(inner)})"
-        case Product(left, right):
-            return f"{format_group(left)} x {format_group(right)}"
-    raise TypeError(f"not a group expression: {g!r}")
+    return reduce(Product, flat) if flat else Trivial()
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and printer
 
 
 def _cyclic_term(n: int) -> GroupExpr:
@@ -243,6 +220,10 @@ _INTEGER_TERMS = (
     ("Sp(", Sp),
     ("S_", Symmetric),
 )
+_WREATH = "wr("
+# the parser's token of each leaf class, which the printer spells it with
+_TOKENS = {node: token for token, node in _ATOMS + _INTEGER_TERMS}
+_TOKENS[CyclicZ] = _TOKENS.pop(_cyclic_term)
 
 
 class _Parser:
@@ -277,24 +258,40 @@ class _Parser:
         return int(self.text[start : self.pos]), start
 
     def expr(self) -> GroupExpr:
-        terms = [self.term()]
+        """An open "(" or "wr(p," pushes a frame: the terms read before it and
+        p (None for "("); its ")" pops the frame and appends the group made."""
+        frames: list[tuple[list[GroupExpr], int | None]] = []
+        terms: list[GroupExpr] = []
         while True:
             self.skip_ws()
-            if self.lookahead("x"):
+            if self.lookahead("("):
                 self.pos += 1
-                terms.append(self.term())
+                frames.append((terms, None))
+                terms = []
+            elif self.lookahead(_WREATH):
+                self.pos += len(_WREATH)
+                p, at = self.integer()
+                if not is_prime(p):
+                    raise self.error("wreath degree must be prime", at)
+                self.expect(",")
+                frames.append((terms, p))
+                terms = []
             else:
-                break
-        return combine_product(terms)
+                terms.append(self.term())
+                self.skip_ws()
+                while not self.lookahead("x"):
+                    g = combine_product(terms)
+                    if not frames:
+                        return g
+                    self.expect(")")
+                    terms, p = frames.pop()
+                    terms.append(g if p is None else Wreath(p, g))
+                    self.skip_ws()
+                self.pos += 1
 
     def term(self) -> GroupExpr:
-        self.skip_ws()
+        """A term without sub-expressions: an atom or a term of one integer."""
         start = self.pos
-        if self.lookahead("("):
-            self.pos += 1
-            inner = self.expr()
-            self.expect(")")
-            return inner
         for token, node in _ATOMS:
             if self.lookahead(token):
                 self.pos += len(token)
@@ -310,15 +307,6 @@ class _Parser:
                 if token.endswith("("):
                     self.expect(")")
                 return g
-        if self.lookahead("wr("):
-            self.pos += 3
-            p, at = self.integer()
-            if not is_prime(p):
-                raise self.error("wreath degree must be prime", at)
-            self.expect(",")
-            inner = self.expr()
-            self.expect(")")
-            return Wreath(p, inner)
         raise self.error("expected a group term", start)
 
 
@@ -329,6 +317,20 @@ def parse_group_expr(text: str) -> GroupExpr:
     if parser.pos != len(text):
         raise parser.error("trailing input after group expression")
     return expr
+
+
+def format_group(g: GroupExpr) -> str:
+    match g:
+        case Wreath(p, inner):
+            return f"{_WREATH}{p}, {format_group(inner)})"
+        case FiniteAbelian(factors):
+            return " x ".join(format_group(CyclicZ(f)) for f in factors)
+        case Product():
+            return " x ".join(map(format_group, product_terms(g)))
+    token = _TOKENS.get(type(g))
+    if token is None:
+        raise TypeError(f"not a group expression: {g!r}")
+    return f"{token}{getattr(g, 'n', '')}{')' if token.endswith('(') else ''}"
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,8 @@ def group_dimension(g: GroupExpr) -> int:
             return 0
         case Wreath(p, inner):
             return p * group_dimension(inner)
-        case Product(left, right):
-            return group_dimension(left) + group_dimension(right)
+        case Product():
+            return sum(map(group_dimension, product_terms(g)))
     raise TypeError(f"not a group expression: {g!r}")
 
 
@@ -375,8 +377,8 @@ def generator_bound(g: GroupExpr) -> int:
             return n * (n - 1) // 2
         case G2():
             return 35
-        case Product(left, right):
-            return generator_bound(left) + generator_bound(right)
+        case Product():
+            return sum(map(generator_bound, product_terms(g)))
     raise UnsupportedError(
         f"no catalog embedding with known quotient for {format_group(g)}"
     )
@@ -446,6 +448,6 @@ def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
             return (2,) if n >= 2 else ()
         case Wreath(p, inner):
             return (p,) + _abelianization_orders(inner)
-        case Product(left, right):
-            return _abelianization_orders(left) + _abelianization_orders(right)
+        case Product():
+            return tuple(m for t in product_terms(g) for m in _abelianization_orders(t))
     raise ValueError(f"abelianization requires a finite group, got {format_group(g)}")

@@ -62,6 +62,7 @@ from .groups import (
     Trivial,
     Wreath,
     format_group,
+    product_terms,
     sylow_profile,
 )
 from .presentations import catalog_presentation, presentation_generators
@@ -176,9 +177,9 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
         case Wreath(p, inner):
             table = chow_wreath(p, chow_model(inner, k, bound))
             return [table], EXTRAPOLATED_FIELD in table.provenance
-        case Product(left, right):
-            (a, x), (b, y) = _model(left, k, bound), _model(right, k, bound)
-            return a + b, x or y
+        case Product():
+            parts = [_model(t, k, bound) for t in product_terms(g)]
+            return [f for factors, _ in parts for f in factors], any(x for _, x in parts)
     raise TypeError(f"not a group expression: {g!r}")
 
 

@@ -13,9 +13,27 @@ from itertools import count
 from itertools import product as cartesian
 from math import gcd
 
-from chowbg._intmath import prime_power_decompose
+from chowbg._intmath import is_prime, prime_power_decompose
+from chowbg.errors import UnsupportedError
 from chowbg.graded import from_table, tensor, to_table
-from chowbg.groups import CyclicZ, FiniteAbelian, Product
+from chowbg.groups import (
+    G2,
+    GL,
+    SO,
+    CyclicZ,
+    FiniteAbelian,
+    Gm,
+    O,
+    Product,
+    Sp,
+    Symmetric,
+    Trivial,
+    Wreath,
+    _ATOMS,
+    _INTEGER_TERMS,
+    _Parser,
+    combine_product,
+)
 from chowbg.tables import EXACT, EXTRAPOLATED_FIELD, UPPER_BOUND, _tensor_counts, tensor_tables
 
 
@@ -189,3 +207,155 @@ def run_length_torsion_json(torsion):
         else:
             grouped.append({"prime": p, "exponent": e, "multiplicity": 1})
     return grouped
+
+
+# ---------------------------------------------------------------------------
+# the recursive group-expression walks: the parser, printer and structural
+# functions of ``chowbg.groups`` as they were before its one product walk and
+# its explicit parser stack, kept as the reference those are checked against
+
+
+class RecursiveParser(_Parser):
+    """Recursive descent: ``expr`` and ``term`` call each other once per
+    open parenthesis or wreath product."""
+
+    def expr(self):
+        terms = [self.term()]
+        while True:
+            self.skip_ws()
+            if self.lookahead("x"):
+                self.pos += 1
+                terms.append(self.term())
+            else:
+                break
+        return combine_product(terms)
+
+    def term(self):
+        self.skip_ws()
+        start = self.pos
+        if self.lookahead("("):
+            self.pos += 1
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        for token, node in _ATOMS:
+            if self.lookahead(token):
+                self.pos += len(token)
+                return node()
+        for token, node in _INTEGER_TERMS:
+            if self.lookahead(token):
+                self.pos += len(token)
+                n, at = self.integer()
+                try:
+                    g = node(n)
+                except ValueError as e:
+                    raise self.error(str(e), at) from None
+                if token.endswith("("):
+                    self.expect(")")
+                return g
+        if self.lookahead("wr("):
+            self.pos += 3
+            p, at = self.integer()
+            if not is_prime(p):
+                raise self.error("wreath degree must be prime", at)
+            self.expect(",")
+            inner = self.expr()
+            self.expect(")")
+            return Wreath(p, inner)
+        raise self.error("expected a group term", start)
+
+
+def recursive_parse_group_expr(text):
+    parser = RecursiveParser(text)
+    expr = parser.expr()
+    parser.skip_ws()
+    if parser.pos != len(text):
+        raise parser.error("trailing input after group expression")
+    return expr
+
+
+def recursive_format_group(g):
+    match g:
+        case Trivial():
+            return "1"
+        case CyclicZ(n):
+            return f"Z/{n}"
+        case FiniteAbelian(factors):
+            return " x ".join(f"Z/{f}" for f in factors)
+        case Gm():
+            return "Gm"
+        case GL(n):
+            return f"GL({n})"
+        case O(n):
+            return f"O({n})"
+        case SO(n):
+            return f"SO({n})"
+        case Sp(n):
+            return f"Sp({n})"
+        case G2():
+            return "G2"
+        case Symmetric(n):
+            return f"S_{n}"
+        case Wreath(p, inner):
+            return f"wr({p}, {recursive_format_group(inner)})"
+        case Product(left, right):
+            return f"{recursive_format_group(left)} x {recursive_format_group(right)}"
+    raise TypeError(f"not a group expression: {g!r}")
+
+
+def recursive_group_dimension(g):
+    match g:
+        case Gm():
+            return 1
+        case GL(n):
+            return n * n
+        case O(n) | SO(n):
+            return n * (n - 1) // 2
+        case Sp(n):
+            m = n // 2
+            return m * (2 * m + 1)
+        case G2():
+            return 14
+        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric():
+            return 0
+        case Wreath(p, inner):
+            return p * recursive_group_dimension(inner)
+        case Product(left, right):
+            return recursive_group_dimension(left) + recursive_group_dimension(right)
+    raise TypeError(f"not a group expression: {g!r}")
+
+
+def recursive_generator_bound(g):
+    match g:
+        case Gm() | GL():
+            return 0
+        case O(n) | SO(n):
+            return n * (n + 1) // 2
+        case Sp(n):
+            return n * (n - 1) // 2
+        case G2():
+            return 35
+        case Product(left, right):
+            return recursive_generator_bound(left) + recursive_generator_bound(right)
+    raise UnsupportedError(
+        f"no catalog embedding with known quotient for {recursive_format_group(g)}"
+    )
+
+
+def recursive_abelianization_orders(g):
+    match g:
+        case Trivial():
+            return ()
+        case CyclicZ(n):
+            return (n,)
+        case FiniteAbelian(factors):
+            return factors
+        case Symmetric(n):
+            return (2,) if n >= 2 else ()
+        case Wreath(p, inner):
+            return (p,) + recursive_abelianization_orders(inner)
+        case Product(left, right):
+            return recursive_abelianization_orders(left) + recursive_abelianization_orders(right)
+    raise ValueError(
+        f"abelianization requires a finite group, got {recursive_format_group(g)}"
+    )

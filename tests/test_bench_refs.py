@@ -4,10 +4,12 @@
 benchmark can send.  Here the CLI requests of the ``cli-small`` normal and
 error slices and of ``cli-large`` run in process through ``chowbg.cli.run``
 and are compared by exit code, stdout digest and stderr class; the survey
-library calls are compared by table digest.  The benchmark's modules are
-imported, never changed.  The adversarial ``nest`` and ``intmath`` slices
-are left to the benchmark: they take seconds each and need a raised
-recursion limit.
+library calls are compared by table digest.  The six ``nest`` requests of
+``cli-small`` (deep parentheses and wreath towers) run as fresh
+``python -m chowbg.cli`` processes at the default recursion limit, since a
+second parse of a deep expression in one process compares two deep trees.
+The benchmark's modules are imported, never changed.  Only the adversarial
+``intmath`` slice is left to the benchmark: its requests take seconds each.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -71,3 +74,22 @@ def test_survey_calls_match_references(refs):
             mismatches.append(request)
     assert mismatches == []
     assert len(requests) == 1376
+
+
+def test_nest_requests_match_references_in_fresh_processes(refs):
+    env = dict(os.environ, PYTHONPATH=os.path.join(BENCH, "..", "src"))
+    checked, mismatches = 0, []
+    for slice_name, argv in catalog("cli-small"):
+        if slice_name != "nest":
+            continue
+        child = subprocess.run(
+            [sys.executable, "-m", "chowbg.cli", *argv], env=env, capture_output=True, timeout=60
+        )
+        err = child.stderr.decode("utf-8")
+        got = {"exit": child.returncode, "out": digest(child.stdout), "err": err_class(err)}
+        ref = refs["cli-small"][request_key(argv)]
+        if got != {key: ref[key] for key in got}:
+            mismatches.append((argv[0], len(argv[1]), got))
+        checked += 1
+    assert mismatches == []
+    assert checked == 6

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -101,3 +102,39 @@ def test_flat_product_of_500_terms():
     )
     assert child.returncode == 0 and child.stderr == b""
     assert child.stdout.startswith(b"group: GL(1) x O(1) x ")
+
+
+def _timed_run(argv):
+    start = time.perf_counter()
+    child = subprocess.run([*CLI, *argv], env=ENV, capture_output=True, timeout=60)
+    return child, time.perf_counter() - start
+
+
+def test_1200_nested_parentheses_print_the_inner_group():
+    # the parser keeps open parentheses on its own stack, not Python's
+    nested = "(" * 1200 + "Z/2" + ")" * 1200
+    child, _ = _timed_run(["describe", nested])
+    plain, _ = _timed_run(["describe", "Z/2"])
+    assert child.returncode == 0 and child.stderr == b""
+    assert child.stdout == plain.stdout
+
+
+FLAT_4000 = " x ".join(["GL(1) x O(1)"] * 2000)
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (("describe", FLAT_4000, "--max-degree", "3"), lambda out: out.splitlines()[0]),
+        (("series", FLAT_4000, "--format", "json"), lambda out: json.loads(out)["group"]),
+        (("bound", FLAT_4000), str.rstrip),
+    ],
+    ids=["describe", "series", "bound"],
+)
+def test_product_of_4000_terms(argv, printed):
+    # every walk over the product reads its terms in one loop
+    child, seconds = _timed_run(argv)
+    assert child.returncode == 0 and child.stderr == b""
+    want = {"describe": f"group: {FLAT_4000}", "series": FLAT_4000, "bound": "2000"}[argv[0]]
+    assert printed(child.stdout.decode("utf-8")) == want
+    assert seconds < 2
