@@ -324,7 +324,7 @@ def format_group(g: GroupExpr) -> str:
         case Wreath(p, inner):
             return f"{_WREATH}{p}, {format_group(inner)})"
         case FiniteAbelian(factors):
-            return " x ".join(format_group(CyclicZ(f)) for f in factors)
+            return " x ".join(f"{_TOKENS[CyclicZ]}{f}" for f in factors)
         case Product():
             return " x ".join(map(format_group, product_terms(g)))
     token = _TOKENS.get(type(g))

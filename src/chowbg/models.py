@@ -1,7 +1,7 @@
 """Top-level table builder: CH^*(BG) for the supported catalog.
 
-Every group is a list of Kunneth factors, and ``chow_model`` multiplies
-them with one ``tables.polynomial_table`` call:
+Every group but a wreath product is a list of Kunneth factors, and
+``chow_model`` multiplies them with one ``tables.polynomial_table`` call:
 
 * the point is the empty list;
 * a classical group (Gm included) is the ``(degree, m)`` generator list of
@@ -16,8 +16,9 @@ them with one ``tables.polynomial_table`` call:
 * a symmetric group S_n has one generator per prime p <= n, of degree
   p - 1 and order p: the p-local ring ``Z[x]/(p x)``, while the p-Sylow
   subgroup is cyclic (n < 2p);
-* a wreath product wr(p, G) is one table factor, the codimension cyclic
-  power ``tables.cyclic_power_table`` of the table of G;
+* a wreath product wr(p, G) is the codimension cyclic power
+  ``tables.cyclic_power_table`` of the table of G, built by ``chow_wreath``
+  and memoized like any table; as a product term it is one table factor;
 * a product concatenates the lists of its terms (the Kunneth rule).
 
 Every rule assumes a characteristic prime to the orders it involves, checked
@@ -104,54 +105,51 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
 # the dispatcher
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
-_served: dict = {}  # (g, k, bound) -> the table returned for it
 _widest: dict = {}  # (g, k) -> the table of the largest bound built
 _stats = [0, 0]  # hits, misses
-_lock = Lock()  # guards the stores and the counts; a build runs outside it
+_lock = Lock()  # guards the store and the counts; a build runs outside it
 
 
 def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Integral additive table of CH^*(BG) over k through the given degree.
 
     Memoized on the grading: the table through degree b is the first b + 1
-    rows of the table through any larger degree, so one widest table per
-    (g, k) serves every smaller bound as a row slice.  A repeated
-    (g, k, bound) returns the same object, and only a larger bound builds
-    again.  ``chow_model.cache_info()`` counts a slice as a hit, so the
-    misses are the ``polynomial_table`` calls; ``chow_model.cache_clear()``
-    empties both stores and the counts.  The memo lives in this function,
-    not in a wrapper, so a wreath tower recurses two frames per level.
+    rows of the table through any larger degree, so one table per (g, k),
+    wreath products included, is kept.  Its own bound returns it, a smaller
+    bound a fresh row slice, and only a larger bound builds again.
+    ``chow_model.cache_info()`` counts a slice as a hit, so the misses are
+    the ``polynomial_table`` and ``chow_wreath`` calls, and ``currsize`` the
+    (g, k) entries; ``chow_model.cache_clear()`` empties both.
     """
-    key = (g, k, bound)
     with _lock:
-        table = _served.get(key)
-        if table is None:
-            wide = _widest.get((g, k))
-            if wide is not None and 0 <= bound <= wide.bound:
-                rows = wide.rows[: bound + 1]
-                table = ChowTable(rows, bound, g, k, INTEGRAL, wide.provenance)
-                _served[key] = table
-        if table is not None:
-            _stats[0] += 1
-            return table
-        _stats[1] += 1
-    factors, extrapolated = _model(g, k, bound)
-    provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-    table = polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
+        wide = _widest.get((g, k))
+        hit = wide is not None and 0 <= bound <= wide.bound
+        _stats[0 if hit else 1] += 1
+    if hit:
+        if bound == wide.bound:
+            return wide
+        return ChowTable(wide.rows[: bound + 1], bound, g, k, INTEGRAL, wide.provenance)
+    if isinstance(g, Wreath):
+        table = chow_wreath(g.p, chow_model(g.inner, k, bound))
+    else:
+        factors, extrapolated = _model(g, k, bound)
+        provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
+        table = polynomial_table(factors, bound).with_metadata(
+            group=g, field=k, provenance=provenance
+        )
     with _lock:
         wide = _widest.get((g, k))
         if wide is None or bound > wide.bound:
             _widest[(g, k)] = table
-        return _served.setdefault(key, table)  # a concurrent build may have stored first
+    return table
 
 
 def _cache_info() -> CacheInfo:
-    return CacheInfo(_stats[0], _stats[1], len(_served))
+    return CacheInfo(_stats[0], _stats[1], len(_widest))
 
 
 def _cache_clear() -> None:
     with _lock:
-        _served.clear()
         _widest.clear()
         _stats[:] = [0, 0]
 
@@ -174,8 +172,8 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
             return _abelian_generators(g, k)
         case Symmetric(n):
             return _symmetric_generators(n, k, (p for p in range(2, n + 1) if is_prime(p))), False
-        case Wreath(p, inner):
-            table = chow_wreath(p, chow_model(inner, k, bound))
+        case Wreath():  # a product term; ``chow_model`` builds the wreath itself
+            table = chow_model(g, k, bound)
             return [table], EXTRAPOLATED_FIELD in table.provenance
         case Product():
             parts = [_model(t, k, bound) for t in product_terms(g)]

@@ -176,8 +176,6 @@ def polynomial_table(factors, bound: int) -> ChowTable:
     with m >= 2, and otherwise cyclic of order the gcd of the coefficients
     it meets.
     """
-    if len(factors) == 1 and isinstance(factors[0], ChowTable):  # its own product: no copy
-        return ChowTable(factors[0].rows[: bound + 1], bound)
     counts = [{0: 1} if d == 0 else {} for d in range(bound + 1)]
     for f in factors:
         if isinstance(f, ChowTable):

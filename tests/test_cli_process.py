@@ -138,3 +138,26 @@ def test_product_of_4000_terms(argv, printed):
     want = {"describe": f"group: {FLAT_4000}", "series": FLAT_4000, "bound": "2000"}[argv[0]]
     assert printed(child.stdout.decode("utf-8")) == want
     assert seconds < 2
+
+
+WREATH_900 = "wr(2, " * 900 + "Z/2" + ")" * 900
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (("describe", WREATH_900, "--max-degree", "0"), lambda out: out.splitlines()[0]),
+        (
+            ("series", WREATH_900, "--max-degree", "0", "--format", "json"),
+            lambda out: json.loads(out)["group"],
+        ),
+    ],
+    ids=["describe", "series"],
+)
+def test_wreath_tower_of_900_levels(argv, printed):
+    # chow_model builds each wreath level from its inner table, one frame per level
+    child, seconds = _timed_run(argv)
+    assert child.returncode == 0 and child.stderr == b""
+    want = {"describe": f"group: {WREATH_900}", "series": WREATH_900}[argv[0]]
+    assert printed(child.stdout.decode("utf-8")) == want
+    assert seconds < 2

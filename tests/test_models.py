@@ -162,17 +162,20 @@ class TestDispatch:
         assert (table.group, table.field, table.localization) == (g, k, INTEGRAL)
 
     def test_one_polynomial_table_per_memo_miss(self, monkeypatch):
-        calls = []
-
-        def counting(factors, bound):
-            calls.append(bound)
-            return polynomial_table(factors, bound)
-
-        monkeypatch.setattr("chowbg.models.polynomial_table", counting)
+        calls = _count_builds(monkeypatch)
         chow_model.cache_clear()
         for text in ("wr(2, wr(2, Z/2)) x GL(2) x Z/3", "wr(2, Z/2) x O(3)", "Z/5 x S_3"):
             model(text, bound=6)
-        assert len(calls) == chow_model.cache_info().misses == 5
+        # the wreath tables wr(2, Z/2) and wr(2, wr(2, Z/2)) are built once each
+        built = (len(calls["polynomial_table"]), len(calls["chow_wreath"]))
+        assert built == (4, 2) and sum(built) == chow_model.cache_info().misses
+
+    def test_shared_wreath_term_built_once(self, monkeypatch):
+        calls = _count_builds(monkeypatch)
+        chow_model.cache_clear()
+        model("wr(2, Z/2) x GL(1)", bound=6)
+        model("wr(2, Z/2) x O(2)", bound=6)
+        assert len(calls["chow_wreath"]) == 1
 
     def test_negative_bound_gets_one_message(self):
         for text in ("Z/3", "GL(2)", "wr(2, Z/2)"):
@@ -194,6 +197,20 @@ class TestDispatch:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda _: chow_model(g, C, 8), range(32)))
         assert all(t == results[0] for t in results)
+
+
+def _count_builds(monkeypatch):
+    """Record the arguments of every ``polynomial_table`` and ``chow_wreath``
+    call that ``chowbg.models`` makes, by the name of the function."""
+    calls = {"polynomial_table": [], "chow_wreath": []}
+    for name, build in (("polynomial_table", polynomial_table), ("chow_wreath", chow_wreath)):
+
+        def counting(*args, name=name, build=build):
+            calls[name].append(args)
+            return build(*args)
+
+        monkeypatch.setattr(f"chowbg.models.{name}", counting)
+    return calls
 
 
 def _product_terms(g):
@@ -385,6 +402,7 @@ class TestSymmetricIntegral:
             chow_integral_symmetric(0, 4)
 
     def test_memoized_with_dispatch(self):
+        chow_model.cache_clear()  # the stored table is the one of bound 4
         assert chow_integral_symmetric(3, 4, Q) is chow_model(Symmetric(3), Q, 4)
 
     def test_small_characteristic_rejected(self):
@@ -509,6 +527,18 @@ class TestCharacterCheck:
             assert row.free_rank == 0
             assert sorted(row.torsion) == sorted(abelian_invariant_factors_elementary(g))
 
+    @settings(max_examples=150, deadline=None)
+    @given(group_exprs())
+    def test_degree_one_is_the_dual_of_the_abelianization(self, g):
+        # CH^1 BG is the character group Hom(G, Gm) = Hom(G^ab, Q/Z) for finite G
+        try:
+            expected = abelian_invariant_factors_elementary(g)  # refuses infinite groups
+            row = chow_model(g, C, 1).rows[1]
+        except (ValueError, UnsupportedError):
+            assume(False)
+        assert row.free_rank == 0
+        assert sorted(row.torsion) == sorted(expected)
+
 
 def abelian_invariant_factors_elementary(g):
     # invariant factors, split into prime powers to match table torsion
@@ -554,28 +584,25 @@ class TestGradedMemo:
             assert chow_model.cache_info().misses == misses  # served as a slice
 
     def test_slice_is_a_hit_without_polynomial_table(self, monkeypatch):
-        calls = []
-
-        def counting(factors, bound):
-            calls.append(bound)
-            return polynomial_table(factors, bound)
-
-        monkeypatch.setattr("chowbg.models.polynomial_table", counting)
+        calls = _count_builds(monkeypatch)["polynomial_table"]
         chow_model.cache_clear()
         g = parse_group_expr("wr(2, Z/2) x GL(2)")
         wide = chow_model(g, C, 9)
-        assert chow_model.cache_info()[:2] == (0, 2) and len(calls) == 2
+        # misses: the product, the wreath and Z/2; the wreath needs no polynomial_table
+        assert chow_model.cache_info()[:2] == (0, 3) and len(calls) == 2
+        assert chow_model(g, C, 9) is wide
         narrow = chow_model(g, C, 4)
         assert narrow.rows == wide.rows[:5] and narrow.bound == 4
-        assert chow_model(g, C, 4) is narrow
+        again = chow_model(g, C, 4)
+        assert again == narrow and again is not narrow  # a fresh slice each time
         info = chow_model.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (2, 2, 3) and len(calls) == 2
+        assert (info.hits, info.misses, info.currsize) == (3, 3, 3) and len(calls) == 2
         chow_model(g, C, 12)  # a larger bound builds again
-        assert chow_model.cache_info().misses == 4 and len(calls) == 4
+        assert chow_model.cache_info()[1:] == (6, 3) and len(calls) == 4
         chow_model.cache_clear()
         info = chow_model.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-        assert chow_model(g, C, 4) is not narrow and len(calls) == 6
+        assert chow_model(g, C, 4) == narrow and len(calls) == 6
 
     def test_counts_exact_across_threads(self):
         from concurrent.futures import ThreadPoolExecutor
@@ -592,10 +619,10 @@ class TestGradedMemo:
         finally:
             sys.setswitchinterval(interval)
         info = chow_model.cache_info()
-        assert info.hits + info.misses == len(calls) and info.currsize == len(groups) * 8
+        assert info.hits + info.misses == len(calls) and info.currsize == len(groups)
         served = {}
         for call, table in zip(calls, results):
-            assert served.setdefault(call, table) is table  # one object per key
+            assert served.setdefault(call, table) == table  # equal tables per key
         chow_model.cache_clear()
         assert all(chow_model(g, C, b) == t for (g, b), t in served.items())
 
