@@ -438,7 +438,7 @@ def abelian_invariant_factors(g: GroupExpr) -> tuple[int, ...]:
 
 def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
     match g:
-        case Trivial():
+        case Trivial() | SO(1):
             return ()
         case CyclicZ(n):
             return (n,)
@@ -446,6 +446,8 @@ def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
             return factors
         case Symmetric(n):
             return (2,) if n >= 2 else ()
+        case O(1):
+            return (2,)
         case Wreath(p, inner):
             return (p,) + _abelianization_orders(inner)
         case Product():

@@ -81,13 +81,22 @@ from .tables import (
 
 
 def localize_table(table: ChowTable, p: int) -> ChowTable:
-    """Keep the free part and the p-power torsion of every row."""
+    """Keep the free part and the p-power torsion of every row.
+
+    Row pairs are sorted by (prime, exponent), so the p-power pairs are one
+    contiguous block: a row whose first and last orders are powers of p is
+    all p-primary and is kept as it is.  Any other row is built from its
+    p-power pairs, a subsequence of canonical pairs and so canonical."""
     require_prime(p)
-    rows = tuple(
-        DegreeRow.from_counts(r.degree, r.free_rank, {q: m for q, m in r.counts if q % p == 0})
-        for r in table.rows
-    )
-    return table.with_metadata(rows=rows, localization=Localization("at_prime", p))
+    rows = []
+    for r in table.rows:
+        c = r.counts
+        if not c or (c[0][0] % p == 0 and c[-1][0] % p == 0):
+            rows.append(r)
+        else:
+            local = tuple(qm for qm in c if qm[0] % p == 0)
+            rows.append(DegreeRow._canonical(r.degree, r.free_rank, local))
+    return table.with_metadata(rows=tuple(rows), localization=Localization("at_prime", p))
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
@@ -97,7 +106,7 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     rows = []
     for r in table.rows:
         rank = r.free_rank + sum(m for q, m in r.counts if q % p == 0)
-        rows.append(DegreeRow.from_counts(r.degree, rank, ()))
+        rows.append(DegreeRow._canonical(r.degree, rank, ()))
     return table.with_metadata(rows=tuple(rows), localization=Localization("mod_p", p))
 
 

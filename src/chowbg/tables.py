@@ -6,9 +6,12 @@ torsion of that degree.  A ``DegreeRow`` holds its torsion as canonical
 prime-power order, sorted by (prime, exponent), so tables compare and
 render deterministically and cost grows with the distinct orders, not with
 the number of cyclic summands.  ``row.torsion`` is the expanded view, one
-entry per summand, built on demand.  Tables optionally carry the group,
-base field, localization and provenance of the computation that produced
-them.
+entry per summand, built on demand.  Rows are sorted and checked once, when
+built from counts; views derived from canonical rows (the p-local and mod-p
+tables) reuse them or build new ones from pairs that are canonical already,
+and a table copy that changes only metadata shares its rows.  Tables
+optionally carry the group, base field, localization and provenance of the
+computation that produced them.
 ``polynomial_table`` is the Kunneth product of a list of factors:
 one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
 whole tables (the wreath products); ``tensor_tables`` is its two-table
@@ -73,7 +76,9 @@ class DegreeRow(Record):
     ``DegreeRow(degree, free_rank, torsion)`` takes the torsion as one order
     per summand; ``DegreeRow.from_counts`` takes an {order: multiplicity}
     mapping and drops zero multiplicities.  Both give the same canonical,
-    immutable row.
+    immutable row.  ``DegreeRow._canonical`` takes pairs that are canonical
+    already, such as a row's ``counts`` or a subsequence of them, and neither
+    sorts nor checks them.
     """
 
     __slots__ = ("degree", "free_rank", "counts")
@@ -87,6 +92,12 @@ class DegreeRow(Record):
         row._set(degree, free_rank, counts)
         return row
 
+    @classmethod
+    def _canonical(cls, degree: int, free_rank: int, counts: tuple) -> "DegreeRow":
+        row = cls.__new__(cls)
+        _fill_row(row, degree, free_rank, counts)
+        return row
+
     def _set(self, degree, free_rank, counts) -> None:
         if degree < 0 or free_rank < 0:
             raise ValueError("degree and free rank must be nonnegative")
@@ -97,10 +108,7 @@ class DegreeRow(Record):
                 raise ValueError(f"torsion multiplicity must be nonnegative, got {m}")
             if m:
                 pairs.append((q, m))
-        setattr_ = object.__setattr__
-        setattr_(self, "degree", degree)
-        setattr_(self, "free_rank", free_rank)
-        setattr_(self, "counts", tuple(pairs))
+        _fill_row(self, degree, free_rank, tuple(pairs))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -112,6 +120,19 @@ class DegreeRow(Record):
 
     def __reduce__(self):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
+
+
+# The slot descriptors store past ``Record.__setattr__``, faster than
+# ``object.__setattr__`` by name.
+_set_degree, _set_free_rank, _set_counts = (
+    getattr(DegreeRow, name).__set__ for name in DegreeRow.__slots__
+)
+
+
+def _fill_row(row: DegreeRow, degree: int, free_rank: int, counts: tuple) -> None:
+    _set_degree(row, degree)
+    _set_free_rank(row, free_rank)
+    _set_counts(row, counts)
 
 
 class ChowTable(Record):
@@ -143,10 +164,21 @@ class ChowTable(Record):
         return self.rows[degree]
 
     def with_metadata(self, **kw) -> "ChowTable":
-        """A copy with the given fields replaced; an unknown field is a TypeError."""
+        """A copy with the given fields replaced; an unknown field is a TypeError.
+
+        New rows or a new bound are checked as in the constructor; a copy
+        that replaces only metadata shares the rows, which were checked."""
+        if not kw.keys() <= _METADATA:  # the constructor checks rows and names
+            for name in self.__slots__:
+                kw.setdefault(name, getattr(self, name))
+            return ChowTable(**kw)
+        copy = ChowTable.__new__(ChowTable)
         for name in self.__slots__:
-            kw.setdefault(name, getattr(self, name))
-        return ChowTable(**kw)
+            object.__setattr__(copy, name, kw.get(name, getattr(self, name)))
+        return copy
+
+
+_METADATA = frozenset(ChowTable.__slots__) - {"rows", "bound"}
 
 
 def _row_counts(row: DegreeRow) -> dict[int, int]:

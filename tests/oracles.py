@@ -34,7 +34,16 @@ from chowbg.groups import (
     _Parser,
     combine_product,
 )
-from chowbg.tables import EXACT, EXTRAPOLATED_FIELD, UPPER_BOUND, _tensor_counts, tensor_tables
+from chowbg.tables import (
+    EXACT,
+    EXTRAPOLATED_FIELD,
+    UPPER_BOUND,
+    ChowTable,
+    DegreeRow,
+    Localization,
+    _tensor_counts,
+    tensor_tables,
+)
 
 
 def monomial_table(generators, relations, bound):
@@ -175,6 +184,30 @@ def labelled_kunneth_table(factor_tables):
     for table in factor_tables[1:]:
         group = tensor(group, from_table(table))
     return to_table(group)
+
+
+def from_counts_localize_table(table, p):
+    """p-local view that rebuilds every row through ``DegreeRow.from_counts``,
+    which sorts and checks it, and the table through the checking
+    constructor: the reference for ``models.localize_table``."""
+    rows = tuple(
+        DegreeRow.from_counts(r.degree, r.free_rank, {q: m for q, m in r.counts if q % p == 0})
+        for r in table.rows
+    )
+    return _view_table(table, rows, Localization("at_prime", p))
+
+
+def from_counts_mod_p_table(table, p):
+    """Mod-p view built the same way: the reference for ``models.mod_p_table``."""
+    rows = tuple(
+        DegreeRow.from_counts(r.degree, r.free_rank + sum(m for q, m in r.counts if q % p == 0), ())
+        for r in table.rows
+    )
+    return _view_table(table, rows, Localization("mod_p", p))
+
+
+def _view_table(table, rows, localization):
+    return ChowTable(rows, table.bound, table.group, table.field, localization, table.provenance)
 
 
 def run_length_row_value(row):
@@ -344,7 +377,7 @@ def recursive_generator_bound(g):
 
 def recursive_abelianization_orders(g):
     match g:
-        case Trivial():
+        case Trivial() | SO(1):
             return ()
         case CyclicZ(n):
             return (n,)
@@ -352,6 +385,8 @@ def recursive_abelianization_orders(g):
             return factors
         case Symmetric(n):
             return (2,) if n >= 2 else ()
+        case O(1):
+            return (2,)
         case Wreath(p, inner):
             return (p,) + recursive_abelianization_orders(inner)
         case Product(left, right):

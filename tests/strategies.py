@@ -52,10 +52,7 @@ def atomic_base(draw):
     if kind == "cyclic":
         return CyclicZ(draw(st.integers(min_value=2, max_value=60)))
     if kind == "abelian":
-        factors = draw(st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=3))
-        expr = abelian_expr(factors)
-        # keep only genuinely multi-factor results so adjacency rules stay canonical
-        return expr if isinstance(expr, FiniteAbelian) else CyclicZ(factors[0])
+        return draw(_finite_abelian())
     if kind == "gm":
         return Gm()
     if kind == "gl":
@@ -72,17 +69,41 @@ def atomic_base(draw):
 
 
 @st.composite
-def atomic_groups(draw):
-    g = draw(atomic_base())
+def _finite_abelian(draw):
+    factors = draw(st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=3))
+    expr = abelian_expr(factors)
+    # keep only genuinely multi-factor results so adjacency rules stay canonical
+    return expr if isinstance(expr, FiniteAbelian) else CyclicZ(factors[0])
+
+
+def _finite_atomic_base():
+    """The finite atoms: trivial, Z/m, finite abelian, S_n, O(1) = Z/2, SO(1) = 1."""
+    return st.one_of(
+        st.sampled_from([Trivial(), O(1), SO(1)]),
+        st.builds(CyclicZ, st.integers(min_value=2, max_value=60)),
+        _finite_abelian(),
+        st.builds(Symmetric, st.integers(min_value=1, max_value=9)),
+    )
+
+
+@st.composite
+def atomic_groups(draw, base=atomic_base()):
+    g = draw(base)
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         g = Wreath(draw(st.sampled_from([2, 3, 5])), g)
     return g
 
 
 @st.composite
-def group_exprs(draw, max_terms=3):
-    terms = draw(st.lists(atomic_groups(), min_size=1, max_size=max_terms))
+def group_exprs(draw, max_terms=3, atoms=atomic_groups()):
+    terms = draw(st.lists(atoms, min_size=1, max_size=max_terms))
     return combine_product(terms)
+
+
+def finite_group_exprs():
+    """Products of finite atoms wrapped in wreaths: groups that have an
+    abelianization, unlike most draws of ``group_exprs``."""
+    return group_exprs(atoms=atomic_groups(_finite_atomic_base()))
 
 
 @st.composite

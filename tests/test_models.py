@@ -31,12 +31,14 @@ from chowbg.models import (
 )
 from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization, polynomial_table
 from oracles import (
+    from_counts_localize_table,
+    from_counts_mod_p_table,
     kunneth_factors,
     labelled_kunneth_table,
     pairwise_kunneth_table,
     symmetric_rows,
 )
-from strategies import graded_groups, group_exprs
+from strategies import finite_group_exprs, graded_groups, group_exprs
 
 C = parse_field("C")
 Q = parse_field("Q")
@@ -491,6 +493,29 @@ class TestLocalizations:
         ]
         assert all(not r.counts for r in t.rows)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        group_exprs(),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_views_match_from_counts_references(self, g, p, bound):
+        try:
+            integral = chow_model(g, C, bound)
+        except UnsupportedError:
+            assume(False)
+        local = localize_table(integral, p)
+        views = [
+            (local, from_counts_localize_table(integral, p)),
+            (mod_p_table(integral, p), from_counts_mod_p_table(integral, p)),
+        ]
+        for view, reference in views:
+            assert view == reference  # rows, bound and every metadata field
+            assert hash(view) == hash(reference)
+            assert [hash(r) for r in view.rows] == [hash(r) for r in reference.rows]
+        for row, kept in zip(integral.rows, local.rows):  # a p-primary row is shared
+            assert (kept is row) == all(q % p == 0 for q, _ in row.counts)
+
     def test_localize_table(self):
         t = localize_table(model("S_3", bound=4), 2)
         assert [row_orders(r) for r in t.rows[1:]] == [(0, (2,))] * 4
@@ -508,7 +533,10 @@ class TestLocalizations:
 class TestCharacterCheck:
     @pytest.mark.parametrize(
         "text",
-        ["S_2", "S_3", "Z/4 x Z/2", "wr(2, Z/2)", "wr(3, 1)", "Z/6", "wr(2, wr(2, 1))"],
+        [
+            *("S_2", "S_3", "Z/4 x Z/2", "wr(2, Z/2)", "wr(3, 1)", "Z/6", "wr(2, wr(2, 1))"),
+            *("O(1)", "SO(1)", "wr(2, O(1))", "O(1) x Z/3"),
+        ],
     )
     def test_degree_one_equals_abelianization(self, text):
         g = parse_group_expr(text)
@@ -528,7 +556,7 @@ class TestCharacterCheck:
             assert sorted(row.torsion) == sorted(abelian_invariant_factors_elementary(g))
 
     @settings(max_examples=150, deadline=None)
-    @given(group_exprs())
+    @given(finite_group_exprs())
     def test_degree_one_is_the_dual_of_the_abelianization(self, g):
         # CH^1 BG is the character group Hom(G, Gm) = Hom(G^ab, Q/Z) for finite G
         try:

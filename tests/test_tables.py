@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 
 from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.graded import tensor, to_table
-from chowbg.tables import ChowTable, DegreeRow, polynomial_table, tensor_tables, torsion_sort_key
+from chowbg.fields import parse_field
+from chowbg.groups import GL
+from chowbg.tables import (
+    EXACT,
+    UPPER_BOUND,
+    ChowTable,
+    DegreeRow,
+    Localization,
+    polynomial_table,
+    tensor_tables,
+    torsion_sort_key,
+)
 from oracles import run_length_row_value, run_length_torsion_json
 from strategies import graded_groups
 
@@ -159,3 +170,40 @@ class TestDegreeRow:
             DegreeRow(degree, free_rank, ())
         with pytest.raises(ValueError):
             DegreeRow.from_counts(degree, free_rank, {})
+
+
+class TestSharedRows:
+    @given(row_args)
+    def test_canonical_constructor_matches_from_counts(self, args):
+        d, f, t = args
+        counted = DegreeRow.from_counts(d, f, Counter(t))
+        shared = DegreeRow._canonical(d, f, counted.counts)
+        assert shared == counted and hash(shared) == hash(counted)
+        assert shared.counts is counted.counts
+        copy = pickle.loads(pickle.dumps(shared))
+        assert copy == counted and copy.counts == counted.counts
+
+    def test_metadata_copy_shares_the_checked_rows(self):
+        t = table((1, ()), (0, (2, 3)), (2, (4, 4, 9)))
+        fields = {
+            "group": GL(2),
+            "field": parse_field("Q"),
+            "localization": Localization("at_prime", 3),
+            "provenance": (EXACT, UPPER_BOUND),
+        }
+        for name, value in fields.items():  # t has the default metadata
+            copy = t.with_metadata(**{name: value})
+            assert copy.rows is t.rows and copy == ChowTable(t.rows, t.bound, **{name: value})
+        copy = t.with_metadata(**fields)
+        assert copy.rows is t.rows and copy == ChowTable(t.rows, t.bound, **fields)
+
+    def test_new_rows_or_bound_are_still_checked(self):
+        t = table((1, ()), (0, (2,)), (0, ()))
+        with pytest.raises(ValueError, match="one row per degree"):
+            t.with_metadata(bound=1)
+        with pytest.raises(ValueError, match="one row per degree"):
+            t.with_metadata(rows=t.rows[::-1])
+        with pytest.raises(TypeError, match="bogus"):
+            t.with_metadata(bogus=1)
+        with pytest.raises(TypeError, match="bogus"):
+            t.with_metadata(group=GL(1), bogus=1)
