@@ -96,18 +96,30 @@ def localize_table(table: ChowTable, p: int) -> ChowTable:
         else:
             local = tuple(qm for qm in c if qm[0] % p == 0)
             rows.append(DegreeRow._canonical(r.degree, r.free_rank, local))
-    return table.with_metadata(rows=tuple(rows), localization=Localization("at_prime", p))
+    return _view(table, rows, Localization("at_prime", p))
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each row, reported in the free-rank column: the free
-    rank plus the number of p-power torsion summands."""
+    rank plus the number of p-power torsion summands.  A torsion-free row is
+    its own mod-p row and is kept as it is."""
     require_prime(p)
     rows = []
     for r in table.rows:
-        rank = r.free_rank + sum(m for q, m in r.counts if q % p == 0)
-        rows.append(DegreeRow._canonical(r.degree, rank, ()))
-    return table.with_metadata(rows=tuple(rows), localization=Localization("mod_p", p))
+        if r.counts:
+            rank = r.free_rank + sum(m for q, m in r.counts if q % p == 0)
+            r = DegreeRow._canonical(r.degree, rank, ())
+        rows.append(r)
+    return _view(table, rows, Localization("mod_p", p))
+
+
+def _view(table: ChowTable, rows: list, localization: Localization) -> ChowTable:
+    """The table of rows made one to one from ``table.rows``, with its
+    metadata and the given localization; the row degrees are not checked
+    again."""
+    return ChowTable._unchecked(
+        tuple(rows), table.bound, table.group, table.field, localization, table.provenance
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +149,7 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     if hit:
         if bound == wide.bound:
             return wide
-        return ChowTable(wide.rows[: bound + 1], bound, g, k, INTEGRAL, wide.provenance)
+        return ChowTable._unchecked(wide.rows[: bound + 1], bound, g, k, INTEGRAL, wide.provenance)
     if isinstance(g, Wreath):
         table = chow_wreath(g.p, chow_model(g.inner, k, bound))
     else:

@@ -16,18 +16,23 @@ computation that produced them.
 one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
 whole tables (the wreath products); ``tensor_tables`` is its two-table
 case.  ``cyclic_power_table`` is the codimension cyclic power that builds
-wreath products.  Both run the gcd loop of ``_tensor_counts`` on
-per-degree ``{order: multiplicity}`` dicts with order 0 standing for Z,
-the cyclic power by square-and-multiply with ``_square_counts`` for the
-squarings; that format never leaves this module.
+wreath products.  Both work on generating series over the degrees, one
+for the free rank and one per (prime l, level a) counting the summands of
+l-valuation at least a, so their cost grows with the distinct (prime,
+exponent) levels and the bound, not with the pairs of classes: a
+generator is a stride prefix sum, a table factor a truncated product of
+series (one big-integer product each), the cyclic power Polya's
+``(s^p + (p - 1) s(t^p)) / p`` with the power taken by squaring.  Rows
+come back by differencing adjacent levels, canonical as built; the series
+format never leaves this module.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
-from math import gcd
+from itertools import accumulate, chain, repeat
+from operator import sub
 from typing import TYPE_CHECKING
 
 from ._intmath import factorint, prime_power_decompose, require_prime
@@ -158,6 +163,17 @@ class ChowTable(Record):
         setattr_(self, "localization", localization)
         setattr_(self, "provenance", provenance)
 
+    @classmethod
+    def _unchecked(
+        cls, rows: tuple, bound: int, group, field, localization, provenance
+    ) -> "ChowTable":
+        """A table built without the row-degree check, for rows that map one
+        to one onto the rows of a checked table, or onto a prefix of them."""
+        table = cls.__new__(cls)
+        for slot, value in zip(_TABLE_SLOTS, (rows, bound, group, field, localization, provenance)):
+            slot(table, value)
+        return table
+
     def row(self, degree: int) -> DegreeRow:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside table bound {self.bound}")
@@ -179,20 +195,26 @@ class ChowTable(Record):
 
 
 _METADATA = frozenset(ChowTable.__slots__) - {"rows", "bound"}
-
-
-def _row_counts(row: DegreeRow) -> dict[int, int]:
-    """{order: multiplicity} of one row, with order 0 counting the free rank."""
-    counts = dict(row.counts)
-    if row.free_rank:
-        counts[0] = row.free_rank
-    return counts
+_TABLE_SLOTS = [getattr(ChowTable, name).__set__ for name in ChowTable.__slots__]
 
 
 def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
     """Graded tensor product over Z of two integral tables, through the
     smaller bound: ``polynomial_table([a, b], min(a.bound, b.bound))``."""
     return polynomial_table([a, b], min(a.bound, b.bound))
+
+
+# ---------------------------------------------------------------------------
+# the kernels, on per-prime generating series
+#
+# A table through ``bound`` is held as integer series over the degrees
+# 0..bound: ``free``, the free rank of each degree, and for each prime l a
+# list ``levels[l]`` whose entry a - 1 is G_{l,a}, the free rank plus the
+# number of torsion summands of l-valuation at least a.  The levels of a
+# prime run 1..A with no gap, and a missing level equals ``free``.  Under
+# the gcd rule a pair of summands has l-valuation the smaller of the two, a
+# free summand counting as infinite, so every series of a Kunneth product is
+# the product of the factors' series of the same level.
 
 
 def polynomial_table(factors, bound: int) -> ChowTable:
@@ -206,126 +228,162 @@ def polynomial_table(factors, bound: int) -> ChowTable:
     Chow Kunneth rule, which is an isomorphism for the spaces treated here.
     So a monomial in the generators is free if it avoids every generator
     with m >= 2, and otherwise cyclic of order the gcd of the coefficients
-    it meets.
+    it meets.  On the series a generator ``(d, m)`` is a factor
+    ``1 / (1 - t^d)``, a stride-d prefix sum: of ``free`` and every level
+    when m = 0, of the levels (l, a) with l^a | m otherwise; a table factor
+    multiplies each series by its own, truncated at ``bound``.
     """
-    counts = [{0: 1} if d == 0 else {} for d in range(bound + 1)]
+    if bound < 0:
+        raise ValueError("table must have one row per degree 0..bound")
+    free = [1] + [0] * bound
+    levels: dict[int, list[list[int]]] = {}
     for f in factors:
         if isinstance(f, ChowTable):
-            factor = [(d, _row_counts(f.row(d))) for d in range(bound + 1)]
+            f.row(bound)  # a table below ``bound`` raises
+            free, levels = _product(free, levels, *_series(f.rows, bound), bound)
+            continue
+        degree, m = f
+        if degree < 1 or m < 0:
+            raise ValueError(f"generator {f!r} needs degree >= 1 and m >= 0")
+        if m == 0:
+            for s in chain([free], *levels.values()):
+                _stride_sum(s, degree)
         else:
-            degree, m = f
-            x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
-            factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
-        counts = _tensor_counts(counts, factor, bound)
-    return _table_from_counts(counts)
-
-
-def _tensor_counts(left, right, bound: int) -> list[dict[int, int]]:
-    """Kunneth product of {order: multiplicity} counts through ``bound``,
-    order 0 standing for Z: ``left`` has one dict per degree, ``right`` is
-    (degree, dict) pairs in increasing degree.  Coprime pairs are dropped."""
-    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
-    for i, x in enumerate(left):
-        if not x:
-            continue
-        for j, y in right:
-            if i + j > bound:
-                break
-            acc = out[i + j]
-            for p, m in x.items():
-                for q, n in y.items():
-                    h = gcd(p, q)
-                    if h != 1:
-                        acc[h] = acc.get(h, 0) + m * n
-    return out
-
-
-def _square_counts(x: list[dict[int, int]], bound: int) -> list[dict[int, int]]:
-    """``_tensor_counts`` of per-degree counts with themselves through
-    ``bound``: each unordered pair of degrees i < j is visited once and
-    counted twice, the product being commutative."""
-    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
-    for i in range(bound // 2 + 1):
-        a = x[i]
-        if not a:
-            continue
-        for j in range(i, bound - i + 1):
-            b = x[j]
-            if not b:
-                continue
-            w = 1 if i == j else 2
-            acc = out[i + j]
-            for p, m in a.items():
-                for q, n in b.items():
-                    h = gcd(p, q)
-                    if h != 1:
-                        acc[h] = acc.get(h, 0) + w * m * n
-    return out
-
-
-def _power_counts(factor, p: int, bound: int) -> list[dict[int, int]]:
-    """The p-fold Kunneth power of ``factor``, (degree, counts) pairs in
-    increasing degree, through ``bound``, by square-and-multiply over the
-    bits of p (Knuth, TAOCP vol. 2, 4.6.3): about log2(p) squarings and
-    one product with ``factor`` per further set bit, where the repeated
-    product takes p.  It holds because the gcd rule is associative and
-    commutative and a dropped gcd of 1 stays 1 in every later product."""
-    out = [{} for _ in range(bound + 1)]
-    for d, counts in factor:
-        out[d] = counts
-    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds new dicts
-        out = _square_counts(out, bound)
-        if bit == "1":
-            out = _tensor_counts(out, factor, bound)
-    return out
+            for l, e in factorint(m):
+                for s in _levels(levels, l, e, free)[:e]:
+                    _stride_sum(s, degree)
+    return _table(free, levels, bound)
 
 
 def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
-    """Cyclic power in codimension grading on per-row (order -> multiplicity)
-    counts: the rows of the labelled reference
+    """Cyclic power in codimension grading on the series of the table: the
+    rows of the labelled reference
     ``to_table(cyclic.cyclic_power_codim(from_table(table), p))``.
 
-    A class is a (degree e, order q) pair with multiplicity m, q = 0 free;
-    S is the classes with p | q.  Ordered p-tuples of summands are counted
-    by the p-fold Kunneth power over (degree sum, gcd), taken by squaring
-    (``_power_counts``), and Burnside's lemma turns them into rotation
-    orbits: (tuples + (p - 1) * constant tuples) / p, since each
-    nontrivial rotation fixes just the constant tuples.  The constant tuple
-    of a class in S is dropped, and gamma (``Z/(p q)`` in degree p e) and
-    alpha (``Z/p`` in every degree above p e) take its place.  A gcd of
-    prime powers is a prime power, 0 or 1, so no CRT split is needed.
+    A class is a (degree e, order q) summand, q = 0 free; S is the classes
+    with p | q.  Rotation orbits of p-tuples of summands are counted by
+    Polya's ``(s^p + (p - 1) s(t^p)) / p`` on each series, the power taken
+    by square-and-multiply over the bits of p (Knuth, TAOCP vol. 2, 4.6.3),
+    since each nontrivial rotation fixes just the constant tuples.  The
+    constant tuple of a class in S is dropped, and gamma (``Z/(p q)`` in
+    degree p e) and alpha (``Z/p`` in every degree above p e) take its place:
+    a free gamma replaces a free constant tuple, so only a gamma of
+    ``Z/p^b`` changes a level, G_{p,b+1} in degree p e, and alpha adds the
+    count of S-classes of degree e to G_{p,1} in every degree above p e.
     """
     require_prime(p)
     bound = table.bound
-    factor = [(row.degree, _row_counts(row)) for row in table.rows]
-    out = _power_counts(factor, p, bound)
+    free, levels = _series(table.rows, bound)
+    at_p = levels.get(p, [])
+    s_classes = at_p[0] if at_p else free  # free plus p-power summands per degree
+    exact = [  # the Z/p^b, b = 1..A, in the degrees e with p e <= bound
+        [g[e] - h[e] for e in range(bound // p + 1)] for g, h in zip(at_p, at_p[1:] + [free])
+    ]
+    out_free = _polya(free, p, bound)
+    out = {l: [_polya(s, p, bound) for s in lv] for l, lv in levels.items()}
+    for b, counts in enumerate(exact, 1):
+        if any(counts):
+            gamma = _levels(out, p, b + 1, out_free)[b]
+            for e, m in enumerate(counts):
+                gamma[p * e] += m
+    if bound:
+        alpha = _levels(out, p, 1, out_free)[0]
+        below = 0  # S-classes of degree e with p e < t
+        for t in range(1, bound + 1):
+            if (t - 1) % p == 0:
+                below += s_classes[(t - 1) // p]
+            alpha[t] += below
+    return _table(out_free, out, bound)
 
-    classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
-    for e, q, m in classes:
-        if p * e <= bound:  # (p - 1) m fixed points; p m fewer where S drops them
-            out[p * e][q] += -m if q % p == 0 else (p - 1) * m
-    for d, here in enumerate(out):
-        for g, n in here.items():
-            orbits, rest = divmod(n, p)
-            if rest:
-                raise ArithmeticError(
-                    f"Burnside count {n} in degree {d} with gcd {g} is not a multiple of {p}"
-                )
-            here[g] = orbits
-    for e, q, m in classes:
-        if q % p == 0:
-            if p * e <= bound:
-                out[p * e][p * q] = out[p * e].get(p * q, 0) + m  # gamma
-            for t in range(p * e + 1, bound + 1):
-                out[t][p] = out[t].get(p, 0) + m  # alpha
-    return _table_from_counts(out)
+
+def _levels(levels: dict, l: int, a: int, free: list[int]) -> list[list[int]]:
+    """The level list of the prime l, extended through level a with copies
+    of ``free``."""
+    lv = levels.setdefault(l, [])
+    while len(lv) < a:
+        lv.append(free.copy())
+    return lv
 
 
-def _table_from_counts(out: list[dict[int, int]]) -> ChowTable:
-    """Table whose degree-d row has the {order: multiplicity} counts ``out[d]``,
-    order 0 being the free rank."""
-    rows = []
-    for d, counts in enumerate(out):
-        free = counts.pop(0, 0)
-        rows.append(DegreeRow.from_counts(d, free, counts))
-    return ChowTable(rows=tuple(rows), bound=len(out) - 1)
+def _stride_sum(s: list[int], d: int) -> None:
+    """Multiply the series s in place by ``1 / (1 - t^d)``: s[n] += s[n - d]."""
+    for r in range(min(d, len(s))):
+        s[r::d] = accumulate(s[r::d])
+
+
+def _series(rows, bound: int) -> tuple[list[int], dict]:
+    """``free`` and ``levels`` of the rows of degrees 0..bound."""
+    rows = rows[: bound + 1]
+    free = [r.free_rank for r in rows]
+    levels: dict[int, list[list[int]]] = {}
+    for d, r in enumerate(rows):
+        for q, m in r.counts:
+            l, a = torsion_sort_key(q)
+            for s in _levels(levels, l, a, free)[:a]:
+                s[d] += m
+    return free, levels
+
+
+def _product(free, levels, free2, levels2, bound: int) -> tuple[list[int], dict]:
+    """Kunneth product of two tables in series form, level by level."""
+    out = {}
+    for l in levels.keys() | levels2.keys():
+        a, b = levels.get(l, ()), levels2.get(l, ())
+        out[l] = [
+            _mul(a[i] if i < len(a) else free, b[i] if i < len(b) else free2, bound)
+            for i in range(max(len(a), len(b)))
+        ]
+    return _mul(free, free2, bound), out
+
+
+def _mul(a: list[int], b: list[int], bound: int) -> list[int]:
+    """The first bound + 1 coefficients of the product of two series with
+    nonnegative coefficients, by one big-integer product (Kronecker
+    substitution): each series is packed into an integer, one slot per
+    degree, with slots wide enough for every coefficient of the product."""
+    n = bound + 1
+    width = (max(a).bit_length() + max(b).bit_length() + n.bit_length() + 7) // 8
+    x = _pack(a, width)
+    y = x if b is a else _pack(b, width)
+    buf = (x * y).to_bytes(2 * n * width, "little")
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)]
+
+
+def _pack(a: list[int], width: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+
+
+def _polya(s: list[int], p: int, bound: int) -> list[int]:
+    """Rotation orbits of p-tuples, ``(s^p + (p - 1) s(t^p)) / p`` through
+    ``bound``; a count that p does not divide raises ArithmeticError."""
+    out = s
+    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds a new list
+        out = _mul(out, out, bound)
+        if bit == "1":
+            out = _mul(out, s, bound)
+    for e in range(bound // p + 1):
+        out[p * e] += (p - 1) * s[e]
+    for d, c in enumerate(out):
+        orbits, rest = divmod(c, p)
+        if rest:
+            raise ArithmeticError(f"Polya count {c} in degree {d} is not a multiple of {p}")
+        out[d] = orbits
+    return out
+
+
+def _table(free: list[int], levels: dict, bound: int) -> ChowTable:
+    """The table of the series: the count of Z/l^a in degree d is
+    G_{l,a}[d] - G_{l,a+1}[d], with G_{l,A+1} = ``free``.  Columns come in
+    (prime, exponent) order, so the rows are canonical as built."""
+    columns = []
+    for l in sorted(levels):
+        lv = levels[l]
+        for a, (g, h) in enumerate(zip(lv, lv[1:] + [free]), 1):
+            counts = list(map(sub, g, h))
+            if any(counts):
+                columns.append((l**a, counts))
+    rows = tuple(
+        DegreeRow._canonical(d, free[d], tuple([(q, c[d]) for q, c in columns if c[d]]))
+        for d in range(bound + 1)
+    )
+    return ChowTable(rows, bound)

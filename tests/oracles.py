@@ -11,9 +11,9 @@ from __future__ import annotations
 from functools import reduce
 from itertools import count
 from itertools import product as cartesian
-from math import gcd
+from math import factorial, gcd
 
-from chowbg._intmath import is_prime, prime_power_decompose
+from chowbg._intmath import factorint, is_prime, prime_power_decompose, require_prime
 from chowbg.errors import UnsupportedError
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import (
@@ -41,7 +41,6 @@ from chowbg.tables import (
     ChowTable,
     DegreeRow,
     Localization,
-    _tensor_counts,
     tensor_tables,
 )
 
@@ -130,12 +129,163 @@ def rotation_orbits(n, p):
 def repeated_power_counts(factor, p, bound):
     """The p-fold Kunneth power of ``factor``, (degree, {order: multiplicity})
     pairs in increasing degree, through ``bound``: p products with
-    ``tables._tensor_counts`` starting from the point, one factor at a time
-    (the route ``cyclic_power_table`` took before squaring)."""
+    ``_tensor_counts`` starting from the point, one factor at a time (the
+    route ``cyclic_power_table`` took before squaring)."""
     out = [{0: 1}] + [{} for _ in range(bound)]
     for _ in range(p):
         out = _tensor_counts(out, factor, bound)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the gcd kernels of ``chowbg.tables`` as they were before its series form:
+# per-degree {order: multiplicity} dicts, order 0 standing for Z, multiplied
+# by the gcd rule pair by pair.  They share no code with the series kernels
+# and are the reference those are checked against.
+
+
+def _row_counts(row: DegreeRow) -> dict[int, int]:
+    """{order: multiplicity} of one row, with order 0 counting the free rank."""
+    counts = dict(row.counts)
+    if row.free_rank:
+        counts[0] = row.free_rank
+    return counts
+
+
+def gcd_polynomial_table(factors, bound: int) -> ChowTable:
+    """Integral table through ``bound`` of the tensor product of the factors,
+    folded one at a time: a ``(degree, m)`` generator is the ring
+    ``Z[x]/(m x)``, with m = 0 for ``Z[x]``, and a ``ChowTable`` of bound at
+    least ``bound`` enters as its rows; no factors give the point.
+
+    ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
+    pairs contribute nothing.  There is no Tor correction: this models the
+    Chow Kunneth rule, which is an isomorphism for the spaces treated here.
+    So a monomial in the generators is free if it avoids every generator
+    with m >= 2, and otherwise cyclic of order the gcd of the coefficients
+    it meets.
+    """
+    counts = [{0: 1} if d == 0 else {} for d in range(bound + 1)]
+    for f in factors:
+        if isinstance(f, ChowTable):
+            factor = [(d, _row_counts(f.row(d))) for d in range(bound + 1)]
+        else:
+            degree, m = f
+            x = {0: 1} if m == 0 else {p**e: 1 for p, e in factorint(m)}
+            factor = [(0, {0: 1})] + [(d, x) for d in range(degree, bound + 1, degree)]
+        counts = _tensor_counts(counts, factor, bound)
+    return _table_from_counts(counts)
+
+
+def _tensor_counts(left, right, bound: int) -> list[dict[int, int]]:
+    """Kunneth product of {order: multiplicity} counts through ``bound``,
+    order 0 standing for Z: ``left`` has one dict per degree, ``right`` is
+    (degree, dict) pairs in increasing degree.  Coprime pairs are dropped."""
+    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for i, x in enumerate(left):
+        if not x:
+            continue
+        for j, y in right:
+            if i + j > bound:
+                break
+            acc = out[i + j]
+            for p, m in x.items():
+                for q, n in y.items():
+                    h = gcd(p, q)
+                    if h != 1:
+                        acc[h] = acc.get(h, 0) + m * n
+    return out
+
+
+def _square_counts(x: list[dict[int, int]], bound: int) -> list[dict[int, int]]:
+    """``_tensor_counts`` of per-degree counts with themselves through
+    ``bound``: each unordered pair of degrees i < j is visited once and
+    counted twice, the product being commutative."""
+    out: list[dict[int, int]] = [{} for _ in range(bound + 1)]
+    for i in range(bound // 2 + 1):
+        a = x[i]
+        if not a:
+            continue
+        for j in range(i, bound - i + 1):
+            b = x[j]
+            if not b:
+                continue
+            w = 1 if i == j else 2
+            acc = out[i + j]
+            for p, m in a.items():
+                for q, n in b.items():
+                    h = gcd(p, q)
+                    if h != 1:
+                        acc[h] = acc.get(h, 0) + w * m * n
+    return out
+
+
+def _power_counts(factor, p: int, bound: int) -> list[dict[int, int]]:
+    """The p-fold Kunneth power of ``factor``, (degree, counts) pairs in
+    increasing degree, through ``bound``, by square-and-multiply over the
+    bits of p (Knuth, TAOCP vol. 2, 4.6.3): about log2(p) squarings and
+    one product with ``factor`` per further set bit, where the repeated
+    product takes p.  It holds because the gcd rule is associative and
+    commutative and a dropped gcd of 1 stays 1 in every later product."""
+    out = [{} for _ in range(bound + 1)]
+    for d, counts in factor:
+        out[d] = counts
+    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds new dicts
+        out = _square_counts(out, bound)
+        if bit == "1":
+            out = _tensor_counts(out, factor, bound)
+    return out
+
+
+def gcd_cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
+    """Cyclic power in codimension grading on per-row (order -> multiplicity)
+    counts: the rows of the labelled reference
+    ``to_table(cyclic.cyclic_power_codim(from_table(table), p))``.
+
+    A class is a (degree e, order q) pair with multiplicity m, q = 0 free;
+    S is the classes with p | q.  Ordered p-tuples of summands are counted
+    by the p-fold Kunneth power over (degree sum, gcd), taken by squaring
+    (``_power_counts``), and Burnside's lemma turns them into rotation
+    orbits: (tuples + (p - 1) * constant tuples) / p, since each
+    nontrivial rotation fixes just the constant tuples.  The constant tuple
+    of a class in S is dropped, and gamma (``Z/(p q)`` in degree p e) and
+    alpha (``Z/p`` in every degree above p e) take its place.  A gcd of
+    prime powers is a prime power, 0 or 1, so no CRT split is needed.
+    """
+    require_prime(p)
+    bound = table.bound
+    factor = [(row.degree, _row_counts(row)) for row in table.rows]
+    out = _power_counts(factor, p, bound)
+
+    classes = [(e, q, m) for e, counts in factor for q, m in counts.items()]
+    for e, q, m in classes:
+        if p * e <= bound:  # (p - 1) m fixed points; p m fewer where S drops them
+            out[p * e][q] += -m if q % p == 0 else (p - 1) * m
+    for d, here in enumerate(out):
+        for g, n in here.items():
+            orbits, rest = divmod(n, p)
+            if rest:
+                raise ArithmeticError(
+                    f"Burnside count {n} in degree {d} with gcd {g} is not a multiple of {p}"
+                )
+            here[g] = orbits
+    for e, q, m in classes:
+        if q % p == 0:
+            if p * e <= bound:
+                out[p * e][p * q] = out[p * e].get(p * q, 0) + m  # gamma
+            for t in range(p * e + 1, bound + 1):
+                out[t][p] = out[t].get(p, 0) + m  # alpha
+    return _table_from_counts(out)
+
+
+def _table_from_counts(out: list[dict[int, int]]) -> ChowTable:
+    """Table whose degree-d row has the {order: multiplicity} counts ``out[d]``,
+    order 0 being the free rank."""
+    rows = []
+    for d, counts in enumerate(out):
+        free = counts.pop(0, 0)
+        rows.append(DegreeRow.from_counts(d, free, counts))
+    return ChowTable(rows=tuple(rows), bound=len(out) - 1)
 
 
 def cyclic_square_of_plane():
@@ -373,6 +523,27 @@ def recursive_generator_bound(g):
     raise UnsupportedError(
         f"no catalog embedding with known quotient for {recursive_format_group(g)}"
     )
+
+
+def group_order(g):
+    """|G| of a finite group expression, by recursion on the tree:
+    |wr(p, H)| = p |H|^p; an infinite group raises ValueError."""
+    match g:
+        case Trivial() | SO(1):
+            return 1
+        case CyclicZ(n):
+            return n
+        case FiniteAbelian(factors):
+            return reduce(lambda a, b: a * b, factors, 1)
+        case Symmetric(n):
+            return factorial(n)
+        case O(1):
+            return 2
+        case Wreath(p, inner):
+            return p * group_order(inner) ** p
+        case Product(left, right):
+            return group_order(left) * group_order(right)
+    raise ValueError(f"not a finite group: {recursive_format_group(g)}")
 
 
 def recursive_abelianization_orders(g):

@@ -33,8 +33,9 @@ from chowbg.graded import (
     to_table,
 )
 from chowbg.groups import CyclicZ, O, Wreath, abelian_invariant_factors
-from chowbg.models import chow_model
+from chowbg.models import chow_model, chow_symmetric_sylow_bound
 from chowbg.tables import DegreeRow
+import oracles
 from oracles import cyclic_square_of_plane, repeated_power_counts, rotation_orbits
 from strategies import graded_groups
 
@@ -184,10 +185,11 @@ class TestCountedTable:
     @settings(max_examples=30, deadline=None)
     @given(graded_groups(max_bound=8))
     def test_squaring_matches_repeated_product(self, p, g):
+        # the full p-fold Kunneth power table against the gcd oracle's p products
         table = to_table(g)
-        factor = [(row.degree, tables._row_counts(row)) for row in table.rows]
-        squared = tables._power_counts(factor, p, table.bound)
-        assert squared == repeated_power_counts(factor, p, table.bound)
+        factor = [(row.degree, oracles._row_counts(row)) for row in table.rows]
+        power = tables.polynomial_table([table] * p, table.bound)
+        assert power == oracles._table_from_counts(repeated_power_counts(factor, p, table.bound))
 
     def test_wr_101_at_300_pinned(self):
         # the sha256 of this JSON before the power was taken by squaring
@@ -231,6 +233,23 @@ class TestScale:
         assert tower.row(1) == DegreeRow(1, 0, tuple(split))
         assert tower.row(14).free_rank == 0
         assert tower.row(14).counts == ((2, 261_076_098), (4, 145_687))
+
+
+class TestLargePrimeScale:
+    """Large-p tables, row for row against the gcd kernels of ``oracles``."""
+
+    @pytest.mark.parametrize("p, m", [(101, 2), (31, 31)])
+    def test_wreath_at_300_matches_gcd_oracle(self, p, m):
+        chow_model.cache_clear()
+        table = chow_model(Wreath(p, CyclicZ(m)), COMPLEX, 300)
+        inner = oracles.gcd_polynomial_table([(1, m)], 300)
+        assert table.rows == oracles.gcd_cyclic_power_table(inner, p).rows
+
+    def test_sylow_bound_of_s_10201_at_300_matches_gcd_oracle(self):
+        # the 101-Sylow subgroup of S_{101^2} is wr(101, Z/101)
+        table = chow_symmetric_sylow_bound(10201, 101, 300)
+        inner = oracles.gcd_polynomial_table([(1, 101)], 300)
+        assert table.rows == oracles.gcd_cyclic_power_table(inner, 101).rows
 
 
 class TestDimWindow:

@@ -33,6 +33,7 @@ from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization, polynomial
 from oracles import (
     from_counts_localize_table,
     from_counts_mod_p_table,
+    group_order,
     kunneth_factors,
     labelled_kunneth_table,
     pairwise_kunneth_table,
@@ -505,9 +506,10 @@ class TestLocalizations:
         except UnsupportedError:
             assume(False)
         local = localize_table(integral, p)
+        reduced = mod_p_table(integral, p)
         views = [
             (local, from_counts_localize_table(integral, p)),
-            (mod_p_table(integral, p), from_counts_mod_p_table(integral, p)),
+            (reduced, from_counts_mod_p_table(integral, p)),
         ]
         for view, reference in views:
             assert view == reference  # rows, bound and every metadata field
@@ -515,6 +517,8 @@ class TestLocalizations:
             assert [hash(r) for r in view.rows] == [hash(r) for r in reference.rows]
         for row, kept in zip(integral.rows, local.rows):  # a p-primary row is shared
             assert (kept is row) == all(q % p == 0 for q, _ in row.counts)
+        for row, kept in zip(integral.rows, reduced.rows):  # so is a torsion-free one
+            assert (kept is row) == (not row.counts)
 
     def test_localize_table(self):
         t = localize_table(model("S_3", bound=4), 2)
@@ -566,6 +570,22 @@ class TestCharacterCheck:
             assume(False)
         assert row.free_rank == 0
         assert sorted(row.torsion) == sorted(expected)
+
+
+class TestFiniteGroupInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(finite_group_exprs(), st.integers(min_value=0, max_value=12))
+    def test_positive_degrees_are_torsion_dividing_the_order(self, g, bound):
+        # CH^i BG for finite G and i > 0 is killed by |G| (transfer to the trivial group)
+        try:
+            t = chow_model(g, C, bound)
+        except UnsupportedError:
+            assume(False)
+        order = group_order(g)
+        assert t.rows[0].free_rank == 1 and not t.rows[0].counts
+        for row in t.rows[1:]:
+            assert row.free_rank == 0
+            assert all(order % q == 0 for q, _ in row.counts)
 
 
 def abelian_invariant_factors_elementary(g):

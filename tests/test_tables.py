@@ -1,9 +1,10 @@
 import pickle
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
@@ -16,11 +17,17 @@ from chowbg.tables import (
     ChowTable,
     DegreeRow,
     Localization,
+    cyclic_power_table,
     polynomial_table,
     tensor_tables,
     torsion_sort_key,
 )
-from oracles import run_length_row_value, run_length_torsion_json
+from oracles import (
+    gcd_cyclic_power_table,
+    gcd_polynomial_table,
+    run_length_row_value,
+    run_length_torsion_json,
+)
 from strategies import graded_groups
 
 ROW_ORDERS = (2, 3, 4, 5, 8, 9, 25, 27)
@@ -95,6 +102,68 @@ class TestPolynomialTable:
             polynomial_table([short], 1)
         with pytest.raises(ValueError, match="outside table bound"):
             polynomial_table([(1, 2), short], 1)
+
+
+class TestEdgeErrors:
+    def test_negative_bound_has_one_message(self):
+        for factors in ([], [(1, 2)], [(1, 0)], [table((1, ()))]):
+            with pytest.raises(ValueError, match="one row per degree"):
+                polynomial_table(factors, -1)
+
+    @pytest.mark.parametrize("generator", [(0, 2), (0, 0), (-1, 3), (1, -2)])
+    def test_bad_generator_is_named(self, generator):
+        with pytest.raises(ValueError, match=re.escape(f"generator {generator!r}")):
+            polynomial_table([(1, 2), generator], 4)
+
+
+# m: 0, 1, prime powers and composites
+ORACLE_MS = (0, 0, 1, 2, 3, 4, 5, 7, 8, 9, 27, 31, 6, 12, 30, 36, 210)
+oracle_generators = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=6), st.sampled_from(ORACLE_MS)), max_size=5
+)
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def assert_same_table(got, expected):
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert [hash(r) for r in got.rows] == [hash(r) for r in expected.rows]
+
+
+class TestSeriesKernels:
+    """The series kernels against the gcd kernels of ``oracles``, with which
+    they share no code."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(graded_groups(max_bound=10), max_size=2),
+        oracle_generators,
+        st.integers(min_value=0, max_value=20),
+        st.randoms(use_true_random=False),
+    )
+    def test_polynomial_table_matches_gcd_oracle(self, groups, generators, bound, rng):
+        tables = [to_table(g) for g in groups]
+        if tables:
+            bound = min([bound] + [t.bound for t in tables])
+        factors = tables + generators
+        rng.shuffle(factors)
+        assert_same_table(polynomial_table(factors, bound), gcd_polynomial_table(factors, bound))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ORACLE_PRIMES), graded_groups(max_bound=10, max_summands=6))
+    def test_cyclic_power_table_matches_gcd_oracle(self, p, g):
+        t = to_table(g)
+        assert_same_table(cyclic_power_table(t, p), gcd_cyclic_power_table(t, p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(ORACLE_PRIMES),
+        oracle_generators,
+        st.integers(min_value=0, max_value=24),
+    )
+    def test_cyclic_power_of_generator_tables_matches_gcd_oracle(self, p, generators, bound):
+        t = gcd_polynomial_table(generators, bound)
+        assert_same_table(cyclic_power_table(t, p), gcd_cyclic_power_table(t, p))
 
 
 class TestDegreeRow:
