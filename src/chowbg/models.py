@@ -25,10 +25,21 @@ Every rule assumes a characteristic prime to the orders it involves, checked
 by ``fields.require_char_ne``, and the wreath rule mu_p in k, by ``require_mu``.
 Anything outside this territory raises UnsupportedError, never a guess.
 
-Tables are graded: the table through degree b is the first b + 1 rows of the
-table through any larger degree.  So ``chow_model`` keeps one widest table per
-(group, field) and serves every smaller bound as a row slice of it, and the
-mod-p view counts the p-power torsion of the integral table in one pass.
+Tables are graded: the table through degree b is the first b + 1 degrees of
+the table through any larger degree.  So the memo keeps one widest table per
+(group, field) and serves every smaller bound as a truncation of its series.
+Tables are stored as the generating series of ``tables``: the p-local view
+keeps the levels of p, and the mod-p view is the level G_{p,1}, the free rank
+plus the p-power summands.  A table with no torsion prime but p (for mod p,
+no torsion at all) is its own view, a metadata copy that shares its series
+and rows.
+
+Rows are built only for tables a caller gets back.  The private ``_memo``
+serves the recursion (wreath inner tables, wreath product terms, Sylow
+groups) and builds none; each public function builds the rows of the table it
+returns inside the call.  ``chow_model``, the Sylow bound and the integral
+symmetric table build them on the memo's own table and return it or a
+truncation of it, so later hits, truncations and views share them.
 """
 
 from __future__ import annotations
@@ -73,7 +84,6 @@ from .tables import (
     INTEGRAL,
     UPPER_BOUND,
     ChowTable,
-    DegreeRow,
     Localization,
     cyclic_power_table,
     polynomial_table,
@@ -81,45 +91,29 @@ from .tables import (
 
 
 def localize_table(table: ChowTable, p: int) -> ChowTable:
-    """Keep the free part and the p-power torsion of every row.
-
-    Row pairs are sorted by (prime, exponent), so the p-power pairs are one
-    contiguous block: a row whose first and last orders are powers of p is
-    all p-primary and is kept as it is.  Any other row is built from its
-    p-power pairs, a subsequence of canonical pairs and so canonical."""
+    """Keep the free part and the p-power torsion of every degree: the
+    series ``free`` and the levels of p.  A table with no torsion prime but
+    p is its own local table, a metadata copy that shares its series and,
+    if they are built, its rows."""
     require_prime(p)
-    rows = []
-    for r in table.rows:
-        c = r.counts
-        if not c or (c[0][0] % p == 0 and c[-1][0] % p == 0):
-            rows.append(r)
-        else:
-            local = tuple(qm for qm in c if qm[0] % p == 0)
-            rows.append(DegreeRow._canonical(r.degree, r.free_rank, local))
-    return _view(table, rows, Localization("at_prime", p))
+    localization = Localization("at_prime", p)
+    if all(l == p for l, _ in table.levels):
+        return table.with_metadata(localization=localization)
+    return table.with_series(table.free, tuple(e for e in table.levels if e[0] == p), localization)
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
-    """F_p-dimension of each row, reported in the free-rank column: the free
-    rank plus the number of p-power torsion summands.  A torsion-free row is
-    its own mod-p row and is kept as it is."""
+    """F_p-dimension of each degree, reported in the free-rank column: the
+    free rank plus the number of p-power torsion summands, which is the
+    level G_{p,1} of the series, or ``free`` without p-power torsion.  A
+    torsion-free table is its own mod-p table, a metadata copy that shares
+    its series and, if they are built, its rows."""
     require_prime(p)
-    rows = []
-    for r in table.rows:
-        if r.counts:
-            rank = r.free_rank + sum(m for q, m in r.counts if q % p == 0)
-            r = DegreeRow._canonical(r.degree, rank, ())
-        rows.append(r)
-    return _view(table, rows, Localization("mod_p", p))
-
-
-def _view(table: ChowTable, rows: list, localization: Localization) -> ChowTable:
-    """The table of rows made one to one from ``table.rows``, with its
-    metadata and the given localization; the row degrees are not checked
-    again."""
-    return ChowTable._unchecked(
-        tuple(rows), table.bound, table.group, table.field, localization, table.provenance
-    )
+    localization = Localization("mod_p", p)
+    if not table.levels:
+        return table.with_metadata(localization=localization)
+    g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
+    return table.with_series(g1, (), localization)
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +129,36 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Integral additive table of CH^*(BG) over k through the given degree.
 
     Memoized on the grading: the table through degree b is the first b + 1
-    rows of the table through any larger degree, so one table per (g, k),
-    wreath products included, is kept.  Its own bound returns it, a smaller
-    bound a fresh row slice, and only a larger bound builds again.
-    ``chow_model.cache_info()`` counts a slice as a hit, so the misses are
-    the ``polynomial_table`` and ``chow_wreath`` calls, and ``currsize`` the
-    (g, k) entries; ``chow_model.cache_clear()`` empties both.
+    degrees of the table through any larger degree, so one table per
+    (g, k), wreath products included, is kept.  Its own bound returns it,
+    a smaller bound a fresh truncation, and only a larger bound builds
+    again.  The returned table has its rows built.  ``chow_model.cache_info()``
+    counts every memo lookup, those of wreath inner tables and product terms
+    included, and a truncation as a hit, so the misses are the
+    ``polynomial_table`` and wreath builds, and ``currsize`` the (g, k)
+    entries; ``chow_model.cache_clear()`` empties both.
     """
+    return _answer(g, k, bound)
+
+
+def _answer(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
+    """``chow_model`` for the public functions: the memo's table with its
+    rows built on it, so that later calls share them, or its truncation to
+    ``bound``, which shares the first bound + 1 of them."""
+    return _memo(g, k, bound).materialized().truncated(bound)
+
+
+def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
+    """The stored table of (g, k), built if its bound is below ``bound``;
+    it builds no rows, and its bound may exceed ``bound``."""
     with _lock:
         wide = _widest.get((g, k))
         hit = wide is not None and 0 <= bound <= wide.bound
         _stats[0 if hit else 1] += 1
     if hit:
-        if bound == wide.bound:
-            return wide
-        return ChowTable._unchecked(wide.rows[: bound + 1], bound, g, k, INTEGRAL, wide.provenance)
+        return wide
     if isinstance(g, Wreath):
-        table = chow_wreath(g.p, chow_model(g.inner, k, bound))
+        table = _wreath(g.p, _memo(g.inner, k, bound).truncated(bound))
     else:
         factors, extrapolated = _model(g, k, bound)
         provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
@@ -193,8 +200,8 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
             return _abelian_generators(g, k)
         case Symmetric(n):
             return _symmetric_generators(n, k, (p for p in range(2, n + 1) if is_prime(p))), False
-        case Wreath():  # a product term; ``chow_model`` builds the wreath itself
-            table = chow_model(g, k, bound)
+        case Wreath():  # a product term; the memo builds the wreath itself
+            table = _memo(g, k, bound)
             return [table], EXTRAPOLATED_FIELD in table.provenance
         case Product():
             parts = [_model(t, k, bound) for t in product_terms(g)]
@@ -227,6 +234,11 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
 
 def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
     """Table of B(wr(p, G)) from the table of BG via the codim cyclic power."""
+    return _wreath(p, inner).materialized()
+
+
+def _wreath(p: int, inner: ChowTable) -> ChowTable:
+    """``chow_wreath`` without building rows."""
     require_prime(p)
     if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
         raise UnsupportedError("wreath construction needs an exact inner table")
@@ -248,6 +260,11 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     ``Z[x]/(p x)`` with ``deg x = p - 1``.  The outcome is the same for
     every base field of characteristic != p.
     """
+    return _symmetric_local(n, p, k, bound).materialized()
+
+
+def _symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> ChowTable:
+    """``chow_symmetric_local`` without building rows."""
     require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -264,7 +281,7 @@ def chow_symmetric_sylow_bound(
     require_prime(p)
     require_mu(field, p, f"the {p}-Sylow table of S_{n}")
     profile = sylow_profile(n, p)
-    table = chow_model(profile.group(), field, bound)
+    table = _answer(profile.group(), field, bound)
     return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
 
 
@@ -274,7 +291,7 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return chow_model(Symmetric(n), field, bound)
+    return _answer(Symmetric(n), field, bound)
 
 
 def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int, int]]:
@@ -300,7 +317,7 @@ def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -
     require_prime(p)
     if isinstance(g, Symmetric):
         return chow_symmetric_local(g.n, p, k, bound)
-    return localize_table(chow_model(g, k, bound), p)
+    return localize_table(_memo(g, k, bound).truncated(bound), p).materialized()
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
@@ -309,5 +326,7 @@ def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> Ch
     with the same checks in the same order and no localized copy."""
     require_prime(p)
     if isinstance(g, Symmetric):
-        return mod_p_table(chow_symmetric_local(g.n, p, k, bound), p)
-    return mod_p_table(chow_model(g, k, bound), p)
+        table = _symmetric_local(g.n, p, k, bound)
+    else:
+        table = _memo(g, k, bound).truncated(bound)
+    return mod_p_table(table, p).materialized()

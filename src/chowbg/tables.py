@@ -1,38 +1,48 @@
-"""Per-degree additive output tables.
+"""Per-degree additive output tables, stored as generating series.
 
-A ``ChowTable`` records, for each degree 0..bound, the free rank and the
-torsion of that degree.  A ``DegreeRow`` holds its torsion as canonical
-``(order, multiplicity)`` pairs, ``row.counts``: one pair per distinct
-prime-power order, sorted by (prime, exponent), so tables compare and
-render deterministically and cost grows with the distinct orders, not with
-the number of cyclic summands.  ``row.torsion`` is the expanded view, one
-entry per summand, built on demand.  Rows are sorted and checked once, when
-built from counts; views derived from canonical rows (the p-local and mod-p
-tables) reuse them or build new ones from pairs that are canonical already,
-and a table copy that changes only metadata shares its rows.  Tables
-optionally carry the group, base field, localization and provenance of the
-computation that produced them.
+A ``ChowTable`` through degree ``bound`` is stored as integer series over
+the degrees 0..bound: ``free``, the free rank of each degree, and
+``levels``, one ``(l, (G_{l,1}, ..., G_{l,A}))`` pair per prime l with
+torsion, where G_{l,a} counts the free rank plus the torsion summands of
+l-valuation at least a and A is the largest exponent of l that occurs.
+This is the one stored form from the kernels to the ``chow_model`` memo to
+the p-local and mod-p views: a view keeps or sums levels, a smaller bound
+truncates the series, and a table factor of a Kunneth product enters as
+its series.  Equality, hashing and pickling read the bound, the series and
+the metadata (group, base field, localization, provenance).
+
+``rows`` is the per-degree view, one ``DegreeRow`` per degree, built from
+the series on first read and cached on the table; a copy that changes
+only metadata, and a truncation of a table whose rows are built, share
+them.  A ``DegreeRow`` holds its torsion as canonical ``(order,
+multiplicity)`` pairs, ``row.counts``: one pair per distinct prime-power
+order, sorted by (prime, exponent), so rows compare and render
+deterministically and cost grows with the distinct orders, not with the
+number of cyclic summands.  ``row.torsion`` is the expanded view, one entry
+per summand, built on demand.  A table built from rows (the constructor,
+``with_metadata(rows=...)``) checks them and converts them to series once.
+
 ``polynomial_table`` is the Kunneth product of a list of factors:
 one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
-whole tables (the wreath products); ``tensor_tables`` is its two-table
-case.  ``cyclic_power_table`` is the codimension cyclic power that builds
-wreath products.  Both work on generating series over the degrees, one
-for the free rank and one per (prime l, level a) counting the summands of
-l-valuation at least a, so their cost grows with the distinct (prime,
-exponent) levels and the bound, not with the pairs of classes: a
-generator is a stride prefix sum, a table factor a truncated product of
-series (one big-integer product each), the cyclic power Polya's
-``(s^p + (p - 1) s(t^p)) / p`` with the power taken by squaring.  Rows
-come back by differencing adjacent levels, canonical as built; the series
-format never leaves this module.
+whole tables (the wreath products).  ``cyclic_power_table`` is the
+codimension cyclic power that builds wreath products.  Both work on the
+series, so their cost grows with the distinct (prime, exponent) levels and
+the bound, not with the pairs of classes: a generator is a stride prefix
+sum, a table factor a truncated product of series (one big-integer product
+each), the cyclic power Polya's ``(s^p + (p - 1) s(t^p)) / p`` with the
+power taken by squaring.  Rows come back by differencing adjacent levels,
+canonical as built.  Outside this module the series are read (``free``,
+``levels``) and recombined only by the views of ``models``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import lru_cache
+from array import array
+from collections import Counter, deque
+from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from operator import sub
+from sys import byteorder
 from typing import TYPE_CHECKING
 
 from ._intmath import factorint, prime_power_decompose, require_prime
@@ -81,9 +91,7 @@ class DegreeRow(Record):
     ``DegreeRow(degree, free_rank, torsion)`` takes the torsion as one order
     per summand; ``DegreeRow.from_counts`` takes an {order: multiplicity}
     mapping and drops zero multiplicities.  Both give the same canonical,
-    immutable row.  ``DegreeRow._canonical`` takes pairs that are canonical
-    already, such as a row's ``counts`` or a subsequence of them, and neither
-    sorts nor checks them.
+    immutable row.
     """
 
     __slots__ = ("degree", "free_rank", "counts")
@@ -97,12 +105,6 @@ class DegreeRow(Record):
         row._set(degree, free_rank, counts)
         return row
 
-    @classmethod
-    def _canonical(cls, degree: int, free_rank: int, counts: tuple) -> "DegreeRow":
-        row = cls.__new__(cls)
-        _fill_row(row, degree, free_rank, counts)
-        return row
-
     def _set(self, degree, free_rank, counts) -> None:
         if degree < 0 or free_rank < 0:
             raise ValueError("degree and free rank must be nonnegative")
@@ -113,7 +115,9 @@ class DegreeRow(Record):
                 raise ValueError(f"torsion multiplicity must be nonnegative, got {m}")
             if m:
                 pairs.append((q, m))
-        _fill_row(self, degree, free_rank, tuple(pairs))
+        _set_degree(self, degree)
+        _set_free_rank(self, free_rank)
+        _set_counts(self, tuple(pairs))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -134,14 +138,16 @@ _set_degree, _set_free_rank, _set_counts = (
 )
 
 
-def _fill_row(row: DegreeRow, degree: int, free_rank: int, counts: tuple) -> None:
-    _set_degree(row, degree)
-    _set_free_rank(row, free_rank)
-    _set_counts(row, counts)
-
-
 class ChowTable(Record):
-    __slots__ = ("rows", "bound", "group", "field", "localization", "provenance")
+    """Additive table through degree ``bound``: the series ``free`` and
+    ``levels`` (see the module docstring) and the metadata.
+
+    ``ChowTable(rows, bound, ...)`` checks one row per degree 0..bound and
+    converts the rows to series; ``rows`` and ``row(d)`` read the cached
+    per-degree view, which the first read builds from the series.
+    """
+
+    __slots__ = ("bound", "free", "levels", "group", "field", "localization", "provenance", "_rows")
 
     def __init__(
         self,
@@ -155,62 +161,190 @@ class ChowTable(Record):
         rows = tuple(rows)
         if bound < 0 or [r.degree for r in rows] != list(range(bound + 1)):
             raise ValueError("table must have one row per degree 0..bound")
-        setattr_ = object.__setattr__
-        setattr_(self, "rows", rows)
-        setattr_(self, "bound", bound)
-        setattr_(self, "group", group)
-        setattr_(self, "field", field)
-        setattr_(self, "localization", localization)
-        setattr_(self, "provenance", provenance)
+        free = [r.free_rank for r in rows]
+        levels: dict[int, list[list[int]]] = {}
+        for d, r in enumerate(rows):
+            for q, m in r.counts:
+                l, a = torsion_sort_key(q)
+                for s in _levels(levels, l, a, free)[:a]:
+                    s[d] += m
+        free = tuple(free)
+        levels = _stored_levels(free, levels)
+        _fill_table(self, bound, free, levels, group, field, localization, provenance, rows)
 
     @classmethod
-    def _unchecked(
-        cls, rows: tuple, bound: int, group, field, localization, provenance
+    def _stored(
+        cls, bound, free, levels, group, field, localization, provenance, rows=None
     ) -> "ChowTable":
-        """A table built without the row-degree check, for rows that map one
-        to one onto the rows of a checked table, or onto a prefix of them."""
+        """A table of series already in the stored form, unchecked; ``rows``,
+        if given, are its rows."""
         table = cls.__new__(cls)
-        for slot, value in zip(_TABLE_SLOTS, (rows, bound, group, field, localization, provenance)):
-            slot(table, value)
+        _fill_table(table, bound, free, levels, group, field, localization, provenance, rows)
         return table
+
+    @property
+    def rows(self) -> tuple[DegreeRow, ...]:
+        """One row per degree 0..bound, built on first read and cached."""
+        rows = self._rows
+        if rows is None:
+            rows = _rows_of(self.free, self.levels)
+            _set_rows(self, rows)
+        return rows
 
     def row(self, degree: int) -> DegreeRow:
         if not 0 <= degree <= self.bound:
             raise ValueError(f"degree {degree} outside table bound {self.bound}")
         return self.rows[degree]
 
+    def materialized(self) -> "ChowTable":
+        """This table, with its rows built and cached."""
+        self.rows
+        return self
+
     def with_metadata(self, **kw) -> "ChowTable":
         """A copy with the given fields replaced; an unknown field is a TypeError.
 
-        New rows or a new bound are checked as in the constructor; a copy
-        that replaces only metadata shares the rows, which were checked."""
+        New rows or a new bound are checked and converted as in the
+        constructor; a copy that replaces only metadata shares the series
+        and, if they are built, the rows."""
         if not kw.keys() <= _METADATA:  # the constructor checks rows and names
-            for name in self.__slots__:
+            for name in _FIELDS:
                 kw.setdefault(name, getattr(self, name))
             return ChowTable(**kw)
-        copy = ChowTable.__new__(ChowTable)
-        for name in self.__slots__:
-            object.__setattr__(copy, name, kw.get(name, getattr(self, name)))
-        return copy
+        return ChowTable._stored(
+            self.bound,
+            self.free,
+            self.levels,
+            kw.get("group", self.group),
+            kw.get("field", self.field),
+            kw.get("localization", self.localization),
+            kw.get("provenance", self.provenance),
+            self._rows,
+        )
+
+    def with_series(self, free: tuple, levels: tuple, localization: Localization) -> "ChowTable":
+        """A table of the same bound, group, field and provenance with the
+        given series, in the stored form, and localization."""
+        return ChowTable._stored(
+            self.bound, free, levels, self.group, self.field, localization, self.provenance
+        )
+
+    def truncated(self, bound: int) -> "ChowTable":
+        """The table through degree ``bound`` of a graded table: this table
+        at its own bound, else a new one with the series cut after degree
+        ``bound``, the same metadata, and the first bound + 1 rows if they
+        are built."""
+        if bound == self.bound:
+            return self
+        if not 0 <= bound < self.bound:
+            raise ValueError(f"degree {bound} outside table bound {self.bound}")
+        n = bound + 1
+        free = self.free[:n]
+        levels = _stored_levels(free, {l: [s[:n] for s in lv] for l, lv in self.levels})
+        rows = None if self._rows is None else self._rows[:n]
+        return ChowTable._stored(
+            bound, free, levels, self.group, self.field, self.localization, self.provenance, rows
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.bound,
+            self.free,
+            self.levels,
+            self.group,
+            self.field,
+            self.localization,
+            self.provenance,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (ChowTable._stored, self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
+        return f"ChowTable({fields})"
 
 
-_METADATA = frozenset(ChowTable.__slots__) - {"rows", "bound"}
-_TABLE_SLOTS = [getattr(ChowTable, name).__set__ for name in ChowTable.__slots__]
+_FIELDS = ("rows", "bound", "group", "field", "localization", "provenance")  # constructor order
+_METADATA = frozenset(_FIELDS[2:])
+(
+    _set_bound,
+    _set_free,
+    _set_levels,
+    _set_group,
+    _set_field,
+    _set_localization,
+    _set_provenance,
+    _set_rows,
+) = (getattr(ChowTable, name).__set__ for name in ChowTable.__slots__)
 
 
-def tensor_tables(a: ChowTable, b: ChowTable) -> ChowTable:
-    """Graded tensor product over Z of two integral tables, through the
-    smaller bound: ``polynomial_table([a, b], min(a.bound, b.bound))``."""
-    return polynomial_table([a, b], min(a.bound, b.bound))
+def _fill_table(table, bound, free, levels, group, field, localization, provenance, rows) -> None:
+    _set_bound(table, bound)
+    _set_free(table, free)
+    _set_levels(table, levels)
+    _set_group(table, group)
+    _set_field(table, field)
+    _set_localization(table, localization)
+    _set_provenance(table, provenance)
+    _set_rows(table, rows)
+
+
+def _stored_levels(free: tuple, levels: dict) -> tuple:
+    """``levels`` in the stored form: primes in increasing order, tuples, and
+    the top levels that equal ``free`` (no summand of that exponent) and
+    then primes without levels dropped, so that equal tables store equal
+    series."""
+    out = []
+    for l in sorted(levels):
+        lv = [tuple(s) for s in levels[l]]
+        while lv and lv[-1] == free:
+            lv.pop()
+        if lv:
+            out.append((l, tuple(lv)))
+    return tuple(out)
+
+
+def _rows_of(free: tuple, levels: tuple) -> tuple[DegreeRow, ...]:
+    """The rows of the series: the count of Z/l^a in degree d is
+    G_{l,a}[d] - G_{l,a+1}[d], with G_{l,A+1} = ``free``.  The pairs are
+    added in (prime, exponent) order, so the rows are canonical as built;
+    the slots are filled by ``map`` over all rows at once."""
+    n = len(free)
+    counts = [()] * n
+    for l, lv in levels:
+        for a, (g, h) in enumerate(zip(lv, lv[1:] + (free,)), 1):
+            q = l**a
+            for d, m in enumerate(map(sub, g, h)):
+                if m:
+                    counts[d] += ((q, m),)
+    rows = list(map(DegreeRow.__new__, repeat(DegreeRow, n)))
+    deque(map(_set_degree, rows, range(n)), 0)
+    deque(map(_set_free_rank, rows, free), 0)
+    deque(map(_set_counts, rows, counts), 0)
+    return tuple(rows)
+
+
+def _from_series(free: list[int], levels: dict, bound: int) -> ChowTable:
+    """The integral table, without metadata, of kernel series."""
+    free = tuple(free)
+    levels = _stored_levels(free, levels)
+    return ChowTable._stored(bound, free, levels, None, None, INTEGRAL, (EXACT,))
 
 
 # ---------------------------------------------------------------------------
 # the kernels, on per-prime generating series
 #
-# A table through ``bound`` is held as integer series over the degrees
-# 0..bound: ``free``, the free rank of each degree, and for each prime l a
-# list ``levels[l]`` whose entry a - 1 is G_{l,a}, the free rank plus the
-# number of torsion summands of l-valuation at least a.  The levels of a
+# While a kernel works, ``free`` is a list and ``levels`` a dict from each
+# prime l to its list of levels, entry a - 1 being G_{l,a}.  The levels of a
 # prime run 1..A with no gap, and a missing level equals ``free``.  Under
 # the gcd rule a pair of summands has l-valuation the smaller of the two, a
 # free summand counting as infinite, so every series of a Kunneth product is
@@ -221,7 +355,7 @@ def polynomial_table(factors, bound: int) -> ChowTable:
     """Integral table through ``bound`` of the tensor product of the factors,
     folded one at a time: a ``(degree, m)`` generator is the ring
     ``Z[x]/(m x)``, with m = 0 for ``Z[x]``, and a ``ChowTable`` of bound at
-    least ``bound`` enters as its rows; no factors give the point.
+    least ``bound`` enters as its series; no factors give the point.
 
     ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
     pairs contribute nothing.  There is no Tor correction: this models the
@@ -235,12 +369,15 @@ def polynomial_table(factors, bound: int) -> ChowTable:
     """
     if bound < 0:
         raise ValueError("table must have one row per degree 0..bound")
+    n = bound + 1
     free = [1] + [0] * bound
     levels: dict[int, list[list[int]]] = {}
     for f in factors:
         if isinstance(f, ChowTable):
-            f.row(bound)  # a table below ``bound`` raises
-            free, levels = _product(free, levels, *_series(f.rows, bound), bound)
+            if f.bound < bound:
+                raise ValueError(f"degree {bound} outside table bound {f.bound}")
+            other = {l: [s[:n] for s in lv] for l, lv in f.levels}
+            free, levels = _product(free, levels, f.free[:n], other, bound)
             continue
         degree, m = f
         if degree < 1 or m < 0:
@@ -252,7 +389,7 @@ def polynomial_table(factors, bound: int) -> ChowTable:
             for l, e in factorint(m):
                 for s in _levels(levels, l, e, free)[:e]:
                     _stride_sum(s, degree)
-    return _table(free, levels, bound)
+    return _from_series(free, levels, bound)
 
 
 def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
@@ -273,11 +410,11 @@ def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
     """
     require_prime(p)
     bound = table.bound
-    free, levels = _series(table.rows, bound)
-    at_p = levels.get(p, [])
+    free, levels = table.free, dict(table.levels)
+    at_p = levels.get(p, ())
     s_classes = at_p[0] if at_p else free  # free plus p-power summands per degree
     exact = [  # the Z/p^b, b = 1..A, in the degrees e with p e <= bound
-        [g[e] - h[e] for e in range(bound // p + 1)] for g, h in zip(at_p, at_p[1:] + [free])
+        [g[e] - h[e] for e in range(bound // p + 1)] for g, h in zip(at_p, at_p[1:] + (free,))
     ]
     out_free = _polya(free, p, bound)
     out = {l: [_polya(s, p, bound) for s in lv] for l, lv in levels.items()}
@@ -293,7 +430,7 @@ def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
             if (t - 1) % p == 0:
                 below += s_classes[(t - 1) // p]
             alpha[t] += below
-    return _table(out_free, out, bound)
+    return _from_series(out_free, out, bound)
 
 
 def _levels(levels: dict, l: int, a: int, free: list[int]) -> list[list[int]]:
@@ -311,19 +448,6 @@ def _stride_sum(s: list[int], d: int) -> None:
         s[r::d] = accumulate(s[r::d])
 
 
-def _series(rows, bound: int) -> tuple[list[int], dict]:
-    """``free`` and ``levels`` of the rows of degrees 0..bound."""
-    rows = rows[: bound + 1]
-    free = [r.free_rank for r in rows]
-    levels: dict[int, list[list[int]]] = {}
-    for d, r in enumerate(rows):
-        for q, m in r.counts:
-            l, a = torsion_sort_key(q)
-            for s in _levels(levels, l, a, free)[:a]:
-                s[d] += m
-    return free, levels
-
-
 def _product(free, levels, free2, levels2, bound: int) -> tuple[list[int], dict]:
     """Kunneth product of two tables in series form, level by level."""
     out = {}
@@ -336,24 +460,48 @@ def _product(free, levels, free2, levels2, bound: int) -> tuple[list[int], dict]
     return _mul(free, free2, bound), out
 
 
-def _mul(a: list[int], b: list[int], bound: int) -> list[int]:
-    """The first bound + 1 coefficients of the product of two series with
-    nonnegative coefficients, by one big-integer product (Kronecker
-    substitution): each series is packed into an integer, one slot per
-    degree, with slots wide enough for every coefficient of the product."""
+def _mul(a, b, bound: int) -> list[int]:
+    """The first bound + 1 coefficients of the product of two series of
+    bound + 1 nonnegative coefficients, by one big-integer product
+    (Kronecker substitution): each series is packed into an integer, one
+    slot per degree, with slots wide enough for every coefficient of the
+    product.  Slots of at most 8 bytes pack through ``array``, wider ones
+    through ``int.to_bytes`` (counts reach 2^64 at large bounds)."""
     n = bound + 1
     width = (max(a).bit_length() + max(b).bit_length() + n.bit_length() + 7) // 8
-    x = _pack(a, width)
-    y = x if b is a else _pack(b, width)
-    buf = (x * y).to_bytes(2 * n * width, "little")
-    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)]
+    if width > 8:
+        x = _pack(a, width)
+        y = x if b is a else _pack(b, width)
+        buf = (x * y).to_bytes(2 * n * width, "little")
+        return [int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)]
+    items = _items(width)
+    x = int.from_bytes(_little(items(a)), "little")
+    y = x if b is a else int.from_bytes(_little(items(b)), "little")
+    out = items()
+    out.frombytes(memoryview((x * y).to_bytes(2 * n * out.itemsize, "little"))[: n * out.itemsize])
+    return _little(out).tolist()
 
 
-def _pack(a: list[int], width: int) -> int:
+@lru_cache(maxsize=None)
+def _items(width: int):
+    """The ``array`` constructor of the unsigned typecode with the smallest
+    item of at least ``width`` <= 8 bytes ('Q' has 8 everywhere)."""
+    code = next(code for code in "BHILQ" if array(code).itemsize >= width)
+    return partial(array, code)
+
+
+def _little(items):
+    """The array with its items in little-endian byte order, in place."""
+    if byteorder == "big":
+        items.byteswap()
+    return items
+
+
+def _pack(a, width: int) -> int:
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
 
 
-def _polya(s: list[int], p: int, bound: int) -> list[int]:
+def _polya(s, p: int, bound: int) -> list[int]:
     """Rotation orbits of p-tuples, ``(s^p + (p - 1) s(t^p)) / p`` through
     ``bound``; a count that p does not divide raises ArithmeticError."""
     out = s
@@ -369,21 +517,3 @@ def _polya(s: list[int], p: int, bound: int) -> list[int]:
             raise ArithmeticError(f"Polya count {c} in degree {d} is not a multiple of {p}")
         out[d] = orbits
     return out
-
-
-def _table(free: list[int], levels: dict, bound: int) -> ChowTable:
-    """The table of the series: the count of Z/l^a in degree d is
-    G_{l,a}[d] - G_{l,a+1}[d], with G_{l,A+1} = ``free``.  Columns come in
-    (prime, exponent) order, so the rows are canonical as built."""
-    columns = []
-    for l in sorted(levels):
-        lv = levels[l]
-        for a, (g, h) in enumerate(zip(lv, lv[1:] + [free]), 1):
-            counts = list(map(sub, g, h))
-            if any(counts):
-                columns.append((l**a, counts))
-    rows = tuple(
-        DegreeRow._canonical(d, free[d], tuple([(q, c[d]) for q, c in columns if c[d]]))
-        for d in range(bound + 1)
-    )
-    return ChowTable(rows, bound)

@@ -41,7 +41,7 @@ from chowbg.tables import (
     ChowTable,
     DegreeRow,
     Localization,
-    tensor_tables,
+    polynomial_table,
 )
 
 
@@ -317,14 +317,16 @@ def kunneth_factors(g):
 
 
 def pairwise_kunneth_table(factor_tables):
-    """Kunneth product of integral tables folded pairwise with
-    ``tensor_tables``, with their provenance merged: upper-bound if any
-    factor is one, else exact, plus extrapolated-field if any factor is."""
+    """Kunneth product of integral tables folded pairwise, each step the
+    two-table product ``polynomial_table([a, b], min(a.bound, b.bound))``,
+    with their provenance merged: upper-bound if any factor is one, else
+    exact, plus extrapolated-field if any factor is."""
     flags = [flag for table in factor_tables for flag in table.provenance]
     provenance = (UPPER_BOUND if UPPER_BOUND in flags else EXACT,)
     if EXTRAPOLATED_FIELD in flags:
         provenance += (EXTRAPOLATED_FIELD,)
-    return reduce(tensor_tables, factor_tables).with_metadata(provenance=provenance)
+    product = reduce(lambda a, b: polynomial_table([a, b], min(a.bound, b.bound)), factor_tables)
+    return product.with_metadata(provenance=provenance)
 
 
 def labelled_kunneth_table(factor_tables):

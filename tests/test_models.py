@@ -1,3 +1,4 @@
+import pickle
 import re
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chowbg import models
 from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
 from chowbg.graded import localize, mod_p_dimension, to_table
@@ -19,6 +21,7 @@ from chowbg.groups import (
     sylow_profile,
 )
 from chowbg.models import (
+    _wreath,
     chow_integral_symmetric,
     chow_model,
     chow_model_localized,
@@ -29,7 +32,14 @@ from chowbg.models import (
     localize_table,
     mod_p_table,
 )
-from chowbg.tables import EXACT, INTEGRAL, UPPER_BOUND, Localization, polynomial_table
+from chowbg.tables import (
+    EXACT,
+    INTEGRAL,
+    UPPER_BOUND,
+    ChowTable,
+    Localization,
+    polynomial_table,
+)
 from oracles import (
     from_counts_localize_table,
     from_counts_mod_p_table,
@@ -170,7 +180,7 @@ class TestDispatch:
         for text in ("wr(2, wr(2, Z/2)) x GL(2) x Z/3", "wr(2, Z/2) x O(3)", "Z/5 x S_3"):
             model(text, bound=6)
         # the wreath tables wr(2, Z/2) and wr(2, wr(2, Z/2)) are built once each
-        built = (len(calls["polynomial_table"]), len(calls["chow_wreath"]))
+        built = (len(calls["polynomial_table"]), len(calls["_wreath"]))
         assert built == (4, 2) and sum(built) == chow_model.cache_info().misses
 
     def test_shared_wreath_term_built_once(self, monkeypatch):
@@ -178,7 +188,7 @@ class TestDispatch:
         chow_model.cache_clear()
         model("wr(2, Z/2) x GL(1)", bound=6)
         model("wr(2, Z/2) x O(2)", bound=6)
-        assert len(calls["chow_wreath"]) == 1
+        assert len(calls["_wreath"]) == 1
 
     def test_negative_bound_gets_one_message(self):
         for text in ("Z/3", "GL(2)", "wr(2, Z/2)"):
@@ -203,10 +213,11 @@ class TestDispatch:
 
 
 def _count_builds(monkeypatch):
-    """Record the arguments of every ``polynomial_table`` and ``chow_wreath``
-    call that ``chowbg.models`` makes, by the name of the function."""
-    calls = {"polynomial_table": [], "chow_wreath": []}
-    for name, build in (("polynomial_table", polynomial_table), ("chow_wreath", chow_wreath)):
+    """Record the arguments of every ``polynomial_table`` and wreath build
+    (``_wreath``, which ``chow_wreath`` and the memo call) that
+    ``chowbg.models`` makes, by the name of the function."""
+    calls = {"polynomial_table": [], "_wreath": []}
+    for name, build in (("polynomial_table", polynomial_table), ("_wreath", _wreath)):
 
         def counting(*args, name=name, build=build):
             calls[name].append(args)
@@ -515,10 +526,13 @@ class TestLocalizations:
             assert view == reference  # rows, bound and every metadata field
             assert hash(view) == hash(reference)
             assert [hash(r) for r in view.rows] == [hash(r) for r in reference.rows]
-        for row, kept in zip(integral.rows, local.rows):  # a p-primary row is shared
-            assert (kept is row) == all(q % p == 0 for q, _ in row.counts)
-        for row, kept in zip(integral.rows, reduced.rows):  # so is a torsion-free one
-            assert (kept is row) == (not row.counts)
+        # an all-p-primary table is its own local table: the view shares its rows
+        p_primary = all(q % p == 0 for row in integral.rows for q, _ in row.counts)
+        assert (local.rows is integral.rows) == p_primary
+        # a torsion-free table is its own mod-p table, up to the localization
+        if all(not row.counts for row in integral.rows):
+            assert reduced.rows is integral.rows
+            assert reduced == integral.with_metadata(localization=Localization("mod_p", p))
 
     def test_localize_table(self):
         t = localize_table(model("S_3", bound=4), 2)
@@ -685,3 +699,100 @@ class TestGradedMemo:
         # the route before the one-pass view: localize, then count F_p-dimensions
         expected = _outcome(lambda: mod_p_table(chow_model_localized(g, k, bound, p), p))
         assert _outcome(lambda: chow_model_mod_p(g, k, bound, p)) == expected
+
+
+MIXED = parse_group_expr("wr(2, Z/2) x Z/3")
+PUBLIC_CALLS = {
+    "chow_model": lambda b: chow_model(MIXED, C, b),
+    "chow_model_localized": lambda b: chow_model_localized(MIXED, C, b, 2),
+    "chow_model_localized/p-primary": lambda b: chow_model_localized(Wreath(2, CyclicZ(4)), C, b, 2),
+    "chow_model_localized/S_n": lambda b: chow_model_localized(Symmetric(3), C, b, 3),
+    "chow_model_mod_p": lambda b: chow_model_mod_p(parse_group_expr("wr(3, Z/3) x GL(2)"), C, b, 3),
+    "chow_model_mod_p/torsion-free": lambda b: chow_model_mod_p(parse_group_expr("GL(2)"), C, b, 3),
+    "chow_model_mod_p/S_n": lambda b: chow_model_mod_p(Symmetric(3), C, b, 3),
+    "chow_wreath": lambda b: chow_wreath(2, polynomial_table([(1, 4)], b).with_metadata(field=C)),
+    "chow_symmetric_local": lambda b: chow_symmetric_local(3, 2, C, b),
+    "chow_symmetric_sylow_bound": lambda b: chow_symmetric_sylow_bound(6, 2, b),
+    "chow_integral_symmetric": lambda b: chow_integral_symmetric(3, b),
+}
+
+
+class TestStoredSeries:
+    """Tables are stored as series; the rows are a view that a public call
+    builds inside the call and the memo's recursion never builds."""
+
+    @pytest.mark.parametrize("warm", [None, 6, 9], ids=["cold", "truncated", "same-bound"])
+    @pytest.mark.parametrize("call", list(PUBLIC_CALLS.values()), ids=list(PUBLIC_CALLS))
+    def test_public_call_returns_built_rows(self, call, warm):
+        chow_model.cache_clear()
+        if warm is not None:
+            call(9)
+        table = call(warm or 6)
+        assert table._rows is not None  # the cached slot, not the ``rows`` property
+        assert table.rows == ChowTable(table.rows, table.bound).rows
+
+    def test_recursion_builds_no_rows(self):
+        chow_model.cache_clear()
+        inner_group = parse_group_expr("wr(2, Z/2)")
+        outer = chow_model(parse_group_expr("wr(2, wr(2, Z/2))"), C, 20)
+        assert outer._rows is not None
+        stored = models._widest[(inner_group, C)]
+        assert stored._rows is None and models._widest[(CyclicZ(2), C)]._rows is None
+        inner = chow_model(inner_group, C, 20)
+        assert inner is stored and inner._rows is not None
+        assert chow_model(inner_group, C, 20) is inner
+        narrow = chow_model(inner_group, C, 7)  # a truncation shares the first 8 rows
+        assert narrow.bound == 7 and all(a is b for a, b in zip(narrow.rows, inner.rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        group_exprs(),
+        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from([2, 3, 5, 7]),
+        st.booleans(),
+    )
+    def test_series_tables_match_row_built_references(self, g, bound, extra, p, rows_first):
+        chow_model.cache_clear()
+        try:
+            stored = models._memo(g, C, bound + extra)  # no rows built
+        except UnsupportedError:
+            assume(False)
+        assert stored._rows is None
+        sliced = stored.truncated(bound)
+        tables = [stored, sliced, localize_table(sliced, p), mod_p_table(sliced, p)]
+        if rows_first:
+            for t in tables:
+                t.materialized()
+        rows = pickle.loads(pickle.dumps(stored)).rows  # leaves ``stored`` as it was
+        wide = ChowTable(rows, stored.bound, g, C, INTEGRAL, stored.provenance)
+        narrow = ChowTable(rows[: bound + 1], bound, g, C, INTEGRAL, stored.provenance)
+        references = [
+            wide,
+            narrow,
+            from_counts_localize_table(narrow, p),
+            from_counts_mod_p_table(narrow, p),
+        ]
+        assert [t._rows is not None for t in tables] == [rows_first] * len(tables)
+        copies = [pickle.loads(pickle.dumps(t)) for t in tables]
+        for table, copy, reference in zip(tables, copies, references):
+            for t in (table, copy):
+                assert t == reference and hash(t) == hash(reference)
+        assert [t._rows is not None for t in tables] == [rows_first] * len(tables)
+        for table, copy, reference in zip(tables, copies, references):
+            _assert_same_rows(table, reference)
+            _assert_same_rows(copy, reference)
+        public = [
+            chow_model(g, C, bound + extra),
+            chow_model(g, C, bound),
+            chow_model_localized(g, C, bound, p),
+            chow_model_mod_p(g, C, bound, p),
+        ]
+        for table, reference in zip(public, references):
+            assert table == reference and hash(table) == hash(reference)
+            _assert_same_rows(table, reference)
+
+
+def _assert_same_rows(table, reference):
+    assert table.rows == reference.rows
+    assert [hash(r) for r in table.rows] == [hash(r) for r in reference.rows]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chowbg import tables
 from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.graded import tensor, to_table
 from chowbg.fields import parse_field
@@ -19,7 +20,6 @@ from chowbg.tables import (
     Localization,
     cyclic_power_table,
     polynomial_table,
-    tensor_tables,
     torsion_sort_key,
 )
 from oracles import (
@@ -50,16 +50,17 @@ class TestTensorTables:
         a = table((1, ()), (0, (2, 3)), (0, (4,)), (0, ()))
         b = table((1, ()), (1, (9,)))
         # Z/2 (x) Z/9 and Z/3 (x) Z/9 = Z/3 would land in degree 2, past b's bound
-        assert tensor_tables(a, b) == table((1, ()), (1, (2, 3, 9)))
+        assert polynomial_table([a, b], 1) == table((1, ()), (1, (2, 3, 9)))
 
     def test_coprime_and_prime_power_pairs(self):
         a = table((0, (4, 9)))
         b = table((0, (2, 3, 5)))
-        assert tensor_tables(a, b) == table((0, (2, 3)))
+        assert polynomial_table([a, b], 0) == table((0, (2, 3)))
 
     @given(graded_groups(), graded_groups())
     def test_matches_labelled_tensor(self, a, b):
-        assert tensor_tables(to_table(a), to_table(b)) == to_table(tensor(a, b))
+        bound = min(a.valid_through, b.valid_through)
+        assert polynomial_table([to_table(a), to_table(b)], bound) == to_table(tensor(a, b))
 
 
 generator_lists = st.lists(
@@ -79,9 +80,8 @@ class TestPolynomialTable:
 
     @given(generator_lists, generator_lists, st.integers(min_value=0, max_value=8))
     def test_concatenation_is_tensor_product(self, a, b, bound):
-        assert polynomial_table(a + b, bound) == tensor_tables(
-            polynomial_table(a, bound), polynomial_table(b, bound)
-        )
+        parts = [polynomial_table(a, bound), polynomial_table(b, bound)]
+        assert polynomial_table(a + b, bound) == polynomial_table(parts, bound)
 
     @given(
         st.lists(graded_groups(), min_size=1, max_size=3),
@@ -93,7 +93,7 @@ class TestPolynomialTable:
         bound = max(0, min(t.bound for t in tables) - trim)
         expected = polynomial_table(generators, bound)
         for t in tables:
-            expected = tensor_tables(expected, t)
+            expected = polynomial_table([expected, t], min(expected.bound, t.bound))
         assert polynomial_table(tables + generators, bound) == expected
 
     def test_table_factor_below_bound_rejected(self):
@@ -164,6 +164,52 @@ class TestSeriesKernels:
     def test_cyclic_power_of_generator_tables_matches_gcd_oracle(self, p, generators, bound):
         t = gcd_polynomial_table(generators, bound)
         assert_same_table(cyclic_power_table(t, p), gcd_cyclic_power_table(t, p))
+
+
+def naive_product(a, b, bound):
+    """The first bound + 1 coefficients of the product of two series, by the
+    convolution sum."""
+    return [sum(a[i] * b[d - i] for i in range(d + 1)) for d in range(bound + 1)]
+
+
+def slot_bytes(a, b, bound):
+    """The slot width in bytes that ``tables._mul`` packs with."""
+    return (max(a).bit_length() + max(b).bit_length() + (bound + 1).bit_length() + 7) // 8
+
+
+class TestKroneckerProduct:
+    """``tables._mul`` against the convolution sum, on the ``array`` path
+    (slots of at most 8 bytes) and the ``int.to_bytes`` path (wider)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 28), st.data())
+    def test_array_path_matches_convolution(self, bound, bits, data):
+        series = st.lists(
+            st.integers(min_value=0, max_value=2**bits), min_size=bound + 1, max_size=bound + 1
+        )
+        a, b = data.draw(series), data.draw(series)
+        assert slot_bytes(a, b, bound) <= 8 and slot_bytes(a, a, bound) <= 8
+        assert tables._mul(a, b, bound) == naive_product(a, b, bound)
+        assert tables._mul(tuple(a), tuple(b), bound) == naive_product(a, b, bound)
+        assert tables._mul(a, a, bound) == naive_product(a, a, bound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 30), st.integers(65, 90), st.data())
+    def test_wide_path_matches_convolution(self, bound, bits, data):
+        big = st.integers(min_value=2**64, max_value=2**bits)
+        rest = st.lists(st.integers(min_value=0, max_value=2**bits), min_size=bound, max_size=bound)
+        a = data.draw(rest) + [data.draw(big)]  # a coefficient of 2^64 or more
+        a.insert(data.draw(st.integers(min_value=0, max_value=bound)), a.pop())
+        b = data.draw(rest) + [data.draw(st.integers(min_value=0, max_value=2**bits))]
+        assert slot_bytes(a, b, bound) > 8
+        assert tables._mul(a, b, bound) == naive_product(a, b, bound)
+        assert tables._mul(a, a, bound) == naive_product(a, a, bound)
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_slots_round_up_to_an_array_item(self, width):
+        items = tables._items(width)()
+        assert items.itemsize >= width
+        assert all(items.itemsize <= size for size in (1, 2, 4, 8) if size >= width)
 
 
 class TestDegreeRow:
@@ -242,15 +288,16 @@ class TestDegreeRow:
 
 
 class TestSharedRows:
-    @given(row_args)
-    def test_canonical_constructor_matches_from_counts(self, args):
-        d, f, t = args
-        counted = DegreeRow.from_counts(d, f, Counter(t))
-        shared = DegreeRow._canonical(d, f, counted.counts)
-        assert shared == counted and hash(shared) == hash(counted)
-        assert shared.counts is counted.counts
-        copy = pickle.loads(pickle.dumps(shared))
-        assert copy == counted and copy.counts == counted.counts
+    @given(st.lists(st.tuples(free_ranks, torsions), min_size=1, max_size=6))
+    def test_series_rows_match_from_counts(self, rows):
+        t = table(*rows)  # rows built by the checking constructors
+        stored = pickle.loads(pickle.dumps(t))  # carries the series, not the rows
+        assert stored._rows is None and stored == t and hash(stored) == hash(t)
+        assert stored.rows == t.rows
+        assert [hash(r) for r in stored.rows] == [hash(r) for r in t.rows]
+        assert [r.counts for r in stored.rows] == [r.counts for r in t.rows]
+        copy = pickle.loads(pickle.dumps(stored.rows))
+        assert copy == t.rows
 
     def test_metadata_copy_shares_the_checked_rows(self):
         t = table((1, ()), (0, (2, 3)), (2, (4, 4, 9)))
