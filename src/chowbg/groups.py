@@ -16,14 +16,17 @@ The parser produces canonical trees (``combine_product``):
   is ``Z/6 x GL(1)``;
 * products are binary ``Product`` nodes folded to the left.
 
-Printing a canonical tree and reparsing gives the tree back.  The parser keeps
-its open ``(`` and ``wr(p,`` frames on a stack, ``product_terms`` is the one
-walk over a product, and the printer spells terms with the parser's tokens.
+Wreath and product nodes are interned, so printing a canonical tree and
+reparsing gives the same object back.  No walk recurses: the parser keeps its
+open ``(`` and ``wr(p,`` frames on a stack, the printer and ``_walk`` keep
+theirs, and the printer spells terms with the parser's tokens.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from ._intmath import invariant_factors, is_prime
 from ._record import Record
@@ -110,38 +113,40 @@ class Symmetric(Record):
 
 
 class _Node(Record):
-    """A record with group children.  Its hash, the hash of its field values
-    as for any record, is computed once at construction from the children's
-    cached hashes, so hashing a deep tree (a memo key) costs O(1) and never
-    recurses."""
+    """A record with group children, interned: the constructor returns the one
+    live node of its class and field values, also when unpickling or copying,
+    so ``==`` and ``hash`` are identity, O(1) however deep the tree."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def _seal(self) -> None:
-        object.__setattr__(self, "_hash", hash(self._values(self)))
+    def __new__(cls, *values):
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(node, name, value)
+        with _intern_lock:  # children are interned nodes or leaves: the key hashes in O(1)
+            return _interned.setdefault((cls, *values), node)
 
-    def __hash__(self):
-        return self._hash
+
+_interned: WeakValueDictionary = WeakValueDictionary()
+_intern_lock = Lock()
 
 
 class Wreath(_Node):
     __slots__ = ("p", "inner")
 
-    def __init__(self, p: int, inner: GroupExpr):
+    def __new__(cls, p: int, inner: GroupExpr):
         if not is_prime(p):
             raise ValueError("wreath degree must be prime")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "inner", inner)
-        self._seal()
+        return super().__new__(cls, p, inner)
 
 
 class Product(_Node):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: GroupExpr, right: GroupExpr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        self._seal()
+    def __new__(cls, left: GroupExpr, right: GroupExpr):
+        return super().__new__(cls, left, right)
 
 
 GroupExpr = (
@@ -320,17 +325,24 @@ def parse_group_expr(text: str) -> GroupExpr:
 
 
 def format_group(g: GroupExpr) -> str:
-    match g:
-        case Wreath(p, inner):
-            return f"{_WREATH}{p}, {format_group(inner)})"
-        case FiniteAbelian(factors):
-            return " x ".join(f"{_TOKENS[CyclicZ]}{f}" for f in factors)
-        case Product():
-            return " x ".join(map(format_group, product_terms(g)))
-    token = _TOKENS.get(type(g))
-    if token is None:
-        raise TypeError(f"not a group expression: {g!r}")
-    return f"{token}{getattr(g, 'n', '')}{')' if token.endswith('(') else ''}"
+    """The parser's spelling of g, from a stack of (text before, term, wreath ")"s after)."""
+    out, stack = [], [("", g, 0)]
+    while stack:
+        before, t, close = stack.pop()
+        out.append(before)
+        match t:
+            case Wreath(p, inner):
+                stack.append((f"{_WREATH}{p}, ", inner, close + 1))
+            case Product(left, right):
+                stack += ((" x ", right, close), ("", left, 0))
+            case FiniteAbelian(factors):
+                out.append(" x ".join(f"{_TOKENS[CyclicZ]}{f}" for f in factors) + ")" * close)
+            case _:
+                token = _TOKENS.get(type(t))
+                if token is None:
+                    raise TypeError(f"not a group expression: {t!r}")
+                out.append(f"{token}{getattr(t, 'n', '')}" + ")" * (close + token.endswith("(")))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +351,10 @@ def format_group(g: GroupExpr) -> str:
 
 def group_dimension(g: GroupExpr) -> int:
     """Dimension as an algebraic group; finite groups have dimension 0."""
+    return sum(scale * _dimension(t) for t, scale in _walk(g))
+
+
+def _dimension(g: GroupExpr) -> int:
     match g:
         case Gm():
             return 1
@@ -351,13 +367,23 @@ def group_dimension(g: GroupExpr) -> int:
             return m * (2 * m + 1)
         case G2():
             return 14
-        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric():
-            return 0
-        case Wreath(p, inner):
-            return p * group_dimension(inner)
-        case Product():
-            return sum(map(group_dimension, product_terms(g)))
+        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric() | Wreath():
+            return 0  # a wreath counts through its inner terms, scaled by p
     raise TypeError(f"not a group expression: {g!r}")
+
+
+def _walk(g: GroupExpr):
+    """The wreaths and leaves of g in pre-order, products spliced in, each
+    with the product of the degrees of the wreaths above it."""
+    stack = [(g, 1)]
+    while stack:
+        t, scale = stack.pop()
+        if isinstance(t, Product):
+            stack += ((t.right, scale), (t.left, scale))
+        else:
+            yield t, scale
+            if isinstance(t, Wreath):
+                stack.append((t.inner, scale * t.p))
 
 
 def generator_bound(g: GroupExpr) -> int:
@@ -368,6 +394,10 @@ def generator_bound(g: GroupExpr) -> int:
     is an open subset of an affine space (nondegenerate quadratic forms for
     O, alternating forms for Sp, a general 3-form in 7 variables for G2).
     """
+    return sum(map(_generator_bound, product_terms(g)))
+
+
+def _generator_bound(g: GroupExpr) -> int:
     match g:
         case Gm() | GL():
             return 0
@@ -377,8 +407,6 @@ def generator_bound(g: GroupExpr) -> int:
             return n * (n - 1) // 2
         case G2():
             return 35
-        case Product():
-            return sum(map(generator_bound, product_terms(g)))
     raise UnsupportedError(
         f"no catalog embedding with known quotient for {format_group(g)}"
     )
@@ -429,11 +457,11 @@ def sylow_profile(n: int, p: int) -> SylowProfile:
 
 def abelianization(g: GroupExpr) -> GroupExpr:
     """Abelianization of a finite catalog group, in invariant-factor form."""
-    return abelian_expr(_abelianization_orders(g))
+    return abelian_expr(abelian_invariant_factors(g))
 
 
 def abelian_invariant_factors(g: GroupExpr) -> tuple[int, ...]:
-    return invariant_factors(_abelianization_orders(g))
+    return invariant_factors(m for t, _ in _walk(g) for m in _abelianization_orders(t))
 
 
 def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
@@ -448,8 +476,6 @@ def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
             return (2,) if n >= 2 else ()
         case O(1):
             return (2,)
-        case Wreath(p, inner):
-            return (p,) + _abelianization_orders(inner)
-        case Product():
-            return tuple(m for t in product_terms(g) for m in _abelianization_orders(t))
+        case Wreath(p, _):
+            return (p,)  # the walk visits its inner group
     raise ValueError(f"abelianization requires a finite group, got {format_group(g)}")

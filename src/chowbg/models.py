@@ -34,12 +34,12 @@ plus the p-power summands.  A table with no torsion prime but p (for mod p,
 no torsion at all) is its own view, a metadata copy that shares its series
 and rows.
 
-Rows are built only for tables a caller gets back.  The private ``_memo``
-serves the recursion (wreath inner tables, wreath product terms, Sylow
-groups) and builds none; each public function builds the rows of the table it
-returns inside the call.  ``chow_model``, the Sylow bound and the integral
-symmetric table build them on the memo's own table and return it or a
-truncation of it, so later hits, truncations and views share them.
+The private ``_memo`` fills the memo in post-order from an explicit stack: a
+build that needs a wreath table (a wreath's inner group, a product's wreath
+term) waits there while that table is looked up or built, so a tower costs no
+Python frames.  It builds no rows: each public function builds those of the
+table it returns inside the call, ``chow_model``, the Sylow bound and the
+integral symmetric table on the memo's own table or a truncation of it.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .groups import (
     Gm,
     GroupExpr,
     O,
-    Product,
     Sp,
     Symmetric,
     Trivial,
@@ -151,25 +150,42 @@ def _answer(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
 def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """The stored table of (g, k), built if its bound is below ``bound``;
     it builds no rows, and its bound may exceed ``bound``."""
-    with _lock:
-        wide = _widest.get((g, k))
-        hit = wide is not None and 0 <= bound <= wide.bound
-        _stats[0 if hit else 1] += 1
-    if hit:
-        return wide
+    builds: list = []  # (group, build) pairs waiting for a wreath table, innermost last
+    while True:
+        with _lock:
+            table = _widest.get((g, k))
+            if table is None or not 0 <= bound <= table.bound:
+                builds.append((g, _build(g, k, bound)))  # it runs when sent a value
+                table = None
+            _stats[table is None] += 1  # hits, misses
+        while builds:
+            group, build = builds[-1]
+            try:
+                g = build.send(table)  # the next group whose table it needs
+                break
+            except StopIteration as done:
+                table = done.value
+            builds.pop()
+            with _lock:
+                stored = _widest.get((group, k))
+                if stored is None or bound > stored.bound:
+                    _widest[(group, k)] = table
+        else:
+            return table
+
+
+def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
+    """A generator that yields each wreath group whose table the table of
+    (g, k) through ``bound`` needs, is sent that table, and returns its own."""
     if isinstance(g, Wreath):
-        table = _wreath(g.p, _memo(g.inner, k, bound).truncated(bound))
-    else:
-        factors, extrapolated = _model(g, k, bound)
-        provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-        table = polynomial_table(factors, bound).with_metadata(
-            group=g, field=k, provenance=provenance
-        )
-    with _lock:
-        wide = _widest.get((g, k))
-        if wide is None or bound > wide.bound:
-            _widest[(g, k)] = table
-    return table
+        return _wreath(g.p, (yield g.inner).truncated(bound))
+    factors, extrapolated = [], False
+    for t in product_terms(g):
+        generators, x = _model(t, k, (yield t) if isinstance(t, Wreath) else None)
+        factors += generators
+        extrapolated |= x
+    provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
+    return polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
 
 
 def _cache_info() -> CacheInfo:
@@ -186,9 +202,9 @@ chow_model.cache_info = _cache_info
 chow_model.cache_clear = _cache_clear
 
 
-def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
-    """The Kunneth factors of CH^*(BG) over k, generators and wreath tables,
-    and whether the field rule behind any of them is extrapolated."""
+def _model(g: GroupExpr, k: FieldDescriptor, table: ChowTable | None) -> tuple[list, bool]:
+    """The Kunneth factors of a product term over k, generators or a wreath's
+    stored ``table``, and whether the field rule behind any is extrapolated."""
     match g:
         case Trivial():
             return [], False
@@ -200,12 +216,8 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
             return _abelian_generators(g, k)
         case Symmetric(n):
             return _symmetric_generators(n, k, (p for p in range(2, n + 1) if is_prime(p))), False
-        case Wreath():  # a product term; the memo builds the wreath itself
-            table = _memo(g, k, bound)
+        case Wreath():
             return [table], EXTRAPOLATED_FIELD in table.provenance
-        case Product():
-            parts = [_model(t, k, bound) for t in product_terms(g)]
-            return [f for factors, _ in parts for f in factors], any(x for _, x in parts)
     raise TypeError(f"not a group expression: {g!r}")
 
 

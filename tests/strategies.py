@@ -20,6 +20,8 @@ from chowbg.groups import (
     abelian_expr,
     combine_product,
     format_group,
+    parse_group_expr,
+    product_terms,
 )
 
 SMALL_ORDERS = (0, 2, 3, 4, 5, 8, 9, 12)
@@ -110,12 +112,47 @@ def finite_group_exprs():
 def parenthesised_products(draw, max_terms=5):
     """Atomic groups and a product text of them with random parentheses."""
     terms = draw(st.lists(atomic_groups(), min_size=1, max_size=max_terms))
+    return terms, _write_product(draw, [format_group(t) for t in terms])
 
-    def write(ts):
-        if len(ts) == 1:
-            return format_group(ts[0])
-        cut = draw(st.integers(min_value=1, max_value=len(ts) - 1))
-        parts = (write(ts[:cut]), write(ts[cut:]))
-        return " x ".join(f"({part})" if draw(st.booleans()) else part for part in parts)
 
-    return terms, write(terms)
+def _write_product(draw, texts):
+    """The product of the term texts, cut into two parts at random, each
+    part in parentheses or not."""
+    if len(texts) == 1:
+        return texts[0]
+    cut = draw(st.integers(min_value=1, max_value=len(texts) - 1))
+    parts = (_write_product(draw, texts[:cut]), _write_product(draw, texts[cut:]))
+    return " x ".join(f"({part})" if draw(st.booleans()) else part for part in parts)
+
+
+# isomorphic spellings: Z/2 four ways (away from characteristic 2), Gm two
+_Z2_SPELLINGS = ("O(1)", "S_2", "wr(2, 1)", "Z/2")
+_GM_SPELLINGS = ("GL(1)", "Gm")
+_SPELLINGS = {
+    parse_group_expr(text): spellings
+    for spellings in (_Z2_SPELLINGS, _GM_SPELLINGS)
+    for text in spellings
+}
+
+
+@st.composite
+def isomorphic_spellings(draw, max_terms=3):
+    """A group of ``group_exprs`` and the text of an isomorphic group: every
+    Z/2 spelled as O(1), S_2, wr(2, 1) or Z/2 and every Gm as GL(1) or Gm,
+    inside wreaths too, with "x 1" factors added, the factors permuted and
+    the product randomly parenthesised."""
+    g = draw(group_exprs(max_terms=max_terms))
+
+    def spell_product(h):
+        texts = [spell(t) for t in product_terms(h)]
+        texts += ["1"] * draw(st.integers(min_value=0, max_value=2))
+        return _write_product(draw, draw(st.permutations(texts)))
+
+    def spell(t):
+        if t in _SPELLINGS:
+            return draw(st.sampled_from(_SPELLINGS[t]))
+        if isinstance(t, Wreath):
+            return f"wr({t.p}, {spell_product(t.inner)})"
+        return format_group(t)
+
+    return g, spell_product(g)

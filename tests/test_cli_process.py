@@ -141,23 +141,32 @@ def test_product_of_4000_terms(argv, printed):
 
 
 WREATH_900 = "wr(2, " * 900 + "Z/2" + ")" * 900
+WREATH_2000 = "wr(2, " * 2000 + "Z/2" + ")" * 2000
+TOWER_CALLS = {
+    "describe": (("describe", "--max-degree", "0"), lambda out: out.splitlines()[0]),
+    "series": (
+        ("series", "--max-degree", "0", "--format", "json"),
+        lambda out: json.loads(out)["group"],
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "argv, printed",
-    [
-        (("describe", WREATH_900, "--max-degree", "0"), lambda out: out.splitlines()[0]),
-        (
-            ("series", WREATH_900, "--max-degree", "0", "--format", "json"),
-            lambda out: json.loads(out)["group"],
-        ),
-    ],
-    ids=["describe", "series"],
-)
-def test_wreath_tower_of_900_levels(argv, printed):
-    # chow_model builds each wreath level from its inner table, one frame per level
-    child, seconds = _timed_run(argv)
+def _check_tower(tower, verb):
+    # chow_model fills its memo from an explicit stack, and the printer writes
+    # from one, so a tower costs no Python frame per level
+    (name, *flags), printed = TOWER_CALLS[verb]
+    child, seconds = _timed_run([name, tower, *flags])
     assert child.returncode == 0 and child.stderr == b""
-    want = {"describe": f"group: {WREATH_900}", "series": WREATH_900}[argv[0]]
+    want = {"describe": f"group: {tower}", "series": tower}[verb]
     assert printed(child.stdout.decode("utf-8")) == want
     assert seconds < 2
+
+
+@pytest.mark.parametrize("verb", list(TOWER_CALLS))
+def test_wreath_tower_of_900_levels(verb):
+    _check_tower(WREATH_900, verb)
+
+
+@pytest.mark.parametrize("verb", list(TOWER_CALLS))
+def test_wreath_tower_of_2000_levels(verb):
+    _check_tower(WREATH_2000, verb)

@@ -11,21 +11,24 @@ them, and the same values or error texts on arbitrary product trees.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chowbg._intmath import invariant_factors
 from chowbg.errors import GroupParseError, UnsupportedError
 from chowbg.groups import (
     G2,
+    GL,
     CyclicZ,
     Product,
+    Wreath,
     abelian_invariant_factors,
     format_group,
     generator_bound,
     group_dimension,
     parse_group_expr,
     product_terms,
+    wreath_tower,
 )
 from oracles import (
     recursive_abelianization_orders,
@@ -80,6 +83,10 @@ def _raw_products():
     """Product trees of any shape, not only the parser's canonical ones:
     nested on either side, with trivial and scattered abelian factors."""
     return st.recursive(atomic_groups(), lambda t: st.builds(Product, t, t), max_leaves=6)
+
+
+def _tower(p, depth, inner):
+    return parse_group_expr(f"wr({p}, " * depth + inner + ")" * depth)
 
 
 class TestParserDifferential:
@@ -160,3 +167,37 @@ def _value_or_error(walk, g, error):
         return ("value", walk(g))
     except error as e:
         return ("error", type(e).__name__, str(e))
+
+
+TOWER_TEXT = "wr(2, " * 2000 + "Z/2" + ")" * 2000
+FLAT_TEXT = " x ".join(["GL(1) x O(1)"] * 2000)
+
+
+class TestDeepTrees:
+    """Towers and long products past the Python stack: one node object per
+    distinct group, and every walk on an explicit stack."""
+
+    def test_dimension_of_a_2000_level_tower(self):
+        # a wreath scales its inner group's dimension by p
+        g = _tower(3, 2000, "GL(2) x Z/2")
+        assert group_dimension(g) == 4 * 3**2000
+        assert group_dimension(Product(g, GL(1))) == 4 * 3**2000 + 1
+
+    def test_abelianization_of_a_2000_level_tower(self):
+        # a wreath adds p to its inner group's abelianization
+        g = _tower(2, 2000, "Z/4 x S_3")
+        assert abelian_invariant_factors(g) == (4,) + (2,) * 2001
+        assert abelian_invariant_factors(wreath_tower(3, 2001)) == (3,) * 2001
+
+    @pytest.mark.parametrize("text", [TOWER_TEXT, FLAT_TEXT], ids=["tower-2000", "product-4000"])
+    def test_reparse_is_the_same_object(self, text):
+        g = parse_group_expr(text)
+        assert parse_group_expr(text) is g
+        assert format_group(g) == text
+
+    @settings(max_examples=150)
+    @given(group_exprs())
+    def test_printed_group_parses_to_itself(self, g):
+        # a leaf keeps value equality; a wreath or product is the one interned node
+        again = parse_group_expr(format_group(g))
+        assert again is g if isinstance(g, (Wreath, Product)) else again == g

@@ -1,6 +1,7 @@
 import pickle
 import re
 import sys
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from chowbg import models
 from chowbg.errors import UnsupportedError
-from chowbg.fields import parse_field
+from chowbg.fields import contains_mu, parse_field
 from chowbg.graded import localize, mod_p_dimension, to_table
 from chowbg.groups import (
     CyclicZ,
@@ -18,6 +19,7 @@ from chowbg.groups import (
     Wreath,
     abelian_invariant_factors,
     parse_group_expr,
+    product_terms,
     sylow_profile,
 )
 from chowbg.models import (
@@ -49,7 +51,7 @@ from oracles import (
     pairwise_kunneth_table,
     symmetric_rows,
 )
-from strategies import finite_group_exprs, graded_groups, group_exprs
+from strategies import finite_group_exprs, graded_groups, group_exprs, isomorphic_spellings
 
 C = parse_field("C")
 Q = parse_field("Q")
@@ -600,6 +602,77 @@ class TestFiniteGroupInvariants:
         for row in t.rows[1:]:
             assert row.free_rank == 0
             assert all(order % q == 0 for q, _ in row.counts)
+
+
+def _needed_roots(g):
+    """The m whose roots of unity some term of g uses: the orders of its
+    finite abelian factors and its wreath degrees, inside wreaths too."""
+    needed, stack = set(), [g]
+    while stack:
+        for t in product_terms(stack.pop()):
+            if isinstance(t, Wreath):
+                needed.add(t.p)
+                stack.append(t.inner)
+            elif isinstance(t, (CyclicZ, FiniteAbelian)):
+                needed.update((t.n,) if isinstance(t, CyclicZ) else t.factors)
+    return needed
+
+
+@st.composite
+def _spellings_over_fields_with_roots(draw):
+    """An isomorphic pair of spellings and a field that contains every mu_m
+    the group needs: C, Qbar, Q(mu_top) or F_l(mu_top), top the lcm of the m."""
+    g, text = draw(isomorphic_spellings())
+    needed = _needed_roots(g)
+    top = lcm(*needed)
+    adjoin = f"(mu_{top})" if top > 2 else ""
+    fields = [parse_field(t) for t in ("C", "Qbar", f"Q{adjoin}")]
+    fields += [parse_field(f"F_{l}{adjoin}") for l in (2, 3, 5, 7, 11, 13) if top % l]
+    k = draw(st.sampled_from([k for k in fields if all(contains_mu(k, m) for m in needed)]))
+    return g, text, k
+
+
+class TestIsomorphicSpellings:
+    """ROADMAP item 1's metamorphic relation where it holds today: two
+    spellings of one group give equal rows or both an UnsupportedError over
+    any field that contains the roots of unity the group needs.  Over a field
+    without some mu_p the cyclotomic route of a single Z/p still tells
+    spellings apart (item 1's open defect), so those fields are not drawn."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_spellings_over_fields_with_roots(), st.integers(min_value=0, max_value=6))
+    def test_equal_rows_or_both_refused(self, case, bound):
+        g, text, k = case
+        assert _rows_or_refusal(g, k, bound) == _rows_or_refusal(parse_group_expr(text), k, bound)
+
+    @pytest.mark.parametrize("k", ["C", "Qbar", "F_7(mu_3)", "Q(mu_3)"])
+    @pytest.mark.parametrize("z2", ["O(1)", "S_2", "wr(2, 1)"])
+    def test_z2_spellings_times_gl2_and_z3(self, z2, k):
+        k = parse_field(k)
+        expected = chow_model(parse_group_expr("Z/6 x GL(2)"), k, 8).rows
+        assert chow_model(parse_group_expr(f"{z2} x GL(2) x Z/3"), k, 8).rows == expected
+
+
+def _rows_or_refusal(g, k, bound):
+    try:
+        return chow_model(g, k, bound).rows
+    except UnsupportedError:
+        return UnsupportedError
+
+
+class TestDeepTrees:
+    """A re-parsed deep or long group is the memo's key object, so a second
+    call finds the stored table without comparing trees."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [" x ".join(["GL(1) x O(1)"] * 2000), "wr(2, " * 2000 + "Z/2" + ")" * 2000],
+        ids=["product-4000", "tower-2000"],
+    )
+    def test_second_parse_returns_the_memo_table(self, text):
+        chow_model.cache_clear()
+        first = chow_model(parse_group_expr(text), C, 1)
+        assert chow_model(parse_group_expr(text), C, 1) is first
 
 
 def abelian_invariant_factors_elementary(g):

@@ -10,6 +10,7 @@ load ``dataclasses`` or ``inspect``.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import subprocess
@@ -46,6 +47,7 @@ from chowbg.groups import (
     Symmetric,
     Trivial,
     Wreath,
+    parse_group_expr,
     sylow_profile,
 )
 from chowbg.presentations import RingPresentation, catalog_presentation
@@ -128,9 +130,39 @@ def test_repr_keeps_dataclass_text(value, text):
 @pytest.mark.parametrize("value", VALUES, ids=_ids(SAMPLES))
 def test_equal_copies_hash_equally(value):
     twin = pickle.loads(pickle.dumps(value))
-    assert twin is not value
+    if isinstance(value, (Wreath, Product)):
+        assert twin is value  # interned: one node per class and field values
+    else:
+        assert twin is not value
     assert twin == value and not twin != value
     assert type(twin) is type(value) and hash(twin) == hash(value)
+
+
+def test_tree_nodes_are_interned_across_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    def build(_):
+        tower = CyclicZ(2)
+        for _ in range(300):
+            tower = Wreath(2, tower)
+        product = GL(1)
+        for term in [O(1)] + [GL(1), O(1)] * 1999:
+            product = Product(product, term)
+        return tower, product
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            built = list(pool.map(build, range(8)))
+    finally:
+        sys.setswitchinterval(interval)
+    tower, product = built[0]
+    assert all(t is tower and p is product for t, p in built)
+    assert product is parse_group_expr(" x ".join(["GL(1) x O(1)"] * 2000))
+    assert copy.copy(tower) is tower and copy.copy(product) is product
+    shallow = Wreath(2, Product(GL(1), O(1)))
+    assert copy.deepcopy(shallow) is shallow
 
 
 def test_classes_with_equal_fields_differ():
