@@ -1,12 +1,13 @@
 """Immutable value records without the start-up cost of ``dataclasses``.
 
-A ``Record`` subclass lists its fields in ``__slots__`` and writes its own
-``__init__``, storing each field with ``object.__setattr__``.  ``Record``
-gives it what a frozen dataclass would: equality only with instances of the
-same class, a hash over the field values, the ``Name(field=value, ...)``
-repr, ``__match_args__`` for positional ``match`` patterns, pickling
+A ``Record`` subclass lists its fields in ``__slots__``; ``Record.__init__``
+stores them in order through the slot setters it records as ``_setters``, so
+a validating subclass ends its ``__init__`` with ``super().__init__(...)``.
+``Record`` gives what a frozen dataclass would: equality only with instances
+of the same class, a hash over the field values, the ``Name(field=value,
+...)`` repr, ``__match_args__`` for positional ``match`` patterns, pickling
 through the constructor, and ``FrozenInstanceError`` on assignment or
-deletion.
+deletion.  A slot named ``_...`` is a cache: stored, but not compared or pickled.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__slots__
-        cls.__match_args__ = fields
+        slots = cls.__slots__
+        cls.__match_args__ = slots
+        cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
+        fields = tuple(name for name in slots if not name.startswith("_"))
         if len(fields) > 1:
             values = attrgetter(*fields)
         elif fields:
@@ -29,6 +32,14 @@ class Record:
         else:
             values = lambda self: ()  # noqa: E731
         cls._values = staticmethod(values)
+
+    def __init__(self, *values):
+        setters = self._setters
+        if len(values) != len(setters):
+            name, n = self.__class__.__qualname__, len(setters)
+            raise TypeError(f"{name}() takes {n} positional arguments but {len(values)} were given")
+        for store, value in zip(setters, values):
+            store(self, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -38,11 +38,7 @@ class FieldDescriptor(Record):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == CYCLOTOMIC_EXTENSION and not adjoined:
             raise ValueError("cyclotomic extension needs at least one adjoined order")
-        setattr_ = object.__setattr__
-        setattr_(self, "characteristic", characteristic)
-        setattr_(self, "kind", kind)
-        setattr_(self, "adjoined", adjoined)
-        setattr_(self, "name", name)
+        super().__init__(characteristic, kind, adjoined, name)
 
 
 COMPLEX = FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name="C")
@@ -139,12 +135,6 @@ class GaloisFixedSpec(Record):
     """
 
     __slots__ = ("prime", "codegree", "exponent")
-
-    def __init__(self, prime: int, codegree: int, exponent: int | None):
-        setattr_ = object.__setattr__
-        setattr_(self, "prime", prime)
-        setattr_(self, "codegree", codegree)
-        setattr_(self, "exponent", exponent)
 
     def is_zero(self) -> bool:
         return self.exponent is None

@@ -31,30 +31,17 @@ from .tables import ChowTable, DegreeRow
 class Generator(Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
 
 class Tensor(Record):
     __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[Label, ...]):
-        object.__setattr__(self, "parts", parts)
 
 
 class Gamma(Record):
     __slots__ = ("inner",)
 
-    def __init__(self, inner: Label):
-        object.__setattr__(self, "inner", inner)
-
 
 class Alpha(Record):
     __slots__ = ("inner", "target_degree")
-
-    def __init__(self, inner: Label, target_degree: int):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "target_degree", target_degree)
 
 
 Label = Generator | Tensor | Gamma | Alpha
@@ -93,7 +80,7 @@ class Dim(Record):
     __slots__ = ("ambient",)
 
     def __init__(self, ambient: int | None = None):
-        object.__setattr__(self, "ambient", ambient)
+        super().__init__(ambient)
 
 
 CODIM = Codim()
@@ -110,10 +97,7 @@ class CyclicSummand(Record):
             raise ValueError(f"order must be >= 0, got {order}")
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        setattr_ = object.__setattr__
-        setattr_(self, "order", order)
-        setattr_(self, "degree", degree)
-        setattr_(self, "label", label)
+        super().__init__(order, degree, label)
 
 
 def _summand_key(s: CyclicSummand):
@@ -124,10 +108,7 @@ class GradedAbelianGroup(Record):
     __slots__ = ("grading", "summands", "valid_through")
 
     def __init__(self, grading: Grading, summands: tuple[CyclicSummand, ...], valid_through: int):
-        setattr_ = object.__setattr__
-        setattr_(self, "grading", grading)
-        setattr_(self, "summands", tuple(summands))
-        setattr_(self, "valid_through", valid_through)
+        super().__init__(grading, tuple(summands), valid_through)  # window() reads the fields
         if self.valid_through < 0:
             raise ValueError("valid_through must be >= 0")
         lo, hi = self.window()

@@ -43,7 +43,7 @@ class CyclicZ(Record):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("cyclic order must be >= 1")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class FiniteAbelian(Record):
@@ -55,7 +55,7 @@ class FiniteAbelian(Record):
             raise ValueError("invariant factors must be >= 2")
         if any(a % b != 0 for a, b in zip(factors, factors[1:])):
             raise ValueError("factors must form a divisibility chain, largest first")
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
 
 
 class Gm(Record):
@@ -68,7 +68,7 @@ class GL(Record):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("GL rank must be >= 1")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class O(Record):
@@ -77,7 +77,7 @@ class O(Record):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("O rank must be >= 1")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class SO(Record):
@@ -86,7 +86,7 @@ class SO(Record):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("SO rank must be >= 1")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class Sp(Record):
@@ -96,7 +96,7 @@ class Sp(Record):
         # the matrix size 2n; always even
         if n < 2 or n % 2 != 0:
             raise ValueError("Sp argument must be even and >= 2")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class G2(Record):
@@ -109,24 +109,67 @@ class Symmetric(Record):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("symmetric group degree must be >= 1")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
 
 class _Node(Record):
     """A record with group children, interned: the constructor returns the one
     live node of its class and field values, also when unpickling or copying,
-    so ``==`` and ``hash`` are identity, O(1) however deep the tree."""
+    so ``==`` and ``hash`` are identity, O(1) however deep the tree.  The
+    repr and pickling walk the tree on explicit stacks."""
 
     __slots__ = ("__weakref__",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    __init__ = object.__init__  # ``__new__`` fills the node
 
     def __new__(cls, *values):
         node = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(node, name, value)
+        Record.__init__(node, *values)
         with _intern_lock:  # children are interned nodes or leaves: the key hashes in O(1)
             return _interned.setdefault((cls, *values), node)
+
+    def __repr__(self):
+        """``Record``'s text, from a stack of pending text and nodes."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+                continue
+            parts = [f"{item.__class__.__qualname__}("]
+            for i, (name, value) in enumerate(zip(item.__slots__, item._values(item))):
+                text = value if isinstance(value, _Node) else repr(value)
+                parts += (f"{', ' if i else ''}{name}=", text)
+            stack += reversed(parts + [")"])
+        return "".join(out)
+
+    def __reduce__(self):
+        """A flat post-order list of (class, field values), each child node
+        given as the one-item list of its index, which no field value is
+        (field values are hashable): pickling and copying do not recurse."""
+        index, entries, stack = {}, [], [self]
+        while stack:
+            node = stack[-1]
+            values = node._values(node)
+            children = [v for v in values if isinstance(v, _Node) and v not in index]
+            if children:
+                stack += reversed(children)
+                continue
+            stack.pop()
+            if node not in index:
+                index[node] = len(entries)
+                fields = tuple([index[v]] if isinstance(v, _Node) else v for v in values)
+                entries.append((node.__class__, fields))
+        return (_unflatten, (entries,))
+
+
+def _unflatten(entries) -> _Node:
+    """The last node of a ``_Node.__reduce__`` list, built in order."""
+    nodes: list = []
+    for cls, values in entries:
+        nodes.append(cls(*(nodes[v[0]] if isinstance(v, list) else v for v in values)))
+    return nodes[-1]
 
 
 _interned: WeakValueDictionary = WeakValueDictionary()
@@ -144,9 +187,6 @@ class Wreath(_Node):
 
 class Product(_Node):
     __slots__ = ("left", "right")
-
-    def __new__(cls, left: GroupExpr, right: GroupExpr):
-        return super().__new__(cls, left, right)
 
 
 GroupExpr = (
@@ -421,10 +461,6 @@ class SylowProfile(Record):
     """
 
     __slots__ = ("prime", "heights")
-
-    def __init__(self, prime: int, heights: tuple[int, ...]):
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "heights", heights)
 
     def group(self) -> GroupExpr:
         return combine_product([wreath_tower(self.prime, h) for h in self.heights])

@@ -28,11 +28,10 @@ Anything outside this territory raises UnsupportedError, never a guess.
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
 (group, field) and serves every smaller bound as a truncation of its series.
-Tables are stored as the generating series of ``tables``: the p-local view
-keeps the levels of p, and the mod-p view is the level G_{p,1}, the free rank
-plus the p-power summands.  A table with no torsion prime but p (for mod p,
-no torsion at all) is its own view, a metadata copy that shares its series
-and rows.
+The p-local and mod-p answers are the views ``tables.localize_table`` and
+``tables.mod_p_table`` of the memo's table, imported here under the same
+names: the first keeps the levels of p of its series, the second is the level
+G_{p,1}, the free rank plus the p-power summands.
 
 The private ``_memo`` fills the memo in post-order from an explicit stack: a
 build that needs a wreath table (a wreath's inner group, a product's wreath
@@ -85,34 +84,10 @@ from .tables import (
     ChowTable,
     Localization,
     cyclic_power_table,
+    localize_table,
+    mod_p_table,
     polynomial_table,
 )
-
-
-def localize_table(table: ChowTable, p: int) -> ChowTable:
-    """Keep the free part and the p-power torsion of every degree: the
-    series ``free`` and the levels of p.  A table with no torsion prime but
-    p is its own local table, a metadata copy that shares its series and,
-    if they are built, its rows."""
-    require_prime(p)
-    localization = Localization("at_prime", p)
-    if all(l == p for l, _ in table.levels):
-        return table.with_metadata(localization=localization)
-    return table.with_series(table.free, tuple(e for e in table.levels if e[0] == p), localization)
-
-
-def mod_p_table(table: ChowTable, p: int) -> ChowTable:
-    """F_p-dimension of each degree, reported in the free-rank column: the
-    free rank plus the number of p-power torsion summands, which is the
-    level G_{p,1} of the series, or ``free`` without p-power torsion.  A
-    torsion-free table is its own mod-p table, a metadata copy that shares
-    its series and, if they are built, its rows."""
-    require_prime(p)
-    localization = Localization("mod_p", p)
-    if not table.levels:
-        return table.with_metadata(localization=localization)
-    g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
-    return table.with_series(g1, (), localization)
 
 
 # ---------------------------------------------------------------------------

@@ -42,11 +42,7 @@ class RingPresentation(Record):
             raise ValueError("each generator takes at most one torsion relation")
         if completeness not in (EXACT_PRESENTATION, GENERATORS_ONLY):
             raise ValueError(f"unknown completeness {completeness!r}")
-        setattr_ = object.__setattr__
-        setattr_(self, "group", group)
-        setattr_(self, "generators", generators)
-        setattr_(self, "torsion_relations", torsion_relations)
-        setattr_(self, "completeness", completeness)
+        super().__init__(group, generators, torsion_relations, completeness)
 
 
 def _chern(indices) -> tuple[tuple[str, int], ...]:

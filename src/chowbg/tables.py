@@ -31,8 +31,9 @@ the bound, not with the pairs of classes: a generator is a stride prefix
 sum, a table factor a truncated product of series (one big-integer product
 each), the cyclic power Polya's ``(s^p + (p - 1) s(t^p)) / p`` with the
 power taken by squaring.  Rows come back by differencing adjacent levels,
-canonical as built.  Outside this module the series are read (``free``,
-``levels``) and recombined only by the views of ``models``.
+canonical as built.  The p-local and mod-p views, ``localize_table`` and
+``mod_p_table``, live here too, so the series are rebuilt only in this
+module; outside it they are only read (``free``, ``levels``).
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class Localization(Record):
             raise ValueError(f"unknown localization kind {kind!r}")
         if (prime is None) != (kind == "integral"):
             raise ValueError("prime required exactly for at_prime / mod_p")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "prime", prime)
+        super().__init__(kind, prime)
 
 
 INTEGRAL = Localization("integral")
@@ -115,9 +115,7 @@ class DegreeRow(Record):
                 raise ValueError(f"torsion multiplicity must be nonnegative, got {m}")
             if m:
                 pairs.append((q, m))
-        _set_degree(self, degree)
-        _set_free_rank(self, free_rank)
-        _set_counts(self, tuple(pairs))
+        super().__init__(degree, free_rank, tuple(pairs))
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -131,11 +129,7 @@ class DegreeRow(Record):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
 
 
-# The slot descriptors store past ``Record.__setattr__``, faster than
-# ``object.__setattr__`` by name.
-_set_degree, _set_free_rank, _set_counts = (
-    getattr(DegreeRow, name).__set__ for name in DegreeRow.__slots__
-)
+_set_degree, _set_free_rank, _set_counts = DegreeRow._setters  # the hot stores of ``_rows_of``
 
 
 class ChowTable(Record):
@@ -170,7 +164,7 @@ class ChowTable(Record):
                     s[d] += m
         free = tuple(free)
         levels = _stored_levels(free, levels)
-        _fill_table(self, bound, free, levels, group, field, localization, provenance, rows)
+        super().__init__(bound, free, levels, group, field, localization, provenance, rows)
 
     @classmethod
     def _stored(
@@ -179,7 +173,14 @@ class ChowTable(Record):
         """A table of series already in the stored form, unchecked; ``rows``,
         if given, are its rows."""
         table = cls.__new__(cls)
-        _fill_table(table, bound, free, levels, group, field, localization, provenance, rows)
+        _set_bound(table, bound)  # the slot setters directly: ``Record.__init__``'s loop is slower
+        _set_free(table, free)
+        _set_levels(table, levels)
+        _set_group(table, group)
+        _set_field(table, field)
+        _set_localization(table, localization)
+        _set_provenance(table, provenance)
+        _set_rows(table, rows)
         return table
 
     @property
@@ -222,13 +223,6 @@ class ChowTable(Record):
             self._rows,
         )
 
-    def with_series(self, free: tuple, levels: tuple, localization: Localization) -> "ChowTable":
-        """A table of the same bound, group, field and provenance with the
-        given series, in the stored form, and localization."""
-        return ChowTable._stored(
-            self.bound, free, levels, self.group, self.field, localization, self.provenance
-        )
-
     def truncated(self, bound: int) -> "ChowTable":
         """The table through degree ``bound`` of a graded table: this table
         at its own bound, else a new one with the series cut after degree
@@ -246,27 +240,8 @@ class ChowTable(Record):
             bound, free, levels, self.group, self.field, self.localization, self.provenance, rows
         )
 
-    def _key(self) -> tuple:
-        return (
-            self.bound,
-            self.free,
-            self.levels,
-            self.group,
-            self.field,
-            self.localization,
-            self.provenance,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def __reduce__(self):
-        return (ChowTable._stored, self._key())
+        return (ChowTable._stored, self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
@@ -275,27 +250,8 @@ class ChowTable(Record):
 
 _FIELDS = ("rows", "bound", "group", "field", "localization", "provenance")  # constructor order
 _METADATA = frozenset(_FIELDS[2:])
-(
-    _set_bound,
-    _set_free,
-    _set_levels,
-    _set_group,
-    _set_field,
-    _set_localization,
-    _set_provenance,
-    _set_rows,
-) = (getattr(ChowTable, name).__set__ for name in ChowTable.__slots__)
-
-
-def _fill_table(table, bound, free, levels, group, field, localization, provenance, rows) -> None:
-    _set_bound(table, bound)
-    _set_free(table, free)
-    _set_levels(table, levels)
-    _set_group(table, group)
-    _set_field(table, field)
-    _set_localization(table, localization)
-    _set_provenance(table, provenance)
-    _set_rows(table, rows)
+_set_bound, _set_free, _set_levels, _set_group = ChowTable._setters[:4]
+_set_field, _set_localization, _set_provenance, _set_rows = ChowTable._setters[4:]
 
 
 def _stored_levels(free: tuple, levels: dict) -> tuple:
@@ -331,6 +287,36 @@ def _rows_of(free: tuple, levels: tuple) -> tuple[DegreeRow, ...]:
     deque(map(_set_free_rank, rows, free), 0)
     deque(map(_set_counts, rows, counts), 0)
     return tuple(rows)
+
+
+def localize_table(table: ChowTable, p: int) -> ChowTable:
+    """Keep the free part and the p-power torsion of every degree: the
+    series ``free`` and the levels of p.  A table with no torsion prime but
+    p is its own local table, a copy that shares its series and, if they
+    are built, its rows."""
+    require_prime(p)
+    levels = tuple(e for e in table.levels if e[0] == p)
+    return _view(table, table.free, levels, Localization("at_prime", p))
+
+
+def mod_p_table(table: ChowTable, p: int) -> ChowTable:
+    """F_p-dimension of each degree, reported in the free-rank column: the
+    free rank plus the number of p-power torsion summands, which is the
+    level G_{p,1} of the series, or ``free`` without p-power torsion.  A
+    torsion-free table is its own mod-p table, a copy that shares its
+    series and, if they are built, its rows."""
+    require_prime(p)
+    g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
+    return _view(table, g1, (), Localization("mod_p", p))
+
+
+def _view(table: ChowTable, free: tuple, levels: tuple, localization: Localization) -> ChowTable:
+    """The table with the given series and localization; it shares the
+    table's rows if the series are the table's own."""
+    rows = table._rows if free is table.free and levels == table.levels else None
+    return ChowTable._stored(
+        table.bound, free, levels, table.group, table.field, localization, table.provenance, rows
+    )
 
 
 def _from_series(free: list[int], levels: dict, bound: int) -> ChowTable:

@@ -14,6 +14,7 @@ from itertools import product as cartesian
 from math import factorial, gcd
 
 from chowbg._intmath import factorint, is_prime, prime_power_decompose, require_prime
+from chowbg._record import Record
 from chowbg.errors import UnsupportedError
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import (
@@ -457,6 +458,14 @@ def recursive_parse_group_expr(text):
     if parser.pos != len(text):
         raise parser.error("trailing input after group expression")
     return expr
+
+
+def recursive_repr(value):
+    """The frozen-dataclass repr of a record, its fields written recursively."""
+    if not isinstance(value, Record):
+        return repr(value)
+    fields = ", ".join(f"{n}={recursive_repr(getattr(value, n))}" for n in value.__slots__)
+    return f"{type(value).__qualname__}({fields})"
 
 
 def recursive_format_group(g):

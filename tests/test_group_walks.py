@@ -5,10 +5,15 @@ walks a product through ``product_terms``; ``oracles`` keeps the recursive
 parser, printer and structural functions that came before.  Both must give
 the same tree or the same parse error (message and byte offset) on printed
 expressions, randomly parenthesised products and single-character edits of
-them, and the same values or error texts on arbitrary product trees.
+them, and the same values or error texts on arbitrary product trees.  The
+repr and pickling of tree nodes, which also walk on explicit stacks, must
+match the recursive repr and answer for trees past the Python stack.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,7 @@ from oracles import (
     recursive_generator_bound,
     recursive_group_dimension,
     recursive_parse_group_expr,
+    recursive_repr,
 )
 from strategies import atomic_groups, group_exprs, parenthesised_products
 
@@ -201,3 +207,31 @@ class TestDeepTrees:
         # a leaf keeps value equality; a wreath or product is the one interned node
         again = parse_group_expr(format_group(g))
         assert again is g if isinstance(g, (Wreath, Product)) else again == g
+
+    @pytest.mark.parametrize("text", [TOWER_TEXT, FLAT_TEXT], ids=["tower-2000", "product-4000"])
+    def test_pickle_and_copy_return_the_interned_node(self, text):
+        g = parse_group_expr(text)
+        assert pickle.loads(pickle.dumps(g)) is g
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+
+    def test_repr_of_a_2000_level_tower(self):
+        from chowbg.fields import parse_field
+        from chowbg.models import chow_model
+
+        g = parse_group_expr(TOWER_TEXT)
+        assert repr(g) == "Wreath(p=2, inner=" * 2000 + "CyclicZ(n=2)" + ")" * 2000
+        assert repr(g) in repr(chow_model(g, parse_field("C"), 0))
+
+    def test_shared_subtrees_pickle_once(self):
+        # a tree that repeats a node is a graph of 2,000 nodes, not 2^2000 paths
+        g = GL(1)
+        for _ in range(2000):
+            g = Product(g, g)
+        assert pickle.loads(pickle.dumps(g)) is g and copy.deepcopy(g) is g
+
+    @settings(max_examples=150)
+    @given(st.one_of(group_exprs(), _raw_products()))
+    def test_repr_and_pickle_match_the_recursive_originals(self, g):
+        assert repr(g) == recursive_repr(g)
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert copy.deepcopy(g) == g

@@ -380,6 +380,24 @@ class TestSylowBound:
                 assert not missing
 
 
+class TestSylowTransfer:
+    """The transfer makes the p-local table of S_n a split summand of the
+    table of its p-Sylow subgroup: row by row, a sub-multiset of it."""
+
+    @pytest.mark.parametrize("bound", [0, 6, 14])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_local_rows_are_sub_multisets_of_the_sylow_rows(self, p, bound):
+        from collections import Counter
+
+        for n in range(1, 2 * p):
+            local = chow_symmetric_local(n, p, C, bound)
+            sylow = chow_symmetric_sylow_bound(n, p, bound, C)
+            assert len(local.rows) == len(sylow.rows) == bound + 1
+            for lr, sr in zip(local.rows, sylow.rows):
+                assert lr.free_rank <= sr.free_rank, (n, lr.degree)
+                assert Counter(dict(lr.counts)) <= Counter(dict(sr.counts)), (n, lr.degree)
+
+
 class TestSymmetricIntegral:
     def test_s3_low_degrees(self):
         t = chow_integral_symmetric(3, 4)

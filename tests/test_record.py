@@ -254,6 +254,53 @@ def test_with_metadata_replaces_fields():
         table.with_metadata(bogus=1)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Trivial(1), "Trivial() takes 0 positional arguments but 1 were given"),
+        (lambda: Generator(), "Generator() takes 1 positional arguments but 0 were given"),
+        (lambda: Alpha(Generator("a")), "Alpha() takes 2 positional arguments but 1 were given"),
+    ],
+    ids=["Trivial", "Generator", "Alpha"],
+)
+def test_record_init_counts_its_values(make, message):
+    with pytest.raises(TypeError) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_fields_are_stored_only_by_record():
+    # no module but _record stores a field past Record.__setattr__: no
+    # object.__setattr__ call and no slot-descriptor __set__ captured by hand
+    import ast
+
+    package = ROOT / "src" / "chowbg"
+    stores = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and (
+                node.attr == "__set__"
+                or (node.attr == "__setattr__" and getattr(node.value, "id", None) == "object")
+            ):
+                stores.append(f"{path.name}:{node.lineno}")
+    assert stores == []
+
+
+def test_table_comparison_and_views_come_from_record_and_tables():
+    from chowbg import models, tables
+
+    for name in ("_key", "__eq__", "__hash__", "with_series"):
+        assert name not in vars(ChowTable)
+    table = ChowTable((DegreeRow(0, 1, ()),), 0)
+    assert table._values(table) == (0, (1,), (), None, None, INTEGRAL, ("exact",))
+    unbuilt = pickle.loads(pickle.dumps(table))  # the row cache is not compared or pickled
+    assert unbuilt._rows is None and unbuilt == table and hash(unbuilt) == hash(table)
+    assert models.localize_table is tables.localize_table
+    assert models.mod_p_table is tables.mod_p_table
+
+
 G = Generator("g")
 FAULTS = [
     (lambda: CyclicZ(0), ValueError, "cyclic order must be >= 1"),
