@@ -11,7 +11,6 @@ objects in fixed key order.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -39,7 +38,11 @@ def _int_arg(minimum: int, prime: bool = False):
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if prime and not is_prime(value):
+        try:
+            not_prime = prime and not is_prime(value)
+        except UnsupportedError as exc:  # argparse turns only ValueError/TypeError into usage errors
+            raise argparse.ArgumentTypeError(str(exc))
+        if not_prime:
             raise argparse.ArgumentTypeError(f"not a prime: {value}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
@@ -191,6 +194,8 @@ def table_from_json_obj(obj: dict) -> ChowTable:
 
 
 def _emit_json(obj: dict, out) -> None:
+    import json  # here, not at module level: table-format requests never load it
+
     json.dump(obj, out, indent=2)
     out.write("\n")
 

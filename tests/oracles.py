@@ -74,6 +74,43 @@ def monomial_table(generators, relations, bound):
     return {d: (rank, sorted(tors)) for d, (rank, tors) in out.items()}
 
 
+def trial_is_prime(n):
+    """Primality by trial division up to the square root of n."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
+
+
+def trial_factorint(n):
+    """Prime factorization of n >= 1 as sorted ((prime, exponent), ...), by
+    trial division up to the square root of what is left."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return tuple(out)
+
+
 def poincare_coefficients(degrees, bound):
     """Coefficients of prod_d 1/(1 - t**d) through t**bound."""
     coeffs = [1] + [0] * bound

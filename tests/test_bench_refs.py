@@ -8,8 +8,9 @@ library calls are compared by table digest.  The six ``nest`` requests of
 ``cli-small`` (deep parentheses and wreath towers) run as fresh
 ``python -m chowbg.cli`` processes at the default recursion limit, since a
 second parse of a deep expression in one process compares two deep trees.
-The benchmark's modules are imported, never changed.  Only the adversarial
-``intmath`` slice is left to the benchmark: its requests take seconds each.
+The six adversarial ``intmath`` requests (15-digit primes, products of two
+8-digit primes) run in process like the ordinary slices.  The benchmark's
+modules are imported, never changed.
 """
 
 from __future__ import annotations
@@ -49,19 +50,31 @@ def _cli_outcome(argv) -> dict:
     return {"exit": code, "out": digest(out.getvalue().encode()), "err": err_class(err.getvalue())}
 
 
-@pytest.mark.parametrize("workload", ["cli-small", "cli-large"])
-def test_cli_requests_match_references(refs, workload):
+def _in_process_check(refs, workload, slices) -> tuple[int, list]:
+    """Requests checked, and the mismatches among them, of the given slices."""
     checked, mismatches = 0, []
     for slice_name, argv in catalog(workload):
-        if slice_name not in ORDINARY_SLICES:
+        if slice_name not in slices:
             continue
         ref = refs[workload][request_key(argv)]
         got = _cli_outcome(argv)
         if got != {key: ref[key] for key in got}:
             mismatches.append((argv, got))
         checked += 1
+    return checked, mismatches
+
+
+@pytest.mark.parametrize("workload", ["cli-small", "cli-large"])
+def test_cli_requests_match_references(refs, workload):
+    checked, mismatches = _in_process_check(refs, workload, ORDINARY_SLICES)
     assert mismatches == []
     assert checked == {"cli-small": 1034, "cli-large": 32}[workload]
+
+
+def test_intmath_requests_match_references(refs):
+    checked, mismatches = _in_process_check(refs, "cli-small", ("intmath",))
+    assert mismatches == []
+    assert checked == 6
 
 
 def test_survey_calls_match_references(refs):

@@ -270,3 +270,21 @@ class TestOtherVerbs:
         code, _, err = invoke(["describe", "S_4"])
         assert code == 3
         assert "S_4" in err
+
+
+# psi_13, the least integer whose primality _intmath refuses to decide
+OVER_BOUND_REQUESTS = [
+    (["describe", "Z/2", "--prime", "3317044064679887385961981"], 2),
+    (["galois-exponent", "--prime", "3317044064679887385961981", "--degree", "2"], 2),
+    (["describe", "Z/3317044064679887385961981"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", OVER_BOUND_REQUESTS)
+def test_over_bound_integers_give_one_line_errors(argv, code, capsys):
+    got, out, err = invoke(argv)
+    err += capsys.readouterr().err  # argparse writes usage errors to sys.stderr
+    assert (got, out) == (code, "")
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert "3317044064679887385961981" in last and "prime" in last

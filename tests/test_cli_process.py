@@ -24,6 +24,7 @@ BENCH = str(ROOT / "bench")
 sys.path.insert(0, BENCH)
 
 from answer import digest, err_class  # noqa: E402
+from test_cli import OVER_BOUND_REQUESTS  # noqa: E402
 from workloads import catalog, request_key  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -170,3 +171,22 @@ def test_wreath_tower_of_900_levels(verb):
 @pytest.mark.parametrize("verb", list(TOWER_CALLS))
 def test_wreath_tower_of_2000_levels(verb):
     _check_tower(WREATH_2000, verb)
+
+
+@pytest.mark.parametrize("argv, code", OVER_BOUND_REQUESTS)
+def test_over_bound_integers_exit_without_traceback(argv, code):
+    child, seconds = _timed_run(argv)
+    err = child.stderr.decode("utf-8")
+    assert (child.returncode, child.stdout) == (code, b"")
+    assert "Traceback" not in err
+    assert "3317044064679887385961981" in err.splitlines()[-1]
+    assert seconds < 5
+
+
+def test_cli_import_loads_neither_json_nor_dataclasses():
+    # json is imported by the JSON writer only; Record replaces dataclasses
+    probe = "import sys, chowbg.cli; print([m for m in ('json', 'dataclasses') if m in sys.modules])"
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
