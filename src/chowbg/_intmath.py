@@ -5,22 +5,25 @@ trial division by the first 13 primes, then a strong-probable-prime
 (Miller-Rabin) test to those 13 bases, which no composite passes below
 ``PRIMALITY_BOUND`` (Sorenson and Webster, Math. Comp. 86 (2017)), so the
 answer is exact.  ``factorint`` strips those primes and splits what is left
-by Pollard rho with Brent's cycle finding (Brent, BIT 20 (1980)).  A number
-that must be tested at or above the bound raises ``UnsupportedError``: no
-answer here is a probable one.  15-digit primes and products of two 8-digit
-primes take milliseconds; the slowest case below the bound, two 13-digit
-factors, takes about a second.
+by a short Fermat search, which splits at once a product of two factors
+close to its square root, then by Pollard rho with Brent's cycle finding
+(Brent, BIT 20 (1980)).  A number that must be tested at or above the bound
+raises ``UnsupportedError`` naming the number asked about: no answer here is
+a probable one.  15-digit primes and products of two 8-digit primes take
+milliseconds; the slowest case below the bound, two 13-digit factors far
+apart, takes about a second.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import UnsupportedError
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_FERMAT_STEPS = 256  # values of a that _fermat_factor tries, one isqrt each
 # psi_13: the least composite that is a strong probable prime to every base
 PRIMALITY_BOUND = 3317044064679887385961981
 
@@ -77,6 +80,26 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _fermat_factor(n: int) -> int | None:
+    """A proper factor of an odd composite n with no prime factor up to 41,
+    if a^2 - n is a square b^2 for one of the first ``_FERMAT_STEPS`` values
+    of a from ceil(sqrt(n)): then n = (a - b)(a + b).  The least such a
+    belongs to the split with factors closest to sqrt(n), so a - b > 1.
+    Otherwise None: the split is left to ``_brent_factor``."""
+    a = isqrt(n)
+    if a * a == n:
+        return a
+    a += 1
+    r = a * a - n
+    for _ in range(_FERMAT_STEPS):
+        b = isqrt(r)
+        if b * b == r:
+            return a - b
+        r += 2 * a + 1
+        a += 1
+    return None
+
+
 def _brent_factor(n: int) -> int:
     """A proper factor of a composite n with no prime factor up to 41:
     Pollard rho on x -> x**2 + c, with Brent's cycle finding and gcds taken
@@ -113,17 +136,25 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     exponents: dict[int, int] = {}
+    rest = n
     for p in _BASES:
-        while n % p == 0:
-            n //= p
+        while rest % p == 0:
+            rest //= p
             exponents[p] = exponents.get(p, 0) + 1
-    pending = [n] if n > 1 else []
+    pending = [rest] if rest > 1 else []
     while pending:
         m = pending.pop()
-        if is_prime(m):
+        try:
+            m_is_prime = is_prime(m)
+        except UnsupportedError:  # name the number asked about, not the cofactor
+            raise UnsupportedError(
+                f"cannot certify the prime factors of {n}: exact primality is only "
+                f"available below {PRIMALITY_BOUND}"
+            ) from None
+        if m_is_prime:
             exponents[m] = exponents.get(m, 0) + 1
         else:
-            d = _brent_factor(m)
+            d = _fermat_factor(m) or _brent_factor(m)
             pending += (d, m // d)
     return tuple(sorted(exponents.items()))
 

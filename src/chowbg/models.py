@@ -156,7 +156,7 @@ def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
         return _wreath(g.p, (yield g.inner).truncated(bound))
     factors, extrapolated = [], False
     for t in product_terms(g):
-        generators, x = _model(t, k, (yield t) if isinstance(t, Wreath) else None)
+        generators, x = _model(t, k, bound, (yield t) if isinstance(t, Wreath) else None)
         factors += generators
         extrapolated |= x
     provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
@@ -177,16 +177,20 @@ chow_model.cache_info = _cache_info
 chow_model.cache_clear = _cache_clear
 
 
-def _model(g: GroupExpr, k: FieldDescriptor, table: ChowTable | None) -> tuple[list, bool]:
-    """The Kunneth factors of a product term over k, generators or a wreath's
-    stored ``table``, and whether the field rule behind any is extrapolated."""
+def _model(
+    g: GroupExpr, k: FieldDescriptor, bound: int, table: ChowTable | None
+) -> tuple[list, bool]:
+    """The Kunneth factors of a product term over k for a table through
+    ``bound``, generators or a wreath's stored ``table``, and whether the
+    field rule behind any is extrapolated.  A classical group lists only its
+    Chern classes of degree <= bound, so its rank costs nothing."""
     match g:
         case Trivial():
             return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
             if isinstance(g, (O, SO)):
                 require_char_ne(k, 2, f"CH^*(B{format_group(g)})")
-            return presentation_generators(catalog_presentation(g)), False
+            return presentation_generators(catalog_presentation(g, bound)), False
         case CyclicZ() | FiniteAbelian():
             return _abelian_generators(g, k)
         case Symmetric(n):

@@ -49,34 +49,43 @@ def _chern(indices) -> tuple[tuple[str, int], ...]:
     return tuple((f"c{i}", i) for i in indices)
 
 
-def catalog_presentation(g: GroupExpr) -> RingPresentation:
+def catalog_presentation(g: GroupExpr, through: int | None = None) -> RingPresentation:
     """The established generators-and-relations description of CH^*(BG).
 
     GL(n) and Gm are polynomial rings on the Chern classes of the standard
     representation; Sp(2n) on the even ones.  O(n) and SO(2n+1) add the
     self-duality relations 2*c_i = 0 for odd i.  For G2 only the generators
     are known (c1..c7 of the 7-dimensional representation).
+
+    With ``through``, only the generators of degree <= through and their
+    relations are listed: the same ring through that degree, and the
+    one a table through that degree is built from, so its size does not
+    grow with the rank.
     """
+
+    def indices(first: int, last: int, step: int = 1) -> range:
+        return range(first, (last if through is None else min(last, through)) + 1, step)
+
     match g:
         case Gm():
-            return RingPresentation(g, _chern([1]), (), EXACT_PRESENTATION)
+            return RingPresentation(g, _chern(indices(1, 1)), (), EXACT_PRESENTATION)
         case GL(n):
-            return RingPresentation(g, _chern(range(1, n + 1)), (), EXACT_PRESENTATION)
+            return RingPresentation(g, _chern(indices(1, n)), (), EXACT_PRESENTATION)
         case O(n):
-            rels = tuple((2, f"c{i}") for i in range(1, n + 1, 2))
-            return RingPresentation(g, _chern(range(1, n + 1)), rels, EXACT_PRESENTATION)
+            rels = tuple((2, f"c{i}") for i in indices(1, n, 2))
+            return RingPresentation(g, _chern(indices(1, n)), rels, EXACT_PRESENTATION)
         case Sp(n):
-            return RingPresentation(g, _chern(range(2, n + 1, 2)), (), EXACT_PRESENTATION)
+            return RingPresentation(g, _chern(indices(2, n, 2)), (), EXACT_PRESENTATION)
         case SO(n) if n % 2 == 1:
-            rels = tuple((2, f"c{i}") for i in range(3, n + 1, 2))
-            return RingPresentation(g, _chern(range(2, n + 1)), rels, EXACT_PRESENTATION)
+            rels = tuple((2, f"c{i}") for i in indices(3, n, 2))
+            return RingPresentation(g, _chern(indices(2, n)), rels, EXACT_PRESENTATION)
         case SO(n):
             raise UnsupportedError(
                 f"CH^*(BSO({n})) for even rank is not generated by Chern classes of the "
                 "standard representation and has no complete description in this catalog"
             )
         case G2():
-            return RingPresentation(g, _chern(range(1, 8)), (), GENERATORS_ONLY)
+            return RingPresentation(g, _chern(indices(1, 7)), (), GENERATORS_ONLY)
     raise UnsupportedError(f"no catalog presentation for {format_group(g)}")
 
 

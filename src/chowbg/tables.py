@@ -341,7 +341,9 @@ def polynomial_table(factors, bound: int) -> ChowTable:
     """Integral table through ``bound`` of the tensor product of the factors,
     folded one at a time: a ``(degree, m)`` generator is the ring
     ``Z[x]/(m x)``, with m = 0 for ``Z[x]``, and a ``ChowTable`` of bound at
-    least ``bound`` enters as its series; no factors give the point.
+    least ``bound`` enters as its series; no factors give the point.  A
+    generator of degree above ``bound`` is skipped: none of its positive
+    powers reaches the table.
 
     ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
     pairs contribute nothing.  There is no Tor correction: this models the
@@ -368,6 +370,8 @@ def polynomial_table(factors, bound: int) -> ChowTable:
         degree, m = f
         if degree < 1 or m < 0:
             raise ValueError(f"generator {f!r} needs degree >= 1 and m >= 0")
+        if degree > bound:
+            continue
         if m == 0:
             for s in chain([free], *levels.values()):
                 _stride_sum(s, degree)

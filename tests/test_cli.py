@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chowbg.cli import run, table_from_json_obj, table_to_json_obj
 from chowbg.errors import UnsupportedError
@@ -288,3 +290,79 @@ def test_over_bound_integers_give_one_line_errors(argv, code, capsys):
     assert "Traceback" not in err
     last = err.splitlines()[-1]
     assert "3317044064679887385961981" in last and "prime" in last
+
+
+# 10**76 + 7 = 23 * m: factorint strips 23 and cannot certify m
+OVER_BOUND_COMPOSITE = 10**76 + 7
+# argv fuzzing: integers from negative to far above the primality bound
+_HUGE = st.one_of(
+    st.integers(min_value=-3, max_value=10**40),
+    st.sampled_from([3317044064679887385961981, OVER_BOUND_COMPOSITE, 2**89 - 1, 10**15 + 37]),
+)
+_GROUP_FRAGMENTS = (
+    "Z/", "GL(", "O(", "SO(", "Sp(", "S_", "G2", "Gm", "wr(", "1", "2", "3", "7",
+    "(", ")", ", ", " x ", "x", "-", " ",
+)  # fmt: skip
+_FIELD_FRAGMENTS = ("C", "Qbar", "Q", "F_", "(mu_", ")", "2", "3", "5", " ")
+
+
+def _fragments(pieces):
+    return st.lists(st.sampled_from(pieces), max_size=12).map("".join)
+
+
+GROUP_TEXTS = st.one_of(
+    _fragments(_GROUP_FRAGMENTS),
+    st.builds("{}({})".format, st.sampled_from(["GL", "O", "SO", "Sp"]), _HUGE),
+    _HUGE.map("Z/{}".format),
+    _HUGE.map("S_{}".format),
+    st.builds("wr({}, {})".format, _HUGE, st.sampled_from(["Z/2", "GL(2)", "1", "O(3)"])),
+    st.builds("Z/2 x {}({})".format, st.sampled_from(["GL", "O", "SO", "Sp"]), _HUGE),
+    st.text(max_size=30),
+)
+FIELD_TEXTS = st.one_of(
+    st.sampled_from(["C", "Qbar", "Q"]),
+    _HUGE.map("F_{}".format),
+    _HUGE.map("Q(mu_{})".format),
+    st.builds("F_{}(mu_{})".format, _HUGE, _HUGE),
+    _fragments(_FIELD_FRAGMENTS),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    verb = draw(st.sampled_from(["describe", "series", "bound", "sylow"]))
+    degree = ["--max-degree", str(draw(st.integers(min_value=0, max_value=4)))]
+    field = ["--field", draw(FIELD_TEXTS)]
+    if verb == "bound":
+        return [verb, draw(GROUP_TEXTS)]
+    if verb == "sylow":
+        n = draw(st.integers(min_value=-2, max_value=10**4).map(str) | st.text(max_size=8))
+        prime = draw(_HUGE.map(str) | st.text(max_size=8))
+        return [verb, n, "--prime", prime, *field, *degree]
+    localization = draw(st.sampled_from([[], ["--prime"], ["--mod"]]))
+    if localization:
+        localization.append(str(draw(_HUGE)))
+    return [verb, draw(GROUP_TEXTS), *field, *degree, *localization]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_exits_0_2_or_3_with_one_line(argv):
+    """Any group or field text, huge ranks and primes included, is answered
+    (0) or refused with a usage or parse error (2) or an unsupported error
+    (3), in at most one line of chowbg's own stderr, and never raises.
+
+    Left to the open cost-estimate item, and so not drawn: large
+    --max-degree values, the presentation verb (it lists every Chern class,
+    so its output grows with the rank), and sylow requests whose n has a
+    large digit sum in base p (the Sylow group is a product of that many
+    wreath towers), which is why n stays below 10**4.
+    """
+    argparse_err = io.StringIO()  # argparse writes usage errors to sys.stderr
+    with contextlib.redirect_stderr(argparse_err):
+        code, out, err = invoke(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
+    assert "Traceback" not in argparse_err.getvalue()
+    assert err == "" if code == 0 else out == "", (argv, err)

@@ -24,7 +24,7 @@ BENCH = str(ROOT / "bench")
 sys.path.insert(0, BENCH)
 
 from answer import digest, err_class  # noqa: E402
-from test_cli import OVER_BOUND_REQUESTS  # noqa: E402
+from test_cli import OVER_BOUND_COMPOSITE, OVER_BOUND_REQUESTS  # noqa: E402
 from workloads import catalog, request_key  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -180,6 +180,37 @@ def test_over_bound_integers_exit_without_traceback(argv, code):
     assert (child.returncode, child.stdout) == (code, b"")
     assert "Traceback" not in err
     assert "3317044064679887385961981" in err.splitlines()[-1]
+    assert seconds < 5
+
+
+def test_factoring_refusal_names_the_number_typed():
+    child, seconds = _timed_run(["describe", f"Z/{OVER_BOUND_COMPOSITE}"])
+    assert (child.returncode, child.stdout) == (3, b"")
+    assert child.stderr.decode("utf-8") == (
+        f"unsupported: cannot certify the prime factors of {OVER_BOUND_COMPOSITE}: "
+        "exact primality is only available below 3317044064679887385961981\n"
+    )
+    assert seconds < 5
+
+
+HUGE_RANK_REQUESTS = [
+    (["describe", "GL(100000000000)", "--max-degree", "2"], ["  0: Z", "  1: Z", "  2: Z^2"]),
+    (["describe", "O(100000000000)", "--max-degree", "2"], ["  0: Z", "  1: Z/2", "  2: Z ⊕ Z/2"]),
+    (["describe", "Sp(100000000000)", "--max-degree", "2"], ["  0: Z", "  1: 0", "  2: Z"]),
+    (["describe", "SO(100000001)", "--max-degree", "1"], ["  0: Z", "  1: 0"]),
+    (
+        ["describe", "Z/2 x GL(10000000)", "--max-degree", "2"],
+        ["  0: Z", "  1: Z ⊕ Z/2", "  2: Z^2 ⊕ (Z/2)^2"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, rows", HUGE_RANK_REQUESTS)
+def test_huge_rank_answers_in_a_fresh_process(argv, rows):
+    # only the Chern classes of degree <= bound reach the table
+    child, seconds = _timed_run(argv)
+    assert (child.returncode, child.stderr) == (0, b"")
+    assert child.stdout.decode("utf-8").splitlines()[4:] == rows
     assert seconds < 5
 
 

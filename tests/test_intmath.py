@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from chowbg import _intmath
 from chowbg._intmath import (
     PRIMALITY_BOUND,
+    _fermat_factor,
     _strong_probable_prime,
     factorint,
     is_prime,
@@ -17,6 +19,19 @@ from oracles import trial_factorint, trial_is_prime
 
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the first 12 primes
 PRIMES_BELOW_1E5 = [n for n in range(10**5) if trial_is_prime(n)]
+# products of two primes near sqrt(psi_13) = 1.82e12, the slowest splits for rho
+NEAR_ROOT_OF_BOUND = [
+    (1821275394067, 1821275394119),
+    (1821275394959, 1821275395001),
+    (1821275395019, 1821275395031),
+]
+
+
+def next_prime(n):
+    n += 1
+    while not trial_is_prime(n):
+        n += 1
+    return n
 
 
 def order_by_search(a, m):
@@ -117,3 +132,40 @@ class TestFixedCases:
     def test_factorint_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="^cannot factor 0$"):
             factorint(0)
+
+
+class TestFermatPass:
+    @given(st.integers(min_value=42, max_value=10**5))
+    def test_consecutive_prime_products(self, n):
+        p = next_prime(n)
+        q = next_prime(p)
+        assert _fermat_factor(p * q) == p
+        assert factorint(p * q) == trial_factorint(p * q)
+
+    @pytest.mark.parametrize("p, q", NEAR_ROOT_OF_BOUND)
+    def test_close_factors_below_the_bound_skip_rho(self, p, q, monkeypatch):
+        # too large for trial_factorint; trial_is_prime certifies both factors
+        assert p * q < PRIMALITY_BOUND and trial_is_prime(p) and trial_is_prime(q)
+
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(_intmath, "_brent_factor", no_rho)
+        assert factorint.__wrapped__(p * q) == ((p, 1), (q, 1))
+        assert factorint.__wrapped__(41 * p * q) == ((41, 1), (p, 1), (q, 1))
+
+    def test_far_factors_are_left_to_rho(self):
+        # 798330580441 = 2 * 399165290221 - 1: a^2 - n is square only ~3e10 steps out
+        assert _fermat_factor(PSI_12) is None
+        assert factorint(PSI_12) == ((399165290221, 1), (798330580441, 1))
+
+
+def test_refusal_names_the_number_asked_about():
+    n = 10**76 + 7  # 23 times a cofactor above the bound
+    assert n % 23 == 0 and n // 23 > PRIMALITY_BOUND
+    with pytest.raises(UnsupportedError) as info:
+        factorint(n)
+    assert str(info.value) == (
+        f"cannot certify the prime factors of {n}: exact primality is only "
+        f"available below {PRIMALITY_BOUND}"
+    )
