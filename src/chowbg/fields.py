@@ -46,6 +46,13 @@ COMPLEX = FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name="C")
 _FIELD_RE = re.compile(r"^(C|Qbar|Q|F_(\d+))(?:\(mu_(\d+)\))?$")
 
 
+def _field_integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise FieldParseError(f"integer of {len(digits)} digits is too long") from None
+
+
 def parse_field(text: str) -> FieldDescriptor:
     """Accepted forms: C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)."""
     m = _FIELD_RE.match(text.strip())
@@ -54,7 +61,7 @@ def parse_field(text: str) -> FieldDescriptor:
     base, char_str, mu_str = m.groups()
     char = 0
     if char_str is not None:
-        char = int(char_str)
+        char = _field_integer(char_str)
         if not is_prime(char):
             raise FieldParseError(f"finite-field characteristic must be prime: {text!r}")
     if base in ("C", "Qbar"):
@@ -63,7 +70,7 @@ def parse_field(text: str) -> FieldDescriptor:
         return FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name=base)
     if mu_str is None:
         return FieldDescriptor(char, PRIME_FIELD, name=text.strip())
-    mu = int(mu_str)
+    mu = _field_integer(mu_str)
     if mu < 1 or (char != 0 and mu % char == 0):
         raise FieldParseError(f"cannot adjoin mu_{mu} in characteristic {char}")
     return FieldDescriptor(char, CYCLOTOMIC_EXTENSION, (mu,), name=text.strip())

@@ -296,11 +296,16 @@ class _Parser:
     def integer(self) -> tuple[int, int]:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() rejects digits such as "²" and "①"
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos]), start
+        try:
+            return int(self.text[start : self.pos]), start
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            digits = self.pos - start
+            raise self.error(f"integer of {digits} digits is too long", start) from None
 
     def expr(self) -> GroupExpr:
         """An open "(" or "wr(p," pushes a frame: the terms read before it and

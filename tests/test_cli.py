@@ -292,6 +292,38 @@ def test_over_bound_integers_give_one_line_errors(argv, code, capsys):
     assert "3317044064679887385961981" in last and "prime" in last
 
 
+# One more digit than CPython reads from a str by default
+# (sys.get_int_max_str_digits() is 4300).
+LONG_INTEGER = "1" + "0" * 4300
+# Digits that str.isdigit accepts and int() rejects, integers that int()
+# refuses to read, and the byte offset of each one's first character.
+UNREADABLE_INTEGER_REQUESTS = [
+    (["describe", "Z/³"], "expected an integer (byte 2)"),
+    (["describe", "GL(²)"], "expected an integer (byte 3)"),
+    (["describe", "S_¹"], "expected an integer (byte 2)"),
+    (["describe", "wr(², Z/2)"], "expected an integer (byte 3)"),
+    (["describe", "Z/٣ x Z/①"], "expected an integer (byte 9)"),
+    (["describe", f"Z/{LONG_INTEGER}"], "integer of 4301 digits is too long (byte 2)"),
+    (["describe", f"GL({LONG_INTEGER})"], "integer of 4301 digits is too long (byte 3)"),
+    (["bound", f"Z/٣ x S_{LONG_INTEGER}"], "integer of 4301 digits is too long (byte 9)"),
+    (["series", f"wr({LONG_INTEGER}, Z/2)"], "integer of 4301 digits is too long (byte 3)"),
+    (["describe", "Z/2", "--field", f"F_{LONG_INTEGER}"], "integer of 4301 digits is too long"),
+    (["describe", "Z/2", "--field", f"Q(mu_{LONG_INTEGER})"], "integer of 4301 digits is too long"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREADABLE_INTEGER_REQUESTS)
+def test_unreadable_integers_are_parse_errors(argv, message):
+    assert invoke(argv) == (2, "", f"parse error: {message}\n")
+
+
+def test_other_decimal_digits_read_as_integers():
+    # int() and the field pattern's \d accept every Unicode decimal digit
+    assert invoke(["describe", "Z/٣"]) == invoke(["describe", "Z/3"])
+    field = parse_field("F_٧(mu_٣)")
+    assert (field.characteristic, field.adjoined) == (7, (3,))
+
+
 # 10**76 + 7 = 23 * m: factorint strips 23 and cannot certify m
 OVER_BOUND_COMPOSITE = 10**76 + 7
 # argv fuzzing: integers from negative to far above the primality bound
@@ -301,9 +333,9 @@ _HUGE = st.one_of(
 )
 _GROUP_FRAGMENTS = (
     "Z/", "GL(", "O(", "SO(", "Sp(", "S_", "G2", "Gm", "wr(", "1", "2", "3", "7",
-    "(", ")", ", ", " x ", "x", "-", " ",
+    "(", ")", ", ", " x ", "x", "-", " ", "²", "٣", "①",
 )  # fmt: skip
-_FIELD_FRAGMENTS = ("C", "Qbar", "Q", "F_", "(mu_", ")", "2", "3", "5", " ")
+_FIELD_FRAGMENTS = ("C", "Qbar", "Q", "F_", "(mu_", ")", "2", "3", "5", " ", "²", "٣", "①")
 
 
 def _fragments(pieces):
@@ -317,6 +349,7 @@ GROUP_TEXTS = st.one_of(
     _HUGE.map("S_{}".format),
     st.builds("wr({}, {})".format, _HUGE, st.sampled_from(["Z/2", "GL(2)", "1", "O(3)"])),
     st.builds("Z/2 x {}({})".format, st.sampled_from(["GL", "O", "SO", "Sp"]), _HUGE),
+    st.sampled_from(["Z/{}", "GL({})", "S_{}", "wr({}, Z/2)"]).map(lambda t: t.format(LONG_INTEGER)),
     st.text(max_size=30),
 )
 FIELD_TEXTS = st.one_of(
@@ -324,6 +357,7 @@ FIELD_TEXTS = st.one_of(
     _HUGE.map("F_{}".format),
     _HUGE.map("Q(mu_{})".format),
     st.builds("F_{}(mu_{})".format, _HUGE, _HUGE),
+    st.sampled_from(["F_{}", "Q(mu_{})", "F_2(mu_{})"]).map(lambda t: t.format(LONG_INTEGER)),
     _fragments(_FIELD_FRAGMENTS),
     st.text(max_size=20),
 )

@@ -10,10 +10,12 @@ traceback.  The benchmark's modules are imported, never changed.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -24,7 +26,8 @@ BENCH = str(ROOT / "bench")
 sys.path.insert(0, BENCH)
 
 from answer import digest, err_class  # noqa: E402
-from test_cli import OVER_BOUND_COMPOSITE, OVER_BOUND_REQUESTS  # noqa: E402
+from test_cli import LONG_INTEGER, OVER_BOUND_COMPOSITE, OVER_BOUND_REQUESTS  # noqa: E402
+from test_cli_gc import VERB_CALLS  # noqa: E402
 from workloads import catalog, request_key  # noqa: E402
 
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -183,6 +186,20 @@ def test_over_bound_integers_exit_without_traceback(argv, code):
     assert seconds < 5
 
 
+@pytest.mark.parametrize(
+    "group, message",
+    [
+        ("Z/³", "expected an integer (byte 2)"),
+        (f"Z/{LONG_INTEGER}", "integer of 4301 digits is too long (byte 2)"),
+    ],
+    ids=["superscript-digit", "4301-digits"],
+)
+def test_unreadable_integers_exit_2_without_traceback(group, message):
+    child, _ = _timed_run(["describe", group])
+    assert (child.returncode, child.stdout) == (2, b"")
+    assert child.stderr.decode("utf-8") == f"parse error: {message}\n"
+
+
 def test_factoring_refusal_names_the_number_typed():
     child, seconds = _timed_run(["describe", f"Z/{OVER_BOUND_COMPOSITE}"])
     assert (child.returncode, child.stdout) == (3, b"")
@@ -221,3 +238,54 @@ def test_cli_import_loads_neither_json_nor_dataclasses():
         [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=60
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+
+
+# The chowbg modules and their non-blank lines that one request of each verb
+# compiles, with no cached bytecode: today all six compile the same ten
+# modules.  The bounds are upper bounds, so a verb may come to compile less.
+COMPILED_SURFACE = {
+    "describe": (10, 2032),
+    "series": (10, 2032),
+    "presentation": (10, 2032),
+    "galois-exponent": (10, 2032),
+    "bound": (10, 2032),
+    "sylow": (10, 2032),
+}
+# runs chowbg.cli as `python -m` does, and prints each compiled chowbg file
+# with its non-blank line count, from the "compile" audit events
+_SURFACE_PROBE = """
+    import os, runpy, sys
+    package = os.path.join(sys.argv[1], "")
+    compiled = {}
+    def hook(event, args):
+        if event == "compile" and isinstance(args[1], str) and args[1].startswith(package):
+            source = args[0] if isinstance(args[0], bytes) else args[0].encode()
+            compiled[args[1][len(package):]] = sum(1 for line in source.splitlines() if line.strip())
+    sys.addaudithook(hook)
+    sys.argv = ["chowbg", *sys.argv[2:]]
+    try:
+        runpy.run_module("chowbg.cli", run_name="__main__")
+    except SystemExit as exc:
+        print(exc.code, compiled, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", VERB_CALLS, ids=[argv[0] for argv in VERB_CALLS])
+def test_compiled_surface_per_verb(argv, tmp_path):
+    # an empty bytecode cache directory: every module is compiled from source
+    env = dict(ENV, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_SURFACE_PROBE), str(ROOT / "src" / "chowbg"), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    code, compiled = child.stderr.split(" ", 1)
+    compiled = ast.literal_eval(compiled)
+    assert code == "0"
+    assert {"__init__.py", "cli.py"} <= set(compiled)
+    modules, lines = COMPILED_SURFACE[argv[0]]
+    assert len(compiled) <= modules, compiled
+    assert sum(compiled.values()) <= lines, compiled
