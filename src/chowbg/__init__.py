@@ -3,10 +3,9 @@ classifying spaces of a fixed catalog of algebraic groups, over a
 parameterized base field.
 
 ``chowbg.graded`` and ``chowbg.cyclic``, the labelled reference API that
-the tests check the compute path against, load on first use: both are in
-``sys.modules`` from the start, and their code runs on the first read of
-one of their names, here or on the submodule.  No CLI call reads one, so
-a CLI process never compiles or runs them."""
+the tests check the compute path against, are registered without running
+their code; PEP 562 hooks in their own namespaces run it on first use.
+No CLI call uses either, so a CLI process never compiles or runs them."""
 
 import sys
 from importlib.util import find_spec, module_from_spec
@@ -57,55 +56,33 @@ from .presentations import (
 )
 from .tables import ChowTable, DegreeRow, Localization
 
-# the names these two submodules export through the package
-_ON_FIRST_USE = {
-    "cyclic": ("cyclic_power_codim", "cyclic_power_dim", "rotation_orbit_summary"),
-    "graded": (
-        "CODIM", "Alpha", "Codim", "CyclicSummand", "Dim", "Gamma", "Generator",
-        "GradedAbelianGroup", "Tensor", "convert_to_codim", "degree_orders", "direct_sum",
-        "localize", "mod_p_dimension", "normalize", "tensor", "to_table",
-    ),
-}  # fmt: skip
-_EXPORTED_BY = {name: module for module, names in _ON_FIRST_USE.items() for name in names}
-
-# what the import system sets and reads; reading these runs no module code
-_IMPORT_ATTRIBUTES = frozenset((
-    "__name__", "__spec__", "__loader__", "__package__", "__path__", "__file__", "__cached__",
-    "__dict__", "__class__",
-))  # fmt: skip
-# one lock for both, re-entrant: loading cyclic loads graded
+# one lock for both, re-entrant: running cyclic loads graded
 _first_use_lock = RLock()
 
 
-class _FirstUseModule(ModuleType):
-    """A registered submodule whose code has not run yet.  The first read
-    of any other attribute runs it under ``_first_use_lock``, and a read in
-    another thread waits there until it has run to its end; the module then
-    becomes a plain module, so later reads cost nothing extra."""
-
-    def __getattribute__(self, name):
-        with _first_use_lock:
-            if type(self) is _FirstUseModule and name not in _IMPORT_ATTRIBUTES:
-                _run(self)
-        return ModuleType.__getattribute__(self, name)
-
-    def __dir__(self):
-        with _first_use_lock:
-            if type(self) is _FirstUseModule:
-                _run(self)
-        return ModuleType.__dir__(self)
-
-
-def _run(module: ModuleType) -> None:
-    """Run the module's code in its namespace; the loader reads only import
-    attributes of the module, and its code reads none, so this runs once."""
-    ModuleType.__getattribute__(module, "__spec__").loader.exec_module(module)
-    module.__class__ = ModuleType
-
-
 def _register(name: str) -> ModuleType:
+    """Register the submodule with hooks that run its code, under the lock,
+    at the first read of a name it has not bound or at ``dir()``.  The hooks
+    are deleted only once the code has run to its end, so a read from
+    another thread meanwhile waits on the lock."""
     module = module_from_spec(find_spec(f"{__name__}.{name}"))
-    module.__class__ = _FirstUseModule
+    namespace = vars(module)
+
+    def run():
+        with _first_use_lock:
+            if "__getattr__" in namespace:
+                module.__spec__.loader.exec_module(module)
+                del namespace["__getattr__"], namespace["__dir__"]
+
+    def __getattr__(attr):
+        run()
+        return getattr(module, attr)
+
+    def __dir__():
+        run()
+        return dir(module)
+
+    namespace.update(__getattr__=__getattr__, __dir__=__dir__)
     sys.modules[module.__name__] = module
     return module
 
@@ -113,31 +90,16 @@ def _register(name: str) -> ModuleType:
 cyclic = _register("cyclic")
 graded = _register("graded")
 
-
-def __getattr__(name):
-    if name in _EXPORTED_BY:
-        return getattr(globals()[_EXPORTED_BY[name]], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_EXPORTED_BY})
-
-
 __all__ = [
-    "Alpha", "CODIM", "ChowTable", "Codim", "CyclicSummand", "DegreeRow", "Dim",
-    "FieldDescriptor", "FieldParseError", "GaloisFixedSpec", "Gamma", "Generator",
-    "GradedAbelianGroup", "GradingError", "GroupExpr", "GroupParseError", "Localization",
-    "RingPresentation", "SylowProfile", "Tensor", "UnsupportedError",
-    "abelian_invariant_factors", "abelianization", "additive_table_from_presentation",
-    "apply_cyclotomic_invariants", "catalog_presentation", "chow_integral_symmetric",
-    "chow_model", "chow_model_localized", "chow_model_mod_p", "chow_symmetric_local",
-    "chow_symmetric_sylow_bound", "chow_wreath", "contains_mu", "convert_to_codim",
-    "cyclic", "cyclic_power_codim", "cyclic_power_dim", "cyclotomic_order", "degree_orders",
-    "direct_sum", "errors", "fields", "format_group", "galois_fixed_exponent",
-    "generator_bound", "graded", "group_dimension", "groups", "localize", "localize_table",
-    "mod_p_dimension", "mod_p_table", "models", "normalize", "parse_field",
-    "parse_group_expr", "presentations", "rotation_orbit_summary", "sylow_profile",
-    "tables", "tensor", "to_table",
+    "ChowTable", "DegreeRow", "FieldDescriptor", "FieldParseError", "GaloisFixedSpec",
+    "GradingError", "GroupExpr", "GroupParseError", "Localization", "RingPresentation",
+    "SylowProfile", "UnsupportedError", "abelian_invariant_factors", "abelianization",
+    "additive_table_from_presentation", "apply_cyclotomic_invariants",
+    "catalog_presentation", "chow_integral_symmetric", "chow_model", "chow_model_localized",
+    "chow_model_mod_p", "chow_symmetric_local", "chow_symmetric_sylow_bound", "chow_wreath",
+    "contains_mu", "cyclic", "cyclotomic_order", "errors", "fields", "format_group",
+    "galois_fixed_exponent", "generator_bound", "graded", "group_dimension", "groups",
+    "localize_table", "mod_p_table", "models", "parse_field", "parse_group_expr",
+    "presentations", "sylow_profile", "tables",
 ]  # fmt: skip
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Verbs: describe, series, presentation, galois-exponent, bound, sylow.
-Exit codes: 0 success, 2 parse error (group or field text, with byte
-offset) or usage error (bad flags or integers), 3 unsupported
-computation, 1 stdout closed before the output was written.  Output is
-deterministic: rows and torsion are emitted in canonical order, JSON
-objects in fixed key order.
+Exit codes: 0 success, 2 parse error (group or field text; a group text
+error gives its byte offset) or usage error (bad flags or integers), 3
+unsupported computation, 1 stdout closed before the output was written.
+Output is deterministic: rows and torsion are emitted in canonical order,
+JSON objects in fixed key order.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ def _int_arg(minimum: int, prime: bool = False):
         try:
             value = int(text)
         except ValueError:
+            digits = text.removeprefix("-")
+            if digits.isdecimal():  # more digits than sys.get_int_max_str_digits()
+                raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits is too long")
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         try:
             not_prime = prime and not is_prime(value)

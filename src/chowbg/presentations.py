@@ -28,8 +28,8 @@ class RingPresentation(Record):
         torsion_relations: tuple[tuple[int, str], ...],  # (m, name): m * name = 0
         completeness: str,  # EXACT_PRESENTATION | GENERATORS_ONLY
     ):
-        names = [n for n, _ in generators]
-        if len(set(names)) != len(names):
+        names = {n for n, _ in generators}
+        if len(names) != len(generators):
             raise ValueError("generator names must be unique")
         if any(d < 1 for _, d in generators):
             raise ValueError("generator degrees must be >= 1")

@@ -14,6 +14,11 @@ from chowbg.models import chow_model
 from strategies import parenthesised_products
 
 
+# One more digit than CPython reads from a str by default
+# (sys.get_int_max_str_digits() is 4300).
+LONG_INTEGER = "1" + "0" * 4300
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, out=out, err=err)
@@ -261,6 +266,17 @@ class TestOtherVerbs:
             (["sylow", "0", "--prime", "2"], "argument n: must be >= 1: 0"),
             (["galois-exponent", "--prime", "4", "--degree", "4"], "argument --prime: not a prime: 4"),
             (["galois-exponent", "--prime", "x", "--degree", "4"], "argument --prime: not an integer: 'x'"),
+            # counted, not echoed
+            (["sylow", LONG_INTEGER, "--prime", "2"], "argument n: integer of 4301 digits is too long"),
+            (["sylow", f"-{LONG_INTEGER}", "--prime", "2"], "argument n: integer of 4301 digits is too long"),
+            (
+                ["describe", "Z/2", "--max-degree", LONG_INTEGER],
+                "argument --max-degree: integer of 4301 digits is too long",
+            ),
+            (
+                ["galois-exponent", "--prime", LONG_INTEGER, "--degree", "4"],
+                "argument --prime: integer of 4301 digits is too long",
+            ),
         ],
     )
     def test_bad_integer_argument_exit_2(self, argv, message, capsys):
@@ -292,9 +308,6 @@ def test_over_bound_integers_give_one_line_errors(argv, code, capsys):
     assert "3317044064679887385961981" in last and "prime" in last
 
 
-# One more digit than CPython reads from a str by default
-# (sys.get_int_max_str_digits() is 4300).
-LONG_INTEGER = "1" + "0" * 4300
 # Digits that str.isdigit accepts and int() rejects, integers that int()
 # refuses to read, and the byte offset of each one's first character.
 UNREADABLE_INTEGER_REQUESTS = [

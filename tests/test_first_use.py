@@ -4,8 +4,9 @@ Each test runs a fresh interpreter, since in this process the test modules
 have loaded both already.  The probes check that a CLI process runs no code
 from either file (by the ``exec`` audit events that module code raises as
 it runs), that first use from many threads at once is as safe as an
-ordinary import, that the package still exports the same names, and that
-pickles of labelled values load before ``graded`` has.
+ordinary import, that the package exports its names without running
+either file, that the hooks run the code once and then leave plain
+modules, and that pickles of labelled values load before ``graded`` has.
 """
 
 from __future__ import annotations
@@ -120,22 +121,43 @@ def test_package_exports_the_same_names():
         """
         import sys
         import chowbg
-        loaded = type(sys.modules["chowbg.graded"]) is type(sys)
-        listed_first = "cyclic_power_codim" in dir(chowbg.cyclic)
+        loaded = "normalize" in vars(sys.modules["chowbg.graded"])
         namespace = {}
         exec("from chowbg import *", namespace)
-        print(loaded, listed_first)
+        print(loaded, "normalize" in vars(sys.modules["chowbg.graded"]))
         print(sorted(chowbg.__all__))
         print(sorted(set(namespace) - {"__builtins__"}) == sorted(chowbg.__all__))
-        print(chowbg.normalize is chowbg.graded.normalize, chowbg.CODIM is chowbg.graded.CODIM)
-        print(chowbg.cyclic_power_codim is chowbg.cyclic.cyclic_power_codim)
+        print(hasattr(chowbg, "normalize"), hasattr(chowbg, "cyclic_power_codim"))
         print(set(chowbg.__all__) <= set(dir(chowbg)))
         """
     )
-    loaded, names, star, graded_same, cyclic_same, listed = out.splitlines()
-    assert loaded == "False True"
-    assert names == str(ALL_NAMES) and len(ALL_NAMES) == 63
-    assert (star, graded_same, cyclic_same, listed) == ("True", "True True", "True", "True")
+    loaded, names, star, reexported, listed = out.splitlines()
+    # neither the package import nor a star import runs graded's code
+    assert loaded == "False False"
+    assert names == str(ALL_NAMES) and len(ALL_NAMES) == 43
+    assert (star, reexported, listed) == ("True", "False False", "True")
+
+
+def test_hooks_load_once_and_leave_plain_modules():
+    out = _python(
+        """
+        import sys
+        import chowbg
+        before = "cyclic_power_codim" in vars(chowbg.cyclic)
+        print(before, "cyclic_power_codim" in dir(chowbg.cyclic))
+        print("normalize" in vars(sys.modules["chowbg.graded"]))
+        hooks = ("__getattr__", "__dir__")
+        print([h for m in (chowbg.graded, chowbg.cyclic) for h in hooks if h in vars(m)])
+        try:
+            chowbg.graded.no_such_name
+        except AttributeError as exc:
+            print(type(exc).__name__, exc)
+        """
+    )
+    listed, graded_ran, hooks, missing = out.splitlines()
+    # dir() runs cyclic, which loads graded; a missing name does not recurse
+    assert (listed, graded_ran, hooks) == ("False True", "True", "[]")
+    assert missing == "AttributeError module 'chowbg.graded' has no attribute 'no_such_name'"
 
 
 def test_pickle_loads_before_graded_has():

@@ -392,20 +392,16 @@ def test_validation_messages_kept(make, error, message):
 
 
 ALL_NAMES = [
-    "Alpha", "CODIM", "ChowTable", "Codim", "CyclicSummand", "DegreeRow", "Dim",
-    "FieldDescriptor", "FieldParseError", "GaloisFixedSpec", "Gamma", "Generator",
-    "GradedAbelianGroup", "GradingError", "GroupExpr", "GroupParseError", "Localization",
-    "RingPresentation", "SylowProfile", "Tensor", "UnsupportedError",
-    "abelian_invariant_factors", "abelianization", "additive_table_from_presentation",
-    "apply_cyclotomic_invariants", "catalog_presentation", "chow_integral_symmetric",
-    "chow_model", "chow_model_localized", "chow_model_mod_p", "chow_symmetric_local",
-    "chow_symmetric_sylow_bound", "chow_wreath", "contains_mu", "convert_to_codim",
-    "cyclic", "cyclic_power_codim", "cyclic_power_dim", "cyclotomic_order",
-    "degree_orders", "direct_sum", "errors", "fields", "format_group",
+    "ChowTable", "DegreeRow", "FieldDescriptor", "FieldParseError", "GaloisFixedSpec",
+    "GradingError", "GroupExpr", "GroupParseError", "Localization", "RingPresentation",
+    "SylowProfile", "UnsupportedError", "abelian_invariant_factors", "abelianization",
+    "additive_table_from_presentation", "apply_cyclotomic_invariants",
+    "catalog_presentation", "chow_integral_symmetric", "chow_model", "chow_model_localized",
+    "chow_model_mod_p", "chow_symmetric_local", "chow_symmetric_sylow_bound", "chow_wreath",
+    "contains_mu", "cyclic", "cyclotomic_order", "errors", "fields", "format_group",
     "galois_fixed_exponent", "generator_bound", "graded", "group_dimension", "groups",
-    "localize", "localize_table", "mod_p_dimension", "mod_p_table", "models", "normalize",
-    "parse_field", "parse_group_expr", "presentations", "rotation_orbit_summary",
-    "sylow_profile", "tables", "tensor", "to_table",
+    "localize_table", "mod_p_table", "models", "parse_field", "parse_group_expr",
+    "presentations", "sylow_profile", "tables",
 ]  # fmt: skip
 
 
@@ -420,5 +416,5 @@ def test_cli_import_skips_dataclasses_and_keeps_exports():
     )
     assert child.returncode == 0 and child.stderr == ""
     assert child.stdout == "[]\n"
-    assert len(ALL_NAMES) == 63
+    assert len(ALL_NAMES) == 43
     assert sorted(chowbg.__all__) == ALL_NAMES
