@@ -5,15 +5,17 @@ Exit codes: 0 success, 2 parse error (group or field text; a group text
 error gives its byte offset) or usage error (bad flags or integers), 3
 unsupported computation, 1 stdout closed before the output was written.
 Output is deterministic: rows and torsion are emitted in canonical order,
-JSON objects in fixed key order.
+JSON objects in fixed key order.  A well-formed argv is read straight from
+``VERBS`` and JSON is written here: only help and usage errors load argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from ._intmath import is_prime, prime_power_decompose
 from .errors import FieldParseError, GroupParseError, UnsupportedError
@@ -31,8 +33,13 @@ from .tables import ChowTable, DegreeRow, Localization
 JSON_SCHEMA_VERSION = 1
 
 
+def _echo(text: str, show=str) -> str:
+    # a long argument is shown by its first 20 characters and counted, not echoed
+    return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} characters)"
+
+
 def _int_arg(minimum: int, prime: bool = False):
-    """argparse type: an integer >= minimum, optionally required to be prime."""
+    """An integer check, >= minimum and optionally prime: ValueError words a refusal."""
 
     def parse(text: str) -> int:
         try:
@@ -40,58 +47,19 @@ def _int_arg(minimum: int, prime: bool = False):
         except ValueError:
             digits = text.removeprefix("-")
             if digits.isdecimal():  # more digits than sys.get_int_max_str_digits()
-                raise argparse.ArgumentTypeError(f"integer of {len(digits)} digits is too long")
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+                raise ValueError(f"integer of {len(digits)} digits is too long")
+            raise ValueError(f"not an integer: {_echo(text, repr)}")
         try:
             not_prime = prime and not is_prime(value)
-        except UnsupportedError as exc:  # argparse turns only ValueError/TypeError into usage errors
-            raise argparse.ArgumentTypeError(str(exc))
+        except UnsupportedError as exc:
+            raise ValueError(str(exc))
         if not_prime:
-            raise argparse.ArgumentTypeError(f"not a prime: {value}")
+            raise ValueError(f"not a prime: {_echo(str(value))}")
         if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {value}")
+            raise ValueError(f"must be >= {minimum}: {_echo(str(value))}")
         return value
 
     return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per verb, with its runner as ``args.run``; shared flags come from parents."""
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--format", choices=("table", "json"), default="table")
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--max-degree", type=_int_arg(0), default=10)
-    table.add_argument("--field", default="C", help="C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)")
-    located = argparse.ArgumentParser(add_help=False, parents=[table])
-    located.add_argument("group", help="group expression, e.g. 'O(3)' or 'Z/4 x Z/2'")
-    prime = _int_arg(2, prime=True)
-    loc = located.add_mutually_exclusive_group()
-    loc.add_argument("--prime", type=prime, help="localize at this prime")
-    loc.add_argument("--mod", type=prime, help="report F_p dimensions at this prime")
-
-    parser = argparse.ArgumentParser(
-        prog="chowbg",
-        description="Additive structure and presentations of Chow rings of classifying spaces",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def verb(name, help, runner, *parents):
-        # --format after the shared flags: -h and 'ambiguous option' errors list in this order
-        sub_parser = sub.add_parser(name, help=help, parents=[*parents, output])
-        sub_parser.set_defaults(run=runner)
-        return sub_parser
-
-    verb("describe", "per-degree additive table", _run_describe, located)
-    verb("series", "per-degree numeric series", _run_series, located)
-    verb("presentation", "catalog ring presentation", _run_presentation).add_argument("group")
-    gal = verb("galois-exponent", "Galois fixed-subgroup exponent", _run_galois_exponent)
-    gal.add_argument("--prime", type=prime, required=True)
-    gal.add_argument("--degree", type=_int_arg(1), required=True)
-    verb("bound", "generator degree bound", _run_bound).add_argument("group")
-    syl = verb("sylow", "table of the p-Sylow subgroup of S_n", _run_sylow, table)
-    syl.add_argument("n", type=_int_arg(1))
-    syl.add_argument("--prime", type=prime, required=True)
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +78,8 @@ def render_row_value(row: DegreeRow) -> str:
 
 
 def _localization_text(loc: Localization) -> str:
-    if loc.kind == "integral":
-        return "integral"
-    if loc.kind == "at_prime":
-        return f"at prime {loc.prime}"
-    return f"mod {loc.prime}"
+    text = {"at_prime": "at prime", "mod_p": "mod"}.get(loc.kind)
+    return f"{text} {loc.prime}" if text else "integral"
 
 
 def render_table(table: ChowTable, out) -> None:
@@ -131,18 +96,12 @@ def render_table(table: ChowTable, out) -> None:
 
 def _torsion_json(counts: tuple[tuple[int, int], ...]) -> list[dict]:
     """One object per distinct order of a row's canonical (order, multiplicity) pairs."""
-    out = []
-    for order, mult in counts:
-        p, e = prime_power_decompose(order)
-        out.append({"prime": p, "exponent": e, "multiplicity": mult})
-    return out
+    pairs = ((prime_power_decompose(order), mult) for order, mult in counts)
+    return [{"prime": p, "exponent": e, "multiplicity": mult} for (p, e), mult in pairs]
 
 
 def _localization_json(loc: Localization) -> dict:
-    obj = {"kind": loc.kind}
-    if loc.prime is not None:
-        obj["prime"] = loc.prime
-    return obj
+    return {"kind": loc.kind} if loc.prime is None else {"kind": loc.kind, "prime": loc.prime}
 
 
 def _json_header(table: ChowTable) -> dict:
@@ -197,11 +156,51 @@ def table_from_json_obj(obj: dict) -> ChowTable:
     )
 
 
-def _emit_json(obj: dict, out) -> None:
-    import json  # here, not at module level: table-format requests never load it
+# json.dumps's ensure_ascii escapes: these by name, any other character but
+# printable ASCII as its UTF-16 code units, \uXXXX or a surrogate pair
+_JSON_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
+_JSON_UNSAFE = re.compile(r'[^ !#-\[\]-~]')
 
-    json.dump(obj, out, indent=2)
-    out.write("\n")
+
+def _json_char(match) -> str:
+    units = match.group().encode("utf-16-be", "surrogatepass").hex()
+    return _JSON_ESCAPES.get(match.group()) or re.sub("(....)", r"\\u\1", units)
+
+
+def _json_str(text: str) -> str:
+    return '"' + _JSON_UNSAFE.sub(_json_char, text) + '"'
+
+
+def _emit_json(obj: dict, out) -> None:
+    """Write json.dumps(obj, indent=2) and a newline, for the dicts with str keys,
+    lists, strs, ints and None the verbs emit, without json's import and encoder."""
+    parts: list[str] = []
+    _json_parts(obj, "\n", parts, {}, out)
+    out.write("".join(parts) + "\n")
+
+
+def _json_parts(value, newline: str, parts: list[str], keys: dict[str, str], out) -> None:
+    # value's text, indented as newline ends; keys holds each key's text, escaped once
+    kind = type(value)
+    if kind is dict or kind is list:
+        parts.append("{" if kind is dict else "[")
+        separator = inner = newline + "  "
+        for key, item in value.items() if kind is dict else enumerate(value):
+            if kind is dict:  # a key that is not a str fails in re.sub
+                separator += keys.get(key) or keys.setdefault(key, _json_str(key) + ": ")
+            parts.append(separator)
+            _json_parts(item, inner, parts, keys, out)
+            separator = "," + inner
+            if len(parts) > 4096:  # a long list goes out as it is written
+                out.write("".join(parts))
+                parts.clear()
+        parts.append((newline if value else "") + ("}" if kind is dict else "]"))
+    elif kind is str:
+        parts.append(_json_str(value))
+    elif kind is int or value is None:
+        parts.append("null" if value is None else str(value))
+    else:
+        raise TypeError(f"not a value the verbs emit as JSON: {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +308,82 @@ def _run_sylow(args, out) -> int:
     return _emit_table(table, args, out)
 
 
+# ---------------------------------------------------------------------------
+# arguments
+
+# Each verb's help, runner and arguments, in the order -h and argparse's errors
+# list them: a name and its add_argument keywords, or a tuple of those, a
+# mutually exclusive group.  --format comes after the shared flags.
+_PRIME = _int_arg(2, prime=True)
+_FORMAT = ("--format", {"choices": ("table", "json"), "default": "table"})
+_TABLE = (
+    ("--max-degree", {"type": _int_arg(0), "default": 10}),
+    ("--field", {"default": "C", "help": "C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)"}),
+)
+_LOCATED = (*_TABLE, ("group", {"help": "group expression, e.g. 'O(3)' or 'Z/4 x Z/2'"}), (
+    ("--prime", {"type": _PRIME, "default": None, "help": "localize at this prime"}),
+    ("--mod", {"type": _PRIME, "default": None, "help": "report F_p dimensions at this prime"}),
+), _FORMAT)
+_NEEDS_PRIME = ("--prime", {"type": _PRIME, "required": True})
+VERBS = {
+    "describe": ("per-degree additive table", _run_describe, _LOCATED),
+    "series": ("per-degree numeric series", _run_series, _LOCATED),
+    "presentation": ("catalog ring presentation", _run_presentation, (_FORMAT, ("group", {}))),
+    "galois-exponent": ("Galois fixed-subgroup exponent", _run_galois_exponent, (
+        _FORMAT, _NEEDS_PRIME, ("--degree", {"type": _int_arg(1), "required": True}))),
+    "bound": ("generator degree bound", _run_bound, (_FORMAT, ("group", {}))),
+    "sylow": ("table of the p-Sylow subgroup of S_n", _run_sylow, (
+        *_TABLE, _FORMAT, ("n", {"type": _int_arg(1)}), _NEEDS_PRIME)),
+}  # fmt: skip
+
+
+def build_parser():
+    """The argparse parser of VERBS, for help and usage errors."""
+    from ._usage import argparse_parser  # a well-formed request compiles neither
+
+    return argparse_parser(VERBS)
+
+
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """build_parser().parse_args(argv), read from VERBS, if argv is a verb with
+    its positionals and exact long flags, each once as ``--flag value``, no
+    value starts with "-" and each passes its check; else None."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    _, runner, arguments = VERBS[argv[0]]
+    flags, bare, words = {}, [], iter(argv[1:])  # bare: the words that are not flags
+    for word in words:
+        if not word.startswith("-"):
+            bare.append(word)
+        elif word in flags or flags.setdefault(word, next(words, "-")).startswith("-"):
+            return None  # a repeated flag, or one without a value
+    values = {"verb": argv[0], "run": runner}
+    for argument in arguments:
+        members = argument if isinstance(argument[0], tuple) else (argument,)
+        if sum(name in flags for name, _ in members) > 1:
+            return None
+        for name, options in members:
+            dest = name.removeprefix("--").replace("-", "_")
+            text = flags.pop(name, None) if name != dest else bare.pop(0) if bare else None
+            try:  # an argument with no default must be given
+                value = options["default"] if text is None else options.get("type", str)(text)
+            except (KeyError, ValueError):
+                return None
+            if value not in options.get("choices", (value,)):
+                return None
+            values[dest] = value
+    return None if flags or bare else SimpleNamespace(**values)
+
+
 def run(argv: list[str], out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse_well_formed(argv)
+    if args is None:  # help, or a usage error for argparse to word
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.run(args, out)
     except (GroupParseError, FieldParseError) as exc:
@@ -328,11 +395,11 @@ def run(argv: list[str], out=None, err=None) -> int:
 
 
 def main() -> None:
-    # One request, then exit.  A request leaves a constant amount of cyclic
-    # garbage (argparse's parser graph, about 300 objects at any bound or
-    # input size), so a collection, during it or at interpreter shutdown, only
-    # traces every loaded module, class and function.  Freezing the heap keeps
-    # shutdown from tracing it.  run() and the library leave GC state alone.
+    # One request, then exit.  A well-formed request leaves no cyclic garbage,
+    # help or a usage error only argparse's parser graph (about 330 objects),
+    # so a collection, during it or at shutdown, would only trace every loaded
+    # module, class and function; freezing the heap keeps shutdown from it.
+    # run() and the library leave GC state alone.
     gc.disable()
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):

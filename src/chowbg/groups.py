@@ -18,8 +18,8 @@ The parser produces canonical trees (``combine_product``):
 
 Wreath and product nodes are interned, so printing a canonical tree and
 reparsing gives the same object back.  No walk recurses: the parser keeps its
-open ``(`` and ``wr(p,`` frames on a stack, the printer and ``_walk`` keep
-theirs, and the printer spells terms with the parser's tokens.
+open ``(`` and ``wr(p,`` frames on a stack, the printer keeps its own, and
+the printer spells terms with the parser's tokens.
 """
 
 from __future__ import annotations
@@ -394,43 +394,6 @@ def format_group(g: GroupExpr) -> str:
 # structural data
 
 
-def group_dimension(g: GroupExpr) -> int:
-    """Dimension as an algebraic group; finite groups have dimension 0."""
-    return sum(scale * _dimension(t) for t, scale in _walk(g))
-
-
-def _dimension(g: GroupExpr) -> int:
-    match g:
-        case Gm():
-            return 1
-        case GL(n):
-            return n * n
-        case O(n) | SO(n):
-            return n * (n - 1) // 2
-        case Sp(n):
-            m = n // 2
-            return m * (2 * m + 1)
-        case G2():
-            return 14
-        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric() | Wreath():
-            return 0  # a wreath counts through its inner terms, scaled by p
-    raise TypeError(f"not a group expression: {g!r}")
-
-
-def _walk(g: GroupExpr):
-    """The wreaths and leaves of g in pre-order, products spliced in, each
-    with the product of the degrees of the wreaths above it."""
-    stack = [(g, 1)]
-    while stack:
-        t, scale = stack.pop()
-        if isinstance(t, Product):
-            stack += ((t.right, scale), (t.left, scale))
-        else:
-            yield t, scale
-            if isinstance(t, Wreath):
-                stack.append((t.inner, scale * t.p))
-
-
 def generator_bound(g: GroupExpr) -> int:
     """Degree bound for module generators over the Chern classes of the
     catalog embedding into a product of general linear groups.
@@ -494,29 +457,3 @@ def sylow_profile(n: int, p: int) -> SylowProfile:
         m //= p
         position += 1
     return SylowProfile(p, tuple(heights))
-
-
-def abelianization(g: GroupExpr) -> GroupExpr:
-    """Abelianization of a finite catalog group, in invariant-factor form."""
-    return abelian_expr(abelian_invariant_factors(g))
-
-
-def abelian_invariant_factors(g: GroupExpr) -> tuple[int, ...]:
-    return invariant_factors(m for t, _ in _walk(g) for m in _abelianization_orders(t))
-
-
-def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
-    match g:
-        case Trivial() | SO(1):
-            return ()
-        case CyclicZ(n):
-            return (n,)
-        case FiniteAbelian(factors):
-            return factors
-        case Symmetric(n):
-            return (2,) if n >= 2 else ()
-        case O(1):
-            return (2,)
-        case Wreath(p, _):
-            return (p,)  # the walk visits its inner group
-    raise ValueError(f"abelianization requires a finite group, got {format_group(g)}")

@@ -8,12 +8,19 @@ right.
 
 from __future__ import annotations
 
+import json
 from functools import reduce
 from itertools import count
 from itertools import product as cartesian
 from math import factorial, gcd
 
-from chowbg._intmath import factorint, is_prime, prime_power_decompose, require_prime
+from chowbg._intmath import (
+    factorint,
+    invariant_factors,
+    is_prime,
+    prime_power_decompose,
+    require_prime,
+)
 from chowbg._record import Record
 from chowbg.errors import UnsupportedError
 from chowbg.graded import from_table, tensor, to_table
@@ -24,6 +31,7 @@ from chowbg.groups import (
     CyclicZ,
     FiniteAbelian,
     Gm,
+    GroupExpr,
     O,
     Product,
     Sp,
@@ -33,7 +41,9 @@ from chowbg.groups import (
     _ATOMS,
     _INTEGER_TERMS,
     _Parser,
+    abelian_expr,
     combine_product,
+    format_group,
 )
 from chowbg.tables import (
     EXACT,
@@ -613,3 +623,80 @@ def recursive_abelianization_orders(g):
     raise ValueError(
         f"abelianization requires a finite group, got {recursive_format_group(g)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# CH^1 oracles: the dimension and abelianization of a group expression, which
+# chowbg.groups kept for the tests alone.  They walk on an explicit stack, so
+# a 2,000-level wreath tower answers; the recursive_* functions above are
+# their recursive originals.
+
+
+def group_dimension(g: GroupExpr) -> int:
+    """Dimension as an algebraic group; finite groups have dimension 0."""
+    return sum(scale * _dimension(t) for t, scale in _walk(g))
+
+
+def _dimension(g: GroupExpr) -> int:
+    match g:
+        case Gm():
+            return 1
+        case GL(n):
+            return n * n
+        case O(n) | SO(n):
+            return n * (n - 1) // 2
+        case Sp(n):
+            m = n // 2
+            return m * (2 * m + 1)
+        case G2():
+            return 14
+        case Trivial() | CyclicZ() | FiniteAbelian() | Symmetric() | Wreath():
+            return 0  # a wreath counts through its inner terms, scaled by p
+    raise TypeError(f"not a group expression: {g!r}")
+
+
+def _walk(g: GroupExpr):
+    """The wreaths and leaves of g in pre-order, products spliced in, each
+    with the product of the degrees of the wreaths above it."""
+    stack = [(g, 1)]
+    while stack:
+        t, scale = stack.pop()
+        if isinstance(t, Product):
+            stack += ((t.right, scale), (t.left, scale))
+        else:
+            yield t, scale
+            if isinstance(t, Wreath):
+                stack.append((t.inner, scale * t.p))
+
+
+def abelianization(g: GroupExpr) -> GroupExpr:
+    """Abelianization of a finite catalog group, in invariant-factor form."""
+    return abelian_expr(abelian_invariant_factors(g))
+
+
+def abelian_invariant_factors(g: GroupExpr) -> tuple[int, ...]:
+    return invariant_factors(m for t, _ in _walk(g) for m in _abelianization_orders(t))
+
+
+def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
+    match g:
+        case Trivial() | SO(1):
+            return ()
+        case CyclicZ(n):
+            return (n,)
+        case FiniteAbelian(factors):
+            return factors
+        case Symmetric(n):
+            return (2,) if n >= 2 else ()
+        case O(1):
+            return (2,)
+        case Wreath(p, _):
+            return (p,)  # the walk visits its inner group
+    raise ValueError(f"abelianization requires a finite group, got {format_group(g)}")
+
+
+def json_dump_reference(obj, out):
+    """The CLI's JSON output as the json module writes it: the bytes
+    chowbg.cli._emit_json must reproduce."""
+    json.dump(obj, out, indent=2)
+    out.write("\n")

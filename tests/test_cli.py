@@ -1,17 +1,32 @@
 import contextlib
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chowbg.cli import run, table_from_json_obj, table_to_json_obj
+from chowbg.cli import (
+    _emit_json,
+    _parse_well_formed,
+    build_parser,
+    run,
+    table_from_json_obj,
+    table_to_json_obj,
+)
 from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
 from chowbg.groups import combine_product, format_group, parse_group_expr
 from chowbg.models import chow_model
+from oracles import json_dump_reference
 from strategies import parenthesised_products
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+from workloads import catalog  # noqa: E402
 
 
 # One more digit than CPython reads from a str by default
@@ -277,6 +292,19 @@ class TestOtherVerbs:
                 ["galois-exponent", "--prime", LONG_INTEGER, "--degree", "4"],
                 "argument --prime: integer of 4301 digits is too long",
             ),
+            # a long argument is quoted by its first 20 characters and counted
+            (
+                ["describe", "Z/2", "--max-degree", "-" + "1" * 4000],
+                "argument --max-degree: must be >= 0: -1111111111111111111... (4001 characters)",
+            ),
+            (
+                ["describe", "Z/2", "--prime", "1" * 4000],
+                "argument --prime: not a prime: 11111111111111111111... (4000 characters)",
+            ),
+            (
+                ["describe", "Z/2", "--max-degree", "x" + "1" * 4000],
+                "argument --max-degree: not an integer: 'x1111111111111111111'... (4001 characters)",
+            ),
         ],
     )
     def test_bad_integer_argument_exit_2(self, argv, message, capsys):
@@ -413,3 +441,234 @@ def test_fuzzed_argv_exits_0_2_or_3_with_one_line(argv):
     assert err.count("\n") <= 1 and err.endswith("\n") == bool(err), (argv, err)
     assert "Traceback" not in argparse_err.getvalue()
     assert err == "" if code == 0 else out == "", (argv, err)
+
+
+def _check_fast_path(argv):
+    """The fast path either declines argv or builds the namespace argparse
+    builds from it; returns whether it accepted."""
+    fast = _parse_well_formed(list(argv))
+    if fast is not None:
+        assert vars(fast) == vars(build_parser().parse_args(list(argv))), argv
+    return fast is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_argv())
+def test_fast_path_agrees_with_argparse_on_fuzzed_argv(argv):
+    _check_fast_path(argv)
+
+
+def _catalog_requests(workload):
+    with open(BENCH / "refs.json") as f:
+        refs = json.load(f)[workload]
+    slices = {json.dumps(list(argv), separators=(",", ":")): name for name, argv in catalog(workload)}
+    assert set(refs) == set(slices)
+    return [(slices[key], json.loads(key)) for key in refs]
+
+
+@pytest.mark.parametrize("workload", ["cli-small", "cli-large"])
+def test_fast_path_accepts_every_ordinary_reference_request(workload):
+    # the error slice holds parse errors, which are well-formed argv, and
+    # usage errors, which argparse must word; every other request is ordinary
+    declined = []
+    for slice_name, argv in _catalog_requests(workload):
+        if not _check_fast_path(argv) and slice_name != "error":
+            declined.append(argv)
+    assert declined == []
+
+
+FAST_PATH_CASES = [
+    (["describe", "O(3)", "--max-degree", "3"], True),
+    (["describe", "O(3)", "--max", "3"], False),  # an abbreviation
+    (["describe", "O(3)", "--format=json"], False),
+    (["describe", "O(3)", "--format", "json", "--format", "table"], False),
+    (["describe", "O(3)", "-h"], False),
+    (["-h"], False),
+    (["describe", "O(3)", "--prime", "2", "--mod", "3"], False),
+    (["describe", "O(3)", "--prime", "2"], True),
+    (["series", "O(3)", "--mod", "3"], True),
+    (["describe", "O(3)", "--max-degree", "-1"], False),
+    (["describe", "O(3)", "--format", "xml"], False),
+    (["--max-degree", "3", "describe", "O(3)"], False),  # a flag before the verb
+    (["describe", ""], True),  # an empty group text is a parse error, not a usage error
+    (["describe", "-O(3)"], False),
+    (["describe", "--max-degree", "3", "O(3)"], True),
+    (["describe", "O(3)", "O(4)"], False),
+    (["describe"], False),
+    (["describe", "O(3)", "--max-degree"], False),
+    (["describe", "O(3)", "--degree", "3"], False),
+    (["galois-exponent", "--degree", "4", "--prime", "5"], True),
+    (["galois-exponent", "--prime", "5"], False),
+    (["sylow", "6", "--prime", "2", "--field", "Q"], True),
+    (["sylow", "--prime", "2"], False),
+    (["bound", "G2", "--format", "json"], True),
+    (["presentation", "O(3)", "--max-degree", "3"], False),
+    ([], False),
+    (["nope"], False),
+]
+
+
+@pytest.mark.parametrize("argv, accepted", FAST_PATH_CASES)
+def test_fast_path_hand_cases(argv, accepted):
+    assert _check_fast_path(argv) == accepted
+
+
+# Every help text, byte for byte at 80 columns, as argparse prints it from
+# the parser that build_parser makes of VERBS.
+HELP_TEXTS = {
+    "": (
+        "usage: chowbg [-h]\n"
+        "              {describe,series,presentation,galois-exponent,bound,sylow} ...\n"
+        "\n"
+        "Additive structure and presentations of Chow rings of classifying spaces\n"
+        "\n"
+        "positional arguments:\n"
+        "  {describe,series,presentation,galois-exponent,bound,sylow}\n"
+        "    describe            per-degree additive table\n"
+        "    series              per-degree numeric series\n"
+        "    presentation        catalog ring presentation\n"
+        "    galois-exponent     Galois fixed-subgroup exponent\n"
+        "    bound               generator degree bound\n"
+        "    sylow               table of the p-Sylow subgroup of S_n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    "describe": (
+        "usage: chowbg describe [-h] [--max-degree MAX_DEGREE] [--field FIELD]\n"
+        "                       [--prime PRIME | --mod MOD] [--format {table,json}]\n"
+        "                       group\n"
+        "\n"
+        "positional arguments:\n"
+        "  group                 group expression, e.g. 'O(3)' or 'Z/4 x Z/2'\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-degree MAX_DEGREE\n"
+        "  --field FIELD         C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)\n"
+        "  --prime PRIME         localize at this prime\n"
+        "  --mod MOD             report F_p dimensions at this prime\n"
+        "  --format {table,json}\n"
+    ),
+    "series": (
+        "usage: chowbg series [-h] [--max-degree MAX_DEGREE] [--field FIELD]\n"
+        "                     [--prime PRIME | --mod MOD] [--format {table,json}]\n"
+        "                     group\n"
+        "\n"
+        "positional arguments:\n"
+        "  group                 group expression, e.g. 'O(3)' or 'Z/4 x Z/2'\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-degree MAX_DEGREE\n"
+        "  --field FIELD         C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)\n"
+        "  --prime PRIME         localize at this prime\n"
+        "  --mod MOD             report F_p dimensions at this prime\n"
+        "  --format {table,json}\n"
+    ),
+    "presentation": (
+        "usage: chowbg presentation [-h] [--format {table,json}] group\n"
+        "\n"
+        "positional arguments:\n"
+        "  group\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {table,json}\n"
+    ),
+    "galois-exponent": (
+        "usage: chowbg galois-exponent [-h] [--format {table,json}] --prime PRIME\n"
+        "                              --degree DEGREE\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {table,json}\n"
+        "  --prime PRIME\n"
+        "  --degree DEGREE\n"
+    ),
+    "bound": (
+        "usage: chowbg bound [-h] [--format {table,json}] group\n"
+        "\n"
+        "positional arguments:\n"
+        "  group\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {table,json}\n"
+    ),
+    "sylow": (
+        "usage: chowbg sylow [-h] [--max-degree MAX_DEGREE] [--field FIELD]\n"
+        "                    [--format {table,json}] --prime PRIME\n"
+        "                    n\n"
+        "\n"
+        "positional arguments:\n"
+        "  n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --max-degree MAX_DEGREE\n"
+        "  --field FIELD         C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)\n"
+        "  --format {table,json}\n"
+        "  --prime PRIME\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", list(HELP_TEXTS))
+def test_help_texts_are_unchanged(verb, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = run([verb, "--help"] if verb else ["--help"])
+    assert (code, printed.getvalue()) == (0, HELP_TEXTS[verb])
+
+
+# JSON values of the kinds the verbs emit: dicts with str keys, lists, ints,
+# None and strings with quotes, backslashes, control, non-ASCII, astral and
+# lone surrogate characters
+_ANY_CHARACTER = st.characters(min_codepoint=0, max_codepoint=0x10FFFF, blacklist_categories=())
+_JSON_TEXTS = st.text(_ANY_CHARACTER, max_size=8) | st.sampled_from(
+    ['"', "\\", "\x7f", "\x00\x1f\b\f\n\r\t", "é٣", "\U0001f600", "\ud800", "\udfff\ud800"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.integers() | _JSON_TEXTS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXTS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def _emitted(obj):
+    out = io.StringIO()
+    _emit_json(obj, out)
+    return out.getvalue()
+
+
+def _reference(obj):
+    out = io.StringIO()
+    json_dump_reference(obj, out)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+@example({"schema": 1, "group": None, "degrees": [], "provenance": [{}]})
+def test_json_writer_matches_json_dump(obj):
+    assert _emitted(obj) == _reference(obj)
+
+
+def test_json_writer_writes_long_lists_in_chunks():
+    obj = {"values": list(range(5000)), "rows": [{"a": [i, None, "x"]} for i in range(3000)]}
+    assert _emitted(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, (1, 2), {1: 2}])
+def test_json_writer_refuses_what_the_verbs_never_emit(value):
+    with pytest.raises(TypeError):
+        _emitted({"value": value})
+
+
+def test_field_name_is_escaped_as_json_dump_escapes_it():
+    code, out, _ = invoke(["describe", "Z/2", "--field", "F_٣", "--max-degree", "1", "--format", "json"])
+    assert code == 0
+    assert '    "name": "F_\\u0663"\n' in out
+    assert out == _reference(json.loads(out))

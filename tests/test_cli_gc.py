@@ -27,8 +27,11 @@ from chowbg.cli import run
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-# argparse's parser graph is most of it: 269 objects, 302 with --format json
-GARBAGE_BOUND = 400
+# A well-formed request is read without argparse and leaves no cyclic
+# garbage.  Help and usage errors build argparse's parser, whose graph is
+# the garbage they leave: 328 objects for the usage errors below.
+GARBAGE_BOUND = 0
+USAGE_ERROR_BOUND = 400
 
 VERB_CALLS = [
     ["describe", "wr(2, Z/2) x O(3)", "--max-degree", "6"],
@@ -60,7 +63,18 @@ def _garbage_after(argv):
 def test_one_request_leaves_bounded_cyclic_garbage(argv, fmt):
     code, garbage = _garbage_after([*argv, "--format", fmt])
     assert code == 0
-    assert 0 < garbage <= GARBAGE_BOUND
+    assert garbage <= GARBAGE_BOUND
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["describe", "Z/2", "--max-degree", "-1"], ["describe", "Z/2", "--format", "xml"]],
+    ids=["refused-value", "bad-choice"],
+)
+def test_a_usage_error_leaves_only_the_parser_graph(argv, capsys):
+    code, garbage = _garbage_after(argv)
+    assert code == 2 and "usage:" in capsys.readouterr().err
+    assert 0 < garbage <= USAGE_ERROR_BOUND
 
 
 @pytest.mark.parametrize(

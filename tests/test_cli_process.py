@@ -240,7 +240,7 @@ def test_full_presentation_of_rank_100000_answers_in_a_fresh_process():
 
 
 def test_cli_import_loads_neither_json_nor_dataclasses():
-    # json is imported by the JSON writer only; Record replaces dataclasses
+    # cli writes JSON itself; Record replaces dataclasses
     probe = "import sys, chowbg.cli; print([m for m in ('json', 'dataclasses') if m in sys.modules])"
     child = subprocess.run(
         [sys.executable, "-c", probe], env=ENV, capture_output=True, text=True, timeout=60
@@ -248,9 +248,43 @@ def test_cli_import_loads_neither_json_nor_dataclasses():
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
+# runs chowbg.cli as `python -m` does and prints which of argparse and json it loaded
+_STDLIB_PROBE = """
+    import runpy, sys
+    sys.argv = ["chowbg", *sys.argv[1:]]
+    try:
+        runpy.run_module("chowbg.cli", run_name="__main__")
+    except SystemExit as exc:
+        print(exc.code, [m for m in ("argparse", "json") if m in sys.modules], file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("describe", "O(8)", "--max-degree", "33", "--format", "json"), "0 []"),
+        (("series", "O(7)", "--max-degree", "35"), "0 []"),
+        (("describe", "O(8)", "--max-degree", "-1"), "2 ['argparse']"),
+        (("describe", "--help"), "0 ['argparse']"),
+    ],
+    ids=["describe-json", "series", "usage-error", "help"],
+)
+def test_only_help_and_usage_errors_load_argparse(argv, loaded):
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_STDLIB_PROBE), *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0
+    assert child.stderr.splitlines()[-1] == loaded
+
+
 # The chowbg modules and their non-blank lines that one request of each verb
 # compiles, with no cached bytecode: today all six compile the same ten
-# modules.  The bounds are upper bounds, so a verb may come to compile less.
+# modules (help and usage errors also compile _usage, the argparse builder).
+# The bounds are upper bounds, so a verb may come to compile less.
 COMPILED_SURFACE = {
     "describe": (10, 2005),
     "series": (10, 2005),

@@ -32,11 +32,16 @@ from chowbg.graded import (
     normalize,
     to_table,
 )
-from chowbg.groups import CyclicZ, O, Wreath, abelian_invariant_factors
+from chowbg.groups import CyclicZ, O, Wreath
 from chowbg.models import chow_model, chow_symmetric_sylow_bound
 from chowbg.tables import DegreeRow
 import oracles
-from oracles import cyclic_square_of_plane, repeated_power_counts, rotation_orbits
+from oracles import (
+    abelian_invariant_factors,
+    cyclic_square_of_plane,
+    repeated_power_counts,
+    rotation_orbits,
+)
 from strategies import graded_groups
 
 

@@ -14,14 +14,12 @@ from chowbg.groups import (
     Symmetric,
     Trivial,
     Wreath,
-    abelian_invariant_factors,
-    abelianization,
     format_group,
     generator_bound,
-    group_dimension,
     parse_group_expr,
     sylow_profile,
 )
+from oracles import abelian_invariant_factors, abelianization, group_dimension
 from strategies import group_exprs
 
 

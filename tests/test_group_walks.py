@@ -27,15 +27,15 @@ from chowbg.groups import (
     CyclicZ,
     Product,
     Wreath,
-    abelian_invariant_factors,
     format_group,
     generator_bound,
-    group_dimension,
     parse_group_expr,
     product_terms,
     wreath_tower,
 )
 from oracles import (
+    abelian_invariant_factors,
+    group_dimension,
     recursive_abelianization_orders,
     recursive_format_group,
     recursive_generator_bound,

@@ -17,7 +17,6 @@ from chowbg.groups import (
     Product,
     Symmetric,
     Wreath,
-    abelian_invariant_factors,
     parse_group_expr,
     product_terms,
     sylow_profile,
@@ -43,6 +42,7 @@ from chowbg.tables import (
     polynomial_table,
 )
 from oracles import (
+    abelian_invariant_factors,
     from_counts_localize_table,
     from_counts_mod_p_table,
     group_order,

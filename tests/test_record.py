@@ -394,12 +394,12 @@ def test_validation_messages_kept(make, error, message):
 ALL_NAMES = [
     "ChowTable", "DegreeRow", "FieldDescriptor", "FieldParseError", "GaloisFixedSpec",
     "GradingError", "GroupExpr", "GroupParseError", "Localization", "RingPresentation",
-    "SylowProfile", "UnsupportedError", "abelian_invariant_factors", "abelianization",
-    "additive_table_from_presentation", "apply_cyclotomic_invariants",
+    "SylowProfile", "UnsupportedError", "additive_table_from_presentation",
+    "apply_cyclotomic_invariants",
     "catalog_presentation", "chow_integral_symmetric", "chow_model", "chow_model_localized",
     "chow_model_mod_p", "chow_symmetric_local", "chow_symmetric_sylow_bound", "chow_wreath",
     "contains_mu", "cyclic", "cyclotomic_order", "errors", "fields", "format_group",
-    "galois_fixed_exponent", "generator_bound", "graded", "group_dimension", "groups",
+    "galois_fixed_exponent", "generator_bound", "graded", "groups",
     "localize_table", "mod_p_table", "models", "parse_field", "parse_group_expr",
     "presentations", "sylow_profile", "tables",
 ]  # fmt: skip
@@ -416,5 +416,5 @@ def test_cli_import_skips_dataclasses_and_keeps_exports():
     )
     assert child.returncode == 0 and child.stderr == ""
     assert child.stdout == "[]\n"
-    assert len(ALL_NAMES) == 43
+    assert len(ALL_NAMES) == 40
     assert sorted(chowbg.__all__) == ALL_NAMES
