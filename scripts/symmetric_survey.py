@@ -38,7 +38,7 @@ def main():
                 table = chow_symmetric_sylow_bound(n, p, args.max_degree)
                 kind = "Sylow upper bound"
             row_text = "  ".join(
-                f"{row.degree}:{render_row_value(row)}" for row in table.rows
+                f"{row.degree}:{render_row_value(row.free_rank, row.counts)}" for row in table.rows
             )
             print(f"{header}\n  [{kind}] {row_text}")
         print()

@@ -8,10 +8,10 @@ answer is exact.  ``factorint`` strips those primes and splits what is left
 by a short Fermat search, which splits at once a product of two factors
 close to its square root, then by Pollard rho with Brent's cycle finding
 (Brent, BIT 20 (1980)).  A number that must be tested at or above the bound
-raises ``UnsupportedError`` naming the number asked about: no answer here is
-a probable one.  15-digit primes and products of two 8-digit primes take
-milliseconds; the slowest case below the bound, two 13-digit factors far
-apart, takes about a second.
+raises ``UnsupportedError`` naming the number asked about, by its first
+digits and length if it is long: no answer here is a probable one.  15-digit
+primes and products of two 8-digit primes take milliseconds; the slowest case
+below the bound, two 13-digit factors far apart, takes about a second.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 
-from .errors import UnsupportedError
+from .errors import UnsupportedError, echo
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _FERMAT_STEPS = 256  # values of a that _fermat_factor tries, one isqrt each
@@ -69,7 +69,7 @@ def is_prime(n: int) -> bool:
             return False
     if n >= PRIMALITY_BOUND:  # refused before any power: n may have thousands of digits
         raise UnsupportedError(
-            f"cannot certify whether {n} is prime: exact primality is only "
+            f"cannot certify whether {echo(str(n))} is prime: exact primality is only "
             f"available below {PRIMALITY_BOUND}"
         )
     return _strong_probable_prime(n)
@@ -148,7 +148,7 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
             m_is_prime = is_prime(m)
         except UnsupportedError:  # name the number asked about, not the cofactor
             raise UnsupportedError(
-                f"cannot certify the prime factors of {n}: exact primality is only "
+                f"cannot certify the prime factors of {echo(str(n))}: exact primality is only "
                 f"available below {PRIMALITY_BOUND}"
             ) from None
         if m_is_prime:

@@ -4,7 +4,7 @@ Verbs: describe, series, presentation, galois-exponent, bound, sylow.
 Exit codes: 0 success, 2 parse error (group or field text; a group text
 error gives its byte offset) or usage error (bad flags or integers), 3
 unsupported computation, 1 stdout closed before the output was written.
-Output is deterministic: rows and torsion are emitted in canonical order,
+Output is deterministic: degrees and torsion are emitted in canonical order,
 JSON objects in fixed key order.  A well-formed argv is read straight from
 ``VERBS`` and JSON is written here: only help and usage errors load argparse.
 """
@@ -18,7 +18,7 @@ import sys
 from types import SimpleNamespace
 
 from ._intmath import is_prime, prime_power_decompose
-from .errors import FieldParseError, GroupParseError, UnsupportedError
+from .errors import FieldParseError, GroupParseError, UnsupportedError, echo
 from .fields import galois_fixed_exponent, parse_field
 from .groups import format_group, generator_bound, parse_group_expr
 from .models import (
@@ -28,14 +28,9 @@ from .models import (
     chow_symmetric_sylow_bound,
 )
 from .presentations import catalog_presentation
-from .tables import ChowTable, DegreeRow, Localization
+from .tables import ChowTable, DegreeRow, Localization, torsion_counts
 
 JSON_SCHEMA_VERSION = 1
-
-
-def _echo(text: str, show=str) -> str:
-    # a long argument is shown by its first 20 characters and counted, not echoed
-    return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def _int_arg(minimum: int, prime: bool = False):
@@ -48,15 +43,15 @@ def _int_arg(minimum: int, prime: bool = False):
             digits = text.removeprefix("-")
             if digits.isdecimal():  # more digits than sys.get_int_max_str_digits()
                 raise ValueError(f"integer of {len(digits)} digits is too long")
-            raise ValueError(f"not an integer: {_echo(text, repr)}")
+            raise ValueError(f"not an integer: {echo(text, repr)}")
         try:
             not_prime = prime and not is_prime(value)
         except UnsupportedError as exc:
             raise ValueError(str(exc))
         if not_prime:
-            raise ValueError(f"not a prime: {_echo(str(value))}")
+            raise ValueError(f"not a prime: {echo(str(value))}")
         if value < minimum:
-            raise ValueError(f"must be >= {minimum}: {_echo(str(value))}")
+            raise ValueError(f"must be >= {minimum}: {echo(str(value))}")
         return value
 
     return parse
@@ -66,13 +61,14 @@ def _int_arg(minimum: int, prime: bool = False):
 # rendering
 
 
-def render_row_value(row: DegreeRow) -> str:
+def render_row_value(free_rank: int, counts: tuple[tuple[int, int], ...]) -> str:
+    """One degree's group from its free rank and canonical (order, multiplicity) pairs."""
     parts = []
-    if row.free_rank == 1:
+    if free_rank == 1:
         parts.append("Z")
-    elif row.free_rank > 1:
-        parts.append(f"Z^{row.free_rank}")
-    for order, mult in row.counts:
+    elif free_rank > 1:
+        parts.append(f"Z^{free_rank}")
+    for order, mult in counts:
         parts.append(f"Z/{order}" if mult == 1 else f"(Z/{order})^{mult}")
     return " ⊕ ".join(parts) if parts else "0"
 
@@ -90,12 +86,12 @@ def render_table(table: ChowTable, out) -> None:
     out.write(f"localization: {_localization_text(table.localization)}\n")
     out.write(f"provenance: {', '.join(table.provenance)}\n")
     width = len(str(table.bound))
-    for row in table.rows:
-        out.write(f"  {row.degree:>{width}}: {render_row_value(row)}\n")
+    for degree, (free_rank, counts) in enumerate(zip(table.free, torsion_counts(table))):
+        out.write(f"  {degree:>{width}}: {render_row_value(free_rank, counts)}\n")
 
 
 def _torsion_json(counts: tuple[tuple[int, int], ...]) -> list[dict]:
-    """One object per distinct order of a row's canonical (order, multiplicity) pairs."""
+    """One object per distinct order of a degree's canonical (order, multiplicity) pairs."""
     pairs = ((prime_power_decompose(order), mult) for order, mult in counts)
     return [{"prime": p, "exponent": e, "multiplicity": mult} for (p, e), mult in pairs]
 
@@ -123,12 +119,8 @@ def table_to_json_obj(table: ChowTable) -> dict:
         **_json_header(table),
         "bound": table.bound,
         "degrees": [
-            {
-                "degree": row.degree,
-                "free_rank": row.free_rank,
-                "torsion": _torsion_json(row.counts),
-            }
-            for row in table.rows
+            {"degree": degree, "free_rank": free_rank, "torsion": _torsion_json(counts)}
+            for degree, (free_rank, counts) in enumerate(zip(table.free, torsion_counts(table)))
         ],
         "provenance": list(table.provenance),
     }
@@ -232,13 +224,12 @@ def _run_describe(args, out) -> int:
 def _run_series(args, out) -> int:
     table = _compute_table(args)
     kind = "mod-p-dimension" if args.mod is not None else "free-rank"
-    values = [row.free_rank for row in table.rows]
     if args.format == "json":
-        _emit_json({**_json_header(table), "kind": kind, "values": values}, out)
+        _emit_json({**_json_header(table), "kind": kind, "values": list(table.free)}, out)
     else:
         out.write(f"group: {format_group(table.group)}\n")
         out.write(f"kind: {kind}\n")
-        out.write("series: " + " ".join(str(v) for v in values) + "\n")
+        out.write("series: " + " ".join(map(str, table.free)) + "\n")
     return 0
 
 

@@ -1,6 +1,12 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and how their messages quote input."""
 
 from __future__ import annotations
+
+
+def echo(text: str, show=str) -> str:
+    """``show(text)``, or for a text of more than 40 characters its first 20
+    and its length, so a refusal of a long number or argument stays short."""
+    return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 class GroupParseError(ValueError):

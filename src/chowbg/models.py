@@ -36,9 +36,8 @@ G_{p,1}, the free rank plus the p-power summands.
 The private ``_memo`` fills the memo in post-order from an explicit stack: a
 build that needs a wreath table (a wreath's inner group, a product's wreath
 term) waits there while that table is looked up or built, so a tower costs no
-Python frames.  It builds no rows: each public function builds those of the
-table it returns inside the call, ``chow_model``, the Sylow bound and the
-integral symmetric table on the memo's own table or a truncation of it.
+Python frames.  Every function here returns series alone: a table's rows are
+built only by a reader of ``rows``, on that table.
 """
 
 from __future__ import annotations
@@ -106,25 +105,17 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     degrees of the table through any larger degree, so one table per
     (g, k), wreath products included, is kept.  Its own bound returns it,
     a smaller bound a fresh truncation, and only a larger bound builds
-    again.  The returned table has its rows built.  ``chow_model.cache_info()``
-    counts every memo lookup, those of wreath inner tables and product terms
-    included, and a truncation as a hit, so the misses are the
-    ``polynomial_table`` and wreath builds, and ``currsize`` the (g, k)
-    entries; ``chow_model.cache_clear()`` empties both.
+    again.  ``chow_model.cache_info()`` counts every memo lookup, those of
+    wreath inner tables and product terms included, and a truncation as a
+    hit, so the misses are the ``polynomial_table`` and wreath builds, and
+    ``currsize`` the (g, k) entries; ``chow_model.cache_clear()`` empties both.
     """
-    return _answer(g, k, bound)
-
-
-def _answer(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """``chow_model`` for the public functions: the memo's table with its
-    rows built on it, so that later calls share them, or its truncation to
-    ``bound``, which shares the first bound + 1 of them."""
-    return _memo(g, k, bound).materialized().truncated(bound)
+    return _memo(g, k, bound)
 
 
 def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """The stored table of (g, k), built if its bound is below ``bound``;
-    it builds no rows, and its bound may exceed ``bound``."""
+    """The stored table of (g, k), built if its bound is below ``bound``,
+    truncated to ``bound``."""
     builds: list = []  # (group, build) pairs waiting for a wreath table, innermost last
     while True:
         with _lock:
@@ -146,14 +137,14 @@ def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
                 if stored is None or bound > stored.bound:
                     _widest[(group, k)] = table
         else:
-            return table
+            return table.truncated(bound)
 
 
 def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
     """A generator that yields each wreath group whose table the table of
     (g, k) through ``bound`` needs, is sent that table, and returns its own."""
     if isinstance(g, Wreath):
-        return _wreath(g.p, (yield g.inner).truncated(bound))
+        return chow_wreath(g.p, (yield g.inner).truncated(bound))
     factors, extrapolated = [], False
     for t in product_terms(g):
         generators, x = _model(t, k, bound, (yield t) if isinstance(t, Wreath) else None)
@@ -225,11 +216,6 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
 
 def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
     """Table of B(wr(p, G)) from the table of BG via the codim cyclic power."""
-    return _wreath(p, inner).materialized()
-
-
-def _wreath(p: int, inner: ChowTable) -> ChowTable:
-    """``chow_wreath`` without building rows."""
     require_prime(p)
     if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
         raise UnsupportedError("wreath construction needs an exact inner table")
@@ -251,11 +237,6 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     ``Z[x]/(p x)`` with ``deg x = p - 1``.  The outcome is the same for
     every base field of characteristic != p.
     """
-    return _symmetric_local(n, p, k, bound).materialized()
-
-
-def _symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> ChowTable:
-    """``chow_symmetric_local`` without building rows."""
     require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -272,7 +253,7 @@ def chow_symmetric_sylow_bound(
     require_prime(p)
     require_mu(field, p, f"the {p}-Sylow table of S_{n}")
     profile = sylow_profile(n, p)
-    table = _answer(profile.group(), field, bound)
+    table = _memo(profile.group(), field, bound)
     return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
 
 
@@ -282,7 +263,7 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _answer(Symmetric(n), field, bound)
+    return _memo(Symmetric(n), field, bound)
 
 
 def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int, int]]:
@@ -308,7 +289,7 @@ def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -
     require_prime(p)
     if isinstance(g, Symmetric):
         return chow_symmetric_local(g.n, p, k, bound)
-    return localize_table(_memo(g, k, bound).truncated(bound), p).materialized()
+    return localize_table(_memo(g, k, bound), p)
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
@@ -317,7 +298,7 @@ def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> Ch
     with the same checks in the same order and no localized copy."""
     require_prime(p)
     if isinstance(g, Symmetric):
-        table = _symmetric_local(g.n, p, k, bound)
+        table = chow_symmetric_local(g.n, p, k, bound)
     else:
-        table = _memo(g, k, bound).truncated(bound)
-    return mod_p_table(table, p).materialized()
+        table = _memo(g, k, bound)
+    return mod_p_table(table, p)

@@ -11,14 +11,14 @@ truncates the series, and a table factor of a Kunneth product enters as
 its series.  Equality, hashing and pickling read the bound, the series and
 the metadata (group, base field, localization, provenance).
 
-``rows`` is the per-degree view, one ``DegreeRow`` per degree, built from
-the series on first read and cached on the table; a copy that changes
-only metadata, and a truncation of a table whose rows are built, share
-them.  A ``DegreeRow`` holds its torsion as canonical ``(order,
-multiplicity)`` pairs, ``row.counts``: one pair per distinct prime-power
-order, sorted by (prime, exponent), so rows compare and render
-deterministically and cost grows with the distinct orders, not with the
-number of cyclic summands.  ``row.torsion`` is the expanded view, one entry
+``torsion_counts`` reads each degree's torsion off the series as canonical
+``(order, multiplicity)`` pairs: one pair per distinct prime-power order,
+sorted by (prime, exponent), so tables render deterministically and cost
+grows with the distinct orders, not with the number of cyclic summands.
+``rows`` is the per-degree view, one ``DegreeRow`` per degree holding those
+pairs as ``row.counts``, built from the series by its first reader and
+cached on that table alone; nothing in the package reads it on the way to
+an answer or its output.  ``row.torsion`` is the expanded view, one entry
 per summand, built on demand.  A table built from rows (the constructor,
 ``with_metadata(rows=...)``) checks them and converts them to series once.
 
@@ -30,9 +30,9 @@ series, so their cost grows with the distinct (prime, exponent) levels and
 the bound, not with the pairs of classes: a generator is a stride prefix
 sum, a table factor a truncated product of series (one big-integer product
 each), the cyclic power Polya's ``(s^p + (p - 1) s(t^p)) / p`` with the
-power taken by squaring.  Rows come back by differencing adjacent levels,
-canonical as built.  The p-local and mod-p views, ``localize_table`` and
-``mod_p_table``, live here too, so the series are rebuilt only in this
+power taken by squaring.  The torsion comes back by differencing adjacent
+levels, canonical as built.  The p-local and mod-p views, ``localize_table``
+and ``mod_p_table``, live here too, so the series are rebuilt only in this
 module; outside it they are only read (``free``, ``levels``).
 """
 
@@ -129,7 +129,7 @@ class DegreeRow(Record):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
 
 
-_set_degree, _set_free_rank, _set_counts = DegreeRow._setters  # the hot stores of ``_rows_of``
+_set_degree, _set_free_rank, _set_counts = DegreeRow._setters  # the hot stores of ``rows``
 
 
 class ChowTable(Record):
@@ -167,11 +167,8 @@ class ChowTable(Record):
         super().__init__(bound, free, levels, group, field, localization, provenance, rows)
 
     @classmethod
-    def _stored(
-        cls, bound, free, levels, group, field, localization, provenance, rows=None
-    ) -> "ChowTable":
-        """A table of series already in the stored form, unchecked; ``rows``,
-        if given, are its rows."""
+    def _stored(cls, bound, free, levels, group, field, localization, provenance) -> "ChowTable":
+        """A table of series already in the stored form, unchecked, its rows unbuilt."""
         table = cls.__new__(cls)
         _set_bound(table, bound)  # the slot setters directly: ``Record.__init__``'s loop is slower
         _set_free(table, free)
@@ -180,7 +177,7 @@ class ChowTable(Record):
         _set_field(table, field)
         _set_localization(table, localization)
         _set_provenance(table, provenance)
-        _set_rows(table, rows)
+        _set_rows(table, None)
         return table
 
     @property
@@ -188,7 +185,11 @@ class ChowTable(Record):
         """One row per degree 0..bound, built on first read and cached."""
         rows = self._rows
         if rows is None:
-            rows = _rows_of(self.free, self.levels)
+            n = len(self.free)
+            rows = tuple(map(DegreeRow.__new__, repeat(DegreeRow, n)))
+            deque(map(_set_degree, rows, range(n)), 0)  # the slots filled for all rows at once
+            deque(map(_set_free_rank, rows, self.free), 0)
+            deque(map(_set_counts, rows, torsion_counts(self)), 0)
             _set_rows(self, rows)
         return rows
 
@@ -197,17 +198,11 @@ class ChowTable(Record):
             raise ValueError(f"degree {degree} outside table bound {self.bound}")
         return self.rows[degree]
 
-    def materialized(self) -> "ChowTable":
-        """This table, with its rows built and cached."""
-        self.rows
-        return self
-
     def with_metadata(self, **kw) -> "ChowTable":
         """A copy with the given fields replaced; an unknown field is a TypeError.
 
         New rows or a new bound are checked and converted as in the
-        constructor; a copy that replaces only metadata shares the series
-        and, if they are built, the rows."""
+        constructor; a copy that replaces only metadata shares the series."""
         if not kw.keys() <= _METADATA:  # the constructor checks rows and names
             for name in _FIELDS:
                 kw.setdefault(name, getattr(self, name))
@@ -220,14 +215,12 @@ class ChowTable(Record):
             kw.get("field", self.field),
             kw.get("localization", self.localization),
             kw.get("provenance", self.provenance),
-            self._rows,
         )
 
     def truncated(self, bound: int) -> "ChowTable":
         """The table through degree ``bound`` of a graded table: this table
         at its own bound, else a new one with the series cut after degree
-        ``bound``, the same metadata, and the first bound + 1 rows if they
-        are built."""
+        ``bound`` and the same metadata."""
         if bound == self.bound:
             return self
         if not 0 <= bound < self.bound:
@@ -235,9 +228,8 @@ class ChowTable(Record):
         n = bound + 1
         free = self.free[:n]
         levels = _stored_levels(free, {l: [s[:n] for s in lv] for l, lv in self.levels})
-        rows = None if self._rows is None else self._rows[:n]
         return ChowTable._stored(
-            bound, free, levels, self.group, self.field, self.localization, self.provenance, rows
+            bound, free, levels, self.group, self.field, self.localization, self.provenance
         )
 
     def __reduce__(self):
@@ -269,31 +261,25 @@ def _stored_levels(free: tuple, levels: dict) -> tuple:
     return tuple(out)
 
 
-def _rows_of(free: tuple, levels: tuple) -> tuple[DegreeRow, ...]:
-    """The rows of the series: the count of Z/l^a in degree d is
-    G_{l,a}[d] - G_{l,a+1}[d], with G_{l,A+1} = ``free``.  The pairs are
-    added in (prime, exponent) order, so the rows are canonical as built;
-    the slots are filled by ``map`` over all rows at once."""
-    n = len(free)
-    counts = [()] * n
-    for l, lv in levels:
+def torsion_counts(table: ChowTable) -> list[tuple[tuple[int, int], ...]]:
+    """The torsion of each degree 0..bound as canonical ``(order,
+    multiplicity)`` pairs, read off the series: the count of Z/l^a in degree
+    d is G_{l,a}[d] - G_{l,a+1}[d], with G_{l,A+1} = ``free``.  The pairs are
+    added in (prime, exponent) order, so they are canonical as built."""
+    free = table.free
+    counts = [()] * len(free)
+    for l, lv in table.levels:
         for a, (g, h) in enumerate(zip(lv, lv[1:] + (free,)), 1):
             q = l**a
             for d, m in enumerate(map(sub, g, h)):
                 if m:
                     counts[d] += ((q, m),)
-    rows = list(map(DegreeRow.__new__, repeat(DegreeRow, n)))
-    deque(map(_set_degree, rows, range(n)), 0)
-    deque(map(_set_free_rank, rows, free), 0)
-    deque(map(_set_counts, rows, counts), 0)
-    return tuple(rows)
+    return counts
 
 
 def localize_table(table: ChowTable, p: int) -> ChowTable:
     """Keep the free part and the p-power torsion of every degree: the
-    series ``free`` and the levels of p.  A table with no torsion prime but
-    p is its own local table, a copy that shares its series and, if they
-    are built, its rows."""
+    series ``free`` and the levels of p."""
     require_prime(p)
     levels = tuple(e for e in table.levels if e[0] == p)
     return _view(table, table.free, levels, Localization("at_prime", p))
@@ -302,20 +288,16 @@ def localize_table(table: ChowTable, p: int) -> ChowTable:
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each degree, reported in the free-rank column: the
     free rank plus the number of p-power torsion summands, which is the
-    level G_{p,1} of the series, or ``free`` without p-power torsion.  A
-    torsion-free table is its own mod-p table, a copy that shares its
-    series and, if they are built, its rows."""
+    level G_{p,1} of the series, or ``free`` without p-power torsion."""
     require_prime(p)
     g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
     return _view(table, g1, (), Localization("mod_p", p))
 
 
 def _view(table: ChowTable, free: tuple, levels: tuple, localization: Localization) -> ChowTable:
-    """The table with the given series and localization; it shares the
-    table's rows if the series are the table's own."""
-    rows = table._rows if free is table.free and levels == table.levels else None
+    """The table with the given series and localization."""
     return ChowTable._stored(
-        table.bound, free, levels, table.group, table.field, localization, table.provenance, rows
+        table.bound, free, levels, table.group, table.field, localization, table.provenance
     )
 
 

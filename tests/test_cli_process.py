@@ -204,9 +204,30 @@ def test_factoring_refusal_names_the_number_typed():
     child, seconds = _timed_run(["describe", f"Z/{OVER_BOUND_COMPOSITE}"])
     assert (child.returncode, child.stdout) == (3, b"")
     assert child.stderr.decode("utf-8") == (
-        f"unsupported: cannot certify the prime factors of {OVER_BOUND_COMPOSITE}: "
-        "exact primality is only available below 3317044064679887385961981\n"
+        "unsupported: cannot certify the prime factors of 10000000000000000000... "
+        "(77 characters): exact primality is only available below 3317044064679887385961981\n"
     )
+    assert seconds < 5
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["describe", "Z/3" + "0" * 3000 + "1"], 3),
+        (["describe", "Z/2", "--prime", str(10**80 + 1)], 2),
+        (["galois-exponent", "--prime", str(10**80 + 1), "--degree", "2"], 2),
+    ],
+    ids=["3002-digit-order", "81-digit-prime", "81-digit-galois-prime"],
+)
+def test_refusals_quote_long_numbers_briefly(argv, code):
+    # a number past 40 characters is quoted by its first 20 and its length;
+    # a usage error (exit 2) prints argparse's usage lines above the message
+    child, seconds = _timed_run(argv)
+    err = child.stderr.decode("utf-8")
+    assert (child.returncode, child.stdout) == (code, b"")
+    assert "Traceback" not in err and len(err.splitlines()[-1].encode()) < 300, err
+    assert len(child.stderr) < 300 if code == 3 else err.startswith("usage: ")
+    assert "cannot certify" in err and "0000000000... (" in err and " characters)" in err
     assert seconds < 5
 
 
@@ -286,12 +307,12 @@ def test_only_help_and_usage_errors_load_argparse(argv, loaded):
 # modules (help and usage errors also compile _usage, the argparse builder).
 # The bounds are upper bounds, so a verb may come to compile less.
 COMPILED_SURFACE = {
-    "describe": (10, 2005),
-    "series": (10, 2005),
-    "presentation": (10, 2005),
-    "galois-exponent": (10, 2005),
-    "bound": (10, 2005),
-    "sylow": (10, 2005),
+    "describe": (10, 1972),
+    "series": (10, 1972),
+    "presentation": (10, 1972),
+    "galois-exponent": (10, 1972),
+    "bound": (10, 1972),
+    "sylow": (10, 1972),
 }
 # runs chowbg.cli as `python -m` does, and prints each compiled chowbg file
 # with its non-blank line count, from the "compile" audit events
@@ -331,3 +352,50 @@ def test_compiled_surface_per_verb(argv, tmp_path):
     modules, lines = COMPILED_SURFACE[argv[0]]
     assert len(compiled) <= modules, compiled
     assert sum(compiled.values()) <= lines, compiled
+
+
+# runs chowbg.cli as `python -m` does and prints its exit code and the number
+# of DegreeRow objects made, counted by a replaced DegreeRow.__new__
+_ROW_PROBE = """
+    import runpy, sys
+    from chowbg.tables import DegreeRow
+    made = []
+    def counting_new(cls, *args):
+        made.append(cls)
+        return object.__new__(cls)
+    DegreeRow.__new__ = staticmethod(counting_new)
+    sys.argv = ["chowbg", *sys.argv[1:]]
+    try:
+        runpy.run_module("chowbg.cli", run_name="__main__")
+    except SystemExit as exc:
+        print(exc.code, len(made), file=sys.stderr)
+"""
+_AUDITED_REQUESTS = [
+    ["describe", "O(8)", "--max-degree", "32"],
+    ["describe", "wr(2, Z/2) x wr(3, Z/3)", "--prime", "2", "--max-degree", "12"],
+    ["describe", "wr(2, Z/2) x wr(3, Z/3)", "--mod", "3", "--max-degree", "12"],
+    ["describe", "S_3", "--prime", "3", "--max-degree", "6"],
+    ["series", "O(8)"],
+    ["series", "wr(2, Z/4) x Z/3", "--prime", "3"],
+    ["series", "GL(2) x Z/2", "--mod", "2"],
+    ["series", "S_3", "--mod", "2"],
+    ["sylow", "6", "--prime", "2", "--max-degree", "8"],
+    ["presentation", "Sp(4)"],
+    ["galois-exponent", "--prime", "5", "--degree", "4"],
+    ["bound", "G2"],
+]
+ROW_AUDIT = [[*argv, "--format", fmt] for argv in _AUDITED_REQUESTS for fmt in ("table", "json")]
+
+
+@pytest.mark.parametrize("argv", ROW_AUDIT, ids=[" ".join(argv) for argv in ROW_AUDIT])
+def test_no_verb_builds_a_degree_row(argv):
+    # the writers read the stored series; only a reader of ``rows`` builds rows
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_ROW_PROBE), *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0 and child.stdout, child.stderr
+    assert child.stderr == "0 0\n"

@@ -166,6 +166,17 @@ def test_refusal_names_the_number_asked_about():
     with pytest.raises(UnsupportedError) as info:
         factorint(n)
     assert str(info.value) == (
-        f"cannot certify the prime factors of {n}: exact primality is only "
-        f"available below {PRIMALITY_BOUND}"
+        "cannot certify the prime factors of 10000000000000000000... (77 characters): "
+        f"exact primality is only available below {PRIMALITY_BOUND}"
     )
+
+
+def test_refusal_quotes_a_long_number_by_its_first_digits():
+    with pytest.raises(UnsupportedError) as info:
+        is_prime(10**80 + 1)  # 81 digits, prime to the 13 bases
+    assert str(info.value) == (
+        "cannot certify whether 10000000000000000000... (81 characters) is prime: "
+        f"exact primality is only available below {PRIMALITY_BOUND}"
+    )
+    with pytest.raises(UnsupportedError, match=f"^cannot certify whether {PRIMALITY_BOUND} is"):
+        is_prime(PRIMALITY_BOUND)  # 25 digits are quoted whole

@@ -22,7 +22,6 @@ from chowbg.groups import (
     sylow_profile,
 )
 from chowbg.models import (
-    _wreath,
     chow_integral_symmetric,
     chow_model,
     chow_model_localized,
@@ -182,7 +181,7 @@ class TestDispatch:
         for text in ("wr(2, wr(2, Z/2)) x GL(2) x Z/3", "wr(2, Z/2) x O(3)", "Z/5 x S_3"):
             model(text, bound=6)
         # the wreath tables wr(2, Z/2) and wr(2, wr(2, Z/2)) are built once each
-        built = (len(calls["polynomial_table"]), len(calls["_wreath"]))
+        built = (len(calls["polynomial_table"]), len(calls["chow_wreath"]))
         assert built == (4, 2) and sum(built) == chow_model.cache_info().misses
 
     def test_shared_wreath_term_built_once(self, monkeypatch):
@@ -190,7 +189,7 @@ class TestDispatch:
         chow_model.cache_clear()
         model("wr(2, Z/2) x GL(1)", bound=6)
         model("wr(2, Z/2) x O(2)", bound=6)
-        assert len(calls["_wreath"]) == 1
+        assert len(calls["chow_wreath"]) == 1
 
     def test_negative_bound_gets_one_message(self):
         for text in ("Z/3", "GL(2)", "wr(2, Z/2)"):
@@ -216,10 +215,10 @@ class TestDispatch:
 
 def _count_builds(monkeypatch):
     """Record the arguments of every ``polynomial_table`` and wreath build
-    (``_wreath``, which ``chow_wreath`` and the memo call) that
-    ``chowbg.models`` makes, by the name of the function."""
-    calls = {"polynomial_table": [], "_wreath": []}
-    for name, build in (("polynomial_table", polynomial_table), ("_wreath", _wreath)):
+    (``chow_wreath``, which the memo calls) that ``chowbg.models`` makes, by
+    the name of the function."""
+    calls = {"polynomial_table": [], "chow_wreath": []}
+    for name, build in (("polynomial_table", polynomial_table), ("chow_wreath", chow_wreath)):
 
         def counting(*args, name=name, build=build):
             calls[name].append(args)
@@ -546,12 +545,14 @@ class TestLocalizations:
             assert view == reference  # rows, bound and every metadata field
             assert hash(view) == hash(reference)
             assert [hash(r) for r in view.rows] == [hash(r) for r in reference.rows]
-        # an all-p-primary table is its own local table: the view shares its rows
+        # an all-p-primary table is its own local table, up to the localization
         p_primary = all(q % p == 0 for row in integral.rows for q, _ in row.counts)
-        assert (local.rows is integral.rows) == p_primary
+        assert (local.rows == integral.rows) == p_primary
+        if p_primary:
+            assert local == integral.with_metadata(localization=Localization("at_prime", p))
         # a torsion-free table is its own mod-p table, up to the localization
         if all(not row.counts for row in integral.rows):
-            assert reduced.rows is integral.rows
+            assert reduced.rows == integral.rows
             assert reduced == integral.with_metadata(localization=Localization("mod_p", p))
 
     def test_localize_table(self):
@@ -809,31 +810,37 @@ PUBLIC_CALLS = {
 
 
 class TestStoredSeries:
-    """Tables are stored as series; the rows are a view that a public call
-    builds inside the call and the memo's recursion never builds."""
+    """Tables are stored as series; the rows are a view that no public call
+    and no memo build makes, only a reader of ``rows``, on the table it reads."""
 
     @pytest.mark.parametrize("warm", [None, 6, 9], ids=["cold", "truncated", "same-bound"])
     @pytest.mark.parametrize("call", list(PUBLIC_CALLS.values()), ids=list(PUBLIC_CALLS))
     def test_public_call_returns_built_rows(self, call, warm):
+        # the call returns series alone; the first read of ``rows`` builds them
         chow_model.cache_clear()
         if warm is not None:
             call(9)
         table = call(warm or 6)
-        assert table._rows is not None  # the cached slot, not the ``rows`` property
-        assert table.rows == ChowTable(table.rows, table.bound).rows
+        assert table._rows is None  # the cached slot, not the ``rows`` property
+        rows = table.rows
+        assert table._rows is rows and table.rows is rows
+        metadata = (table.group, table.field, table.localization, table.provenance)
+        assert table == ChowTable(rows, table.bound, *metadata)
+        assert rows == ChowTable(rows, table.bound).rows
 
     def test_recursion_builds_no_rows(self):
         chow_model.cache_clear()
         inner_group = parse_group_expr("wr(2, Z/2)")
         outer = chow_model(parse_group_expr("wr(2, wr(2, Z/2))"), C, 20)
-        assert outer._rows is not None
         stored = models._widest[(inner_group, C)]
-        assert stored._rows is None and models._widest[(CyclicZ(2), C)]._rows is None
+        assert outer._rows is None and stored._rows is None
+        assert models._widest[(CyclicZ(2), C)]._rows is None
         inner = chow_model(inner_group, C, 20)
-        assert inner is stored and inner._rows is not None
+        assert inner is stored and inner._rows is None
         assert chow_model(inner_group, C, 20) is inner
-        narrow = chow_model(inner_group, C, 7)  # a truncation shares the first 8 rows
-        assert narrow.bound == 7 and all(a is b for a, b in zip(narrow.rows, inner.rows))
+        inner.rows  # built on the stored table, which a truncation does not share
+        narrow = chow_model(inner_group, C, 7)
+        assert narrow.bound == 7 and narrow._rows is None and narrow.rows == inner.rows[:8]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -852,9 +859,16 @@ class TestStoredSeries:
         assert stored._rows is None
         sliced = stored.truncated(bound)
         tables = [stored, sliced, localize_table(sliced, p), mod_p_table(sliced, p)]
+        public = [  # memo hits: no public call builds rows
+            chow_model(g, C, bound + extra),
+            chow_model(g, C, bound),
+            chow_model_localized(g, C, bound, p),
+            chow_model_mod_p(g, C, bound, p),
+        ]
+        assert all(t._rows is None for t in public)
         if rows_first:
             for t in tables:
-                t.materialized()
+                t.rows
         rows = pickle.loads(pickle.dumps(stored)).rows  # leaves ``stored`` as it was
         wide = ChowTable(rows, stored.bound, g, C, INTEGRAL, stored.provenance)
         narrow = ChowTable(rows[: bound + 1], bound, g, C, INTEGRAL, stored.provenance)
@@ -873,12 +887,6 @@ class TestStoredSeries:
         for table, copy, reference in zip(tables, copies, references):
             _assert_same_rows(table, reference)
             _assert_same_rows(copy, reference)
-        public = [
-            chow_model(g, C, bound + extra),
-            chow_model(g, C, bound),
-            chow_model_localized(g, C, bound, p),
-            chow_model_mod_p(g, C, bound, p),
-        ]
         for table, reference in zip(public, references):
             assert table == reference and hash(table) == hash(reference)
             _assert_same_rows(table, reference)

@@ -246,7 +246,7 @@ def test_with_metadata_replaces_fields():
     table = ChowTable((DegreeRow(0, 1, ()),), 0)
     changed = table.with_metadata(group=GL(1), provenance=("exact", "upper-bound"))
     assert changed.group == GL(1) and changed.provenance == ("exact", "upper-bound")
-    assert changed.rows is table.rows and changed.bound == 0
+    assert changed.rows == table.rows and changed.bound == 0
     assert table.group is None
     with pytest.raises(ValueError, match="one row per degree"):
         table.with_metadata(bound=1)

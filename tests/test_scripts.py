@@ -36,7 +36,9 @@ def test_symmetric_survey():
     lines = done.stdout.splitlines()
     header = next(i for i, line in enumerate(lines) if line.startswith("S_4 at p=2 "))
     rows = chow_symmetric_sylow_bound(4, 2, 6).rows
-    expected = "  ".join(f"{row.degree}:{render_row_value(row)}" for row in rows)
+    expected = "  ".join(
+        f"{row.degree}:{render_row_value(row.free_rank, row.counts)}" for row in rows
+    )
     assert lines[header + 1] == f"  [Sylow upper bound] {expected}"
 
 

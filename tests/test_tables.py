@@ -226,7 +226,7 @@ class TestDegreeRow:
     def test_render_and_json_match_run_length_oracles(self, args):
         d, f, t = args
         row = DegreeRow.from_counts(d, f, Counter(t))
-        assert render_row_value(row) == run_length_row_value(row)
+        assert render_row_value(row.free_rank, row.counts) == run_length_row_value(row)
         assert _torsion_json(row.counts) == run_length_torsion_json(row.torsion)
 
     @given(row_args)
@@ -299,7 +299,7 @@ class TestSharedRows:
         copy = pickle.loads(pickle.dumps(stored.rows))
         assert copy == t.rows
 
-    def test_metadata_copy_shares_the_checked_rows(self):
+    def test_metadata_copy_keeps_the_checked_rows(self):
         t = table((1, ()), (0, (2, 3)), (2, (4, 4, 9)))
         fields = {
             "group": GL(2),
@@ -309,9 +309,10 @@ class TestSharedRows:
         }
         for name, value in fields.items():  # t has the default metadata
             copy = t.with_metadata(**{name: value})
-            assert copy.rows is t.rows and copy == ChowTable(t.rows, t.bound, **{name: value})
+            assert copy.rows == t.rows and copy == ChowTable(t.rows, t.bound, **{name: value})
         copy = t.with_metadata(**fields)
-        assert copy.rows is t.rows and copy == ChowTable(t.rows, t.bound, **fields)
+        assert copy.free is t.free and copy.levels is t.levels
+        assert copy.rows == t.rows and copy == ChowTable(t.rows, t.bound, **fields)
 
     def test_new_rows_or_bound_are_still_checked(self):
         t = table((1, ()), (0, (2,)), (0, ()))
