@@ -6,18 +6,18 @@ error gives its byte offset) or usage error (bad flags or integers), 3
 unsupported computation, 1 stdout closed before the output was written.
 Output is deterministic: degrees and torsion are emitted in canonical order,
 JSON objects in fixed key order.  A well-formed argv is read straight from
-``VERBS`` and JSON is written here: only help and usage errors load argparse.
+``VERBS``: only help and usage errors load argparse.  Only a ``--format json``
+request compiles ``_json``, which builds and writes every JSON answer.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import re
 import sys
 from types import SimpleNamespace
 
-from ._intmath import is_prime, prime_power_decompose
+from ._intmath import is_prime
 from .errors import FieldParseError, GroupParseError, UnsupportedError, echo
 from .fields import galois_fixed_exponent, parse_field
 from .groups import format_group, generator_bound, parse_group_expr
@@ -28,7 +28,7 @@ from .models import (
     chow_symmetric_sylow_bound,
 )
 from .presentations import catalog_presentation
-from .tables import ChowTable, DegreeRow, Localization, torsion_counts
+from .tables import ChowTable, Localization, torsion_counts
 
 JSON_SCHEMA_VERSION = 1
 
@@ -90,109 +90,30 @@ def render_table(table: ChowTable, out) -> None:
         out.write(f"  {degree:>{width}}: {render_row_value(free_rank, counts)}\n")
 
 
-def _torsion_json(counts: tuple[tuple[int, int], ...]) -> list[dict]:
-    """One object per distinct order of a degree's canonical (order, multiplicity) pairs."""
-    pairs = ((prime_power_decompose(order), mult) for order, mult in counts)
-    return [{"prime": p, "exponent": e, "multiplicity": mult} for (p, e), mult in pairs]
-
-
-def _localization_json(loc: Localization) -> dict:
-    return {"kind": loc.kind} if loc.prime is None else {"kind": loc.kind, "prime": loc.prime}
-
-
-def _json_header(table: ChowTable) -> dict:
-    """The schema, group, field and localization keys shared by every table verb."""
-    return {
-        "schema": JSON_SCHEMA_VERSION,
-        "group": format_group(table.group) if table.group is not None else None,
-        "field": (
-            {"char": table.field.characteristic, "name": table.field.name}
-            if table.field is not None
-            else None
-        ),
-        "localization": _localization_json(table.localization),
-    }
-
-
 def table_to_json_obj(table: ChowTable) -> dict:
-    return {
-        **_json_header(table),
-        "bound": table.bound,
-        "degrees": [
-            {"degree": degree, "free_rank": free_rank, "torsion": _torsion_json(counts)}
-            for degree, (free_rank, counts) in enumerate(zip(table.free, torsion_counts(table)))
-        ],
-        "provenance": list(table.provenance),
-    }
+    from . import _json
+
+    return {"schema": JSON_SCHEMA_VERSION, **_json.table_keys(table)}
 
 
 def table_from_json_obj(obj: dict) -> ChowTable:
     """Inverse of table_to_json_obj, for round-tripping emitted JSON."""
-    if obj.get("schema") != JSON_SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {obj.get('schema')!r}")
-    rows = []
-    for entry in obj["degrees"]:
-        counts: dict[int, int] = {}
-        for t in entry["torsion"]:
-            order = t["prime"] ** t["exponent"]
-            counts[order] = counts.get(order, 0) + t["multiplicity"]
-        rows.append(DegreeRow.from_counts(entry["degree"], entry["free_rank"], counts))
-    loc = obj["localization"]
-    return ChowTable(
-        rows=tuple(rows),
-        bound=obj["bound"],
-        group=parse_group_expr(obj["group"]) if obj["group"] is not None else None,
-        field=parse_field(obj["field"]["name"]) if obj["field"] is not None else None,
-        localization=Localization(loc["kind"], loc.get("prime")),
-        provenance=tuple(obj["provenance"]),
-    )
+    from . import _rows
 
-
-# json.dumps's ensure_ascii escapes: these by name, any other character but
-# printable ASCII as its UTF-16 code units, \uXXXX or a surrogate pair
-_JSON_ESCAPES = {c: "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')}
-_JSON_UNSAFE = re.compile(r'[^ !#-\[\]-~]')
-
-
-def _json_char(match) -> str:
-    units = match.group().encode("utf-16-be", "surrogatepass").hex()
-    return _JSON_ESCAPES.get(match.group()) or re.sub("(....)", r"\\u\1", units)
-
-
-def _json_str(text: str) -> str:
-    return '"' + _JSON_UNSAFE.sub(_json_char, text) + '"'
+    return _rows.table_from_json_obj(obj, JSON_SCHEMA_VERSION)
 
 
 def _emit_json(obj: dict, out) -> None:
-    """Write json.dumps(obj, indent=2) and a newline, for the dicts with str keys,
-    lists, strs, ints and None the verbs emit, without json's import and encoder."""
-    parts: list[str] = []
-    _json_parts(obj, "\n", parts, {}, out)
-    out.write("".join(parts) + "\n")
+    """Write json.dumps(obj, indent=2) and a newline, without json (``_json``)."""
+    from . import _json
+
+    _json.write(obj, out)
 
 
-def _json_parts(value, newline: str, parts: list[str], keys: dict[str, str], out) -> None:
-    # value's text, indented as newline ends; keys holds each key's text, escaped once
-    kind = type(value)
-    if kind is dict or kind is list:
-        parts.append("{" if kind is dict else "[")
-        separator = inner = newline + "  "
-        for key, item in value.items() if kind is dict else enumerate(value):
-            if kind is dict:  # a key that is not a str fails in re.sub
-                separator += keys.get(key) or keys.setdefault(key, _json_str(key) + ": ")
-            parts.append(separator)
-            _json_parts(item, inner, parts, keys, out)
-            separator = "," + inner
-            if len(parts) > 4096:  # a long list goes out as it is written
-                out.write("".join(parts))
-                parts.clear()
-        parts.append((newline if value else "") + ("}" if kind is dict else "]"))
-    elif kind is str:
-        parts.append(_json_str(value))
-    elif kind is int or value is None:
-        parts.append("null" if value is None else str(value))
-    else:
-        raise TypeError(f"not a value the verbs emit as JSON: {value!r}")
+def _emit_answer(keys: dict, out) -> int:
+    """Write a verb's JSON answer: the schema, then ``keys``."""
+    _emit_json({"schema": JSON_SCHEMA_VERSION, **keys}, out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -225,57 +146,40 @@ def _run_series(args, out) -> int:
     table = _compute_table(args)
     kind = "mod-p-dimension" if args.mod is not None else "free-rank"
     if args.format == "json":
-        _emit_json({**_json_header(table), "kind": kind, "values": list(table.free)}, out)
-    else:
-        out.write(f"group: {format_group(table.group)}\n")
-        out.write(f"kind: {kind}\n")
-        out.write("series: " + " ".join(map(str, table.free)) + "\n")
+        from . import _json
+
+        return _emit_answer({**_json.header_keys(table), "kind": kind, "values": list(table.free)}, out)
+    out.write(f"group: {format_group(table.group)}\n")
+    out.write(f"kind: {kind}\n")
+    out.write("series: " + " ".join(map(str, table.free)) + "\n")
     return 0
 
 
 def _run_presentation(args, out) -> int:
     pres = catalog_presentation(parse_group_expr(args.group))
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": JSON_SCHEMA_VERSION,
-                "group": format_group(pres.group),
-                "completeness": pres.completeness,
-                "generators": [{"name": n, "degree": d} for n, d in pres.generators],
-                "relations": [
-                    {"coefficient": m, "generator": n} for m, n in pres.torsion_relations
-                ],
-            },
-            out,
-        )
-    else:
-        out.write(f"group: {format_group(pres.group)}\n")
-        out.write(f"completeness: {pres.completeness}\n")
-        gens = " ".join(f"{n}:{d}" for n, d in pres.generators)
-        out.write(f"generators: {gens}\n")
-        if pres.torsion_relations:
-            rels = ", ".join(f"{m}*{n} = 0" for m, n in pres.torsion_relations)
-            out.write(f"relations: {rels}\n")
-        elif pres.completeness == "exact":
-            out.write("relations: none\n")
+        from . import _json
+
+        return _emit_answer(_json.presentation_keys(pres), out)
+    out.write(f"group: {format_group(pres.group)}\n")
+    out.write(f"completeness: {pres.completeness}\n")
+    gens = " ".join(f"{n}:{d}" for n, d in pres.generators)
+    out.write(f"generators: {gens}\n")
+    if pres.torsion_relations:
+        rels = ", ".join(f"{m}*{n} = 0" for m, n in pres.torsion_relations)
+        out.write(f"relations: {rels}\n")
+    elif pres.completeness == "exact":
+        out.write("relations: none\n")
     return 0
 
 
 def _run_galois_exponent(args, out) -> int:
     spec = galois_fixed_exponent(args.prime, args.degree)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": JSON_SCHEMA_VERSION,
-                "prime": spec.prime,
-                "degree": spec.codegree,
-                "kind": "zero" if spec.is_zero() else "ker",
-                "exponent": spec.exponent,
-            },
-            out,
-        )
-    else:
-        out.write("0\n" if spec.is_zero() else f"ker {spec.prime}^{spec.exponent}\n")
+        from . import _json
+
+        return _emit_answer(_json.galois_exponent_keys(spec), out)
+    out.write("0\n" if spec.is_zero() else f"ker {spec.prime}^{spec.exponent}\n")
     return 0
 
 
@@ -283,11 +187,8 @@ def _run_bound(args, out) -> int:
     g = parse_group_expr(args.group)
     value = generator_bound(g)
     if args.format == "json":
-        _emit_json(
-            {"schema": JSON_SCHEMA_VERSION, "group": format_group(g), "bound": value}, out
-        )
-    else:
-        out.write(f"{value}\n")
+        return _emit_answer({"group": format_group(g), "bound": value}, out)
+    out.write(f"{value}\n")
     return 0
 
 

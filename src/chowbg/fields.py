@@ -3,19 +3,20 @@
 The only field data the tables depend on is the characteristic and, per
 prime p, the order t of the image of the mod-p cyclotomic character: the
 group through which the absolute Galois group permutes the p-th roots of
-unity.  t = 1 exactly when the field already contains them.
+unity.  t = 1 exactly when the field already contains them.  A field that
+contains the roots of unity a table needs is answered here; the arithmetic of
+the others and the cyclotomic-invariant filter are in ``_cyclotomic``,
+compiled on first use, with a delegate of the same name here for each.
 """
 
 from __future__ import annotations
 
-import re
 from math import lcm
 
-from ._intmath import is_prime, multiplicative_order, p_valuation, require_prime
+from ._intmath import is_prime, require_prime
 from ._record import Record
 from .errors import FieldParseError, UnsupportedError
-from .groups import CyclicZ
-from .tables import ChowTable, DegreeRow
+from .tables import ChowTable
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
 PRIME_FIELD = "prime_field"
@@ -43,8 +44,6 @@ class FieldDescriptor(Record):
 
 COMPLEX = FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name="C")
 
-_FIELD_RE = re.compile(r"^(C|Qbar|Q|F_(\d+))(?:\(mu_(\d+)\))?$")
-
 
 def _field_integer(digits: str) -> int:
     try:
@@ -54,11 +53,16 @@ def _field_integer(digits: str) -> int:
 
 
 def parse_field(text: str) -> FieldDescriptor:
-    """Accepted forms: C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p)."""
-    m = _FIELD_RE.match(text.strip())
-    if m is None:
+    """Accepted forms: C, Qbar, Q, Q(mu_p), F_l, F_l(mu_p), l and p runs of
+    decimal digits.  Read by ``str`` methods: a regex would be compiled by
+    every process that imports this module."""
+    base, adjoin, rest = text.strip().partition("(mu_")
+    char_str = base[2:] if base.startswith("F_") else None
+    mu_str = rest[:-1] if adjoin and rest.endswith(")") else None
+    if (base not in ("C", "Qbar", "Q") and not (char_str or "").isdecimal()) or (
+        adjoin and not (mu_str or "").isdecimal()
+    ):
         raise FieldParseError(f"unrecognized field descriptor {text!r}")
-    base, char_str, mu_str = m.groups()
     char = 0
     if char_str is not None:
         char = _field_integer(char_str)
@@ -77,21 +81,10 @@ def parse_field(text: str) -> FieldDescriptor:
 
 
 def cyclotomic_order(k: FieldDescriptor, p: int) -> int:
-    """Order of the image of the mod-p cyclotomic character; divides p - 1.
-    Over the field with q elements it is the order of q mod p."""
-    require_prime(p)
-    if k.characteristic == p:
-        raise ValueError(f"characteristic {p} field has no tame mu_{p}")
-    if contains_mu(k, p):
-        return 1
-    if k.characteristic == 0:
-        return p - 1
-    return multiplicative_order(pow(k.characteristic, _extension_degree(k), p), p)
+    """Order of the image of the mod-p cyclotomic character; divides p - 1."""
+    from . import _cyclotomic
 
-
-def _extension_degree(k: FieldDescriptor) -> int:
-    """r with F_l(mu_a, ...) the field with l**r elements: the lcm of the orders of l mod a."""
-    return lcm(*(multiplicative_order(k.characteristic % a, a) for a in k.adjoined if a > 1))
+    return _cyclotomic.cyclotomic_order(k, p)
 
 
 def contains_mu(k: FieldDescriptor, m: int) -> bool:
@@ -109,7 +102,9 @@ def contains_mu(k: FieldDescriptor, m: int) -> bool:
             cap = lcm(cap, a if a % 2 == 0 else 2 * a)
         return cap % m == 0
     # F_q contains mu_m iff m divides q - 1
-    return pow(k.characteristic, _extension_degree(k), m) == 1
+    from . import _cyclotomic
+
+    return pow(k.characteristic, _cyclotomic.extension_degree(k), m) == 1
 
 
 FIELD_RULE_ESTABLISHED = "established"
@@ -117,20 +112,13 @@ FIELD_RULE_EXTRAPOLATED = "extrapolated"
 
 
 def invariance_rule_status(k: FieldDescriptor, p: int) -> str:
-    """Whether the degree-filtering rule for B(Z/p) over k is an established
-    computation (prime fields, their mu_p extensions, finite fields, closed
-    fields) or an extrapolation to a descriptor outside that list."""
-    if k.kind == ALGEBRAICALLY_CLOSED or k.characteristic != 0:
-        return FIELD_RULE_ESTABLISHED
-    if k.kind == PRIME_FIELD:
-        return FIELD_RULE_ESTABLISHED
-    if any(m % p == 0 for m in k.adjoined):
-        return FIELD_RULE_ESTABLISHED
-    return FIELD_RULE_EXTRAPOLATED
+    from . import _cyclotomic
+
+    return _cyclotomic.invariance_rule_status(k, p)
 
 
 # ---------------------------------------------------------------------------
-# the Galois fixed-subgroup exponent
+# the Galois fixed-subgroup exponent and the cyclotomic-invariant filter
 
 
 class GaloisFixedSpec(Record):
@@ -155,30 +143,18 @@ def galois_fixed_exponent(p: int, i: int) -> GaloisFixedSpec:
         raise ValueError("degree must be >= 1")
     if i % (p - 1) != 0:
         return GaloisFixedSpec(p, i, None)
-    r = p_valuation(i // (p - 1), p)
+    a, r = i // (p - 1), 0
+    while a % p == 0:
+        a //= p
+        r += 1
     return GaloisFixedSpec(p, i, r + 1)
 
 
-# ---------------------------------------------------------------------------
-# cyclotomic-invariant filtering of B(Z/p) tables
-
-
 def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:
-    """Keep the degree-i rows of a B(Z/p) table with t | i; zero the others.
+    """Keep the degree-i rows of a B(Z/p) table with t | i; zero the others."""
+    from . import _cyclotomic
 
-    t is the order of the scalar group acting on the degree-1 generator, so
-    a degree-i monomial is fixed iff t divides i; degree 0 always survives.
-    """
-    if not isinstance(table.group, CyclicZ) or not is_prime(table.group.n):
-        raise ValueError("expected a table for a cyclic group of prime order")
-    p = table.group.n
-    if t < 1 or (p - 1) % t != 0:
-        raise ValueError(f"t must divide p - 1 = {p - 1}, got {t}")
-    rows = tuple(
-        row if row.degree % t == 0 else DegreeRow(row.degree, 0, ())
-        for row in table.rows
-    )
-    return table.with_metadata(rows=rows)
+    return _cyclotomic.apply_cyclotomic_invariants(table, t)
 
 
 def require_char_ne(k: FieldDescriptor, m: int, what: str) -> None:

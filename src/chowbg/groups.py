@@ -116,7 +116,7 @@ class _Node(Record):
     """A record with group children, interned: the constructor returns the one
     live node of its class and field values, also when unpickling or copying,
     so ``==`` and ``hash`` are identity, O(1) however deep the tree.  The
-    repr and pickling walk the tree on explicit stacks."""
+    repr and pickling walk the tree on explicit stacks, in ``_nodes``."""
 
     __slots__ = ("__weakref__",)
     __eq__ = object.__eq__
@@ -130,38 +130,14 @@ class _Node(Record):
             return _interned.setdefault((cls, *values), node)
 
     def __repr__(self):
-        """``Record``'s text, from a stack of pending text and nodes."""
-        out, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                out.append(item)
-                continue
-            parts = [f"{item.__class__.__qualname__}("]
-            for i, (name, value) in enumerate(zip(item.__slots__, item._values(item))):
-                text = value if isinstance(value, _Node) else repr(value)
-                parts += (f"{', ' if i else ''}{name}=", text)
-            stack += reversed(parts + [")"])
-        return "".join(out)
+        from . import _nodes
+
+        return _nodes.node_repr(self)
 
     def __reduce__(self):
-        """A flat post-order list of (class, field values), each child node
-        given as the one-item list of its index, which no field value is
-        (field values are hashable): pickling and copying do not recurse."""
-        index, entries, stack = {}, [], [self]
-        while stack:
-            node = stack[-1]
-            values = node._values(node)
-            children = [v for v in values if isinstance(v, _Node) and v not in index]
-            if children:
-                stack += reversed(children)
-                continue
-            stack.pop()
-            if node not in index:
-                index[node] = len(entries)
-                fields = tuple([index[v]] if isinstance(v, _Node) else v for v in values)
-                entries.append((node.__class__, fields))
-        return (_unflatten, (entries,))
+        from . import _nodes
+
+        return _nodes.node_reduce(self)
 
 
 def _unflatten(entries) -> _Node:

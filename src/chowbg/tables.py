@@ -16,11 +16,9 @@ the metadata (group, base field, localization, provenance).
 sorted by (prime, exponent), so tables render deterministically and cost
 grows with the distinct orders, not with the number of cyclic summands.
 ``rows`` is the per-degree view, one ``DegreeRow`` per degree holding those
-pairs as ``row.counts``, built from the series by its first reader and
-cached on that table alone; nothing in the package reads it on the way to
-an answer or its output.  ``row.torsion`` is the expanded view, one entry
-per summand, built on demand.  A table built from rows (the constructor,
-``with_metadata(rows=...)``) checks them and converts them to series once.
+pairs as ``row.counts``; nothing in the package reads it on the way to an
+answer or its output, so the view and the tables built from rows run in
+``_rows``, compiled on first use.
 
 ``polynomial_table`` is the Kunneth product of a list of factors:
 one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
@@ -39,14 +37,14 @@ module; outside it they are only read (``free``, ``levels``).
 from __future__ import annotations
 
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from operator import sub
 from sys import byteorder
 from typing import TYPE_CHECKING
 
-from ._intmath import factorint, prime_power_decompose, require_prime
+from ._intmath import factorint, require_prime
 from ._record import Record
 
 if TYPE_CHECKING:  # only for annotations; avoids import cycles
@@ -77,12 +75,10 @@ UPPER_BOUND = "upper-bound"
 EXTRAPOLATED_FIELD = "extrapolated-field"
 
 
-@lru_cache(maxsize=4096)
 def torsion_sort_key(order: int) -> tuple[int, int]:
-    pe = prime_power_decompose(order)
-    if pe is None:
-        raise ValueError(f"torsion order must be a prime power, got {order}")
-    return pe
+    from . import _rows
+
+    return _rows.torsion_sort_key(order)
 
 
 class DegreeRow(Record):
@@ -106,16 +102,9 @@ class DegreeRow(Record):
         return row
 
     def _set(self, degree, free_rank, counts) -> None:
-        if degree < 0 or free_rank < 0:
-            raise ValueError("degree and free rank must be nonnegative")
-        pairs = []
-        for q in sorted(counts, key=torsion_sort_key):
-            m = counts[q]
-            if m < 0:
-                raise ValueError(f"torsion multiplicity must be nonnegative, got {m}")
-            if m:
-                pairs.append((q, m))
-        super().__init__(degree, free_rank, tuple(pairs))
+        from . import _rows
+
+        _rows.set_row(self, degree, free_rank, counts)
 
     @property
     def torsion(self) -> tuple[int, ...]:
@@ -127,9 +116,6 @@ class DegreeRow(Record):
 
     def __reduce__(self):
         return (DegreeRow.from_counts, (self.degree, self.free_rank, dict(self.counts)))
-
-
-_set_degree, _set_free_rank, _set_counts = DegreeRow._setters  # the hot stores of ``rows``
 
 
 class ChowTable(Record):
@@ -152,18 +138,10 @@ class ChowTable(Record):
         localization: Localization = INTEGRAL,
         provenance: tuple[str, ...] = (EXACT,),
     ):
+        from . import _rows
+
         rows = tuple(rows)
-        if bound < 0 or [r.degree for r in rows] != list(range(bound + 1)):
-            raise ValueError("table must have one row per degree 0..bound")
-        free = [r.free_rank for r in rows]
-        levels: dict[int, list[list[int]]] = {}
-        for d, r in enumerate(rows):
-            for q, m in r.counts:
-                l, a = torsion_sort_key(q)
-                for s in _levels(levels, l, a, free)[:a]:
-                    s[d] += m
-        free = tuple(free)
-        levels = _stored_levels(free, levels)
+        free, levels = _rows.series_of_rows(rows, bound)
         super().__init__(bound, free, levels, group, field, localization, provenance, rows)
 
     @classmethod
@@ -183,15 +161,9 @@ class ChowTable(Record):
     @property
     def rows(self) -> tuple[DegreeRow, ...]:
         """One row per degree 0..bound, built on first read and cached."""
-        rows = self._rows
-        if rows is None:
-            n = len(self.free)
-            rows = tuple(map(DegreeRow.__new__, repeat(DegreeRow, n)))
-            deque(map(_set_degree, rows, range(n)), 0)  # the slots filled for all rows at once
-            deque(map(_set_free_rank, rows, self.free), 0)
-            deque(map(_set_counts, rows, torsion_counts(self)), 0)
-            _set_rows(self, rows)
-        return rows
+        from . import _rows
+
+        return _rows.rows(self)
 
     def row(self, degree: int) -> DegreeRow:
         if not 0 <= degree <= self.bound:

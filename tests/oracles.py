@@ -9,6 +9,7 @@ right.
 from __future__ import annotations
 
 import json
+import re
 from functools import reduce
 from itertools import count
 from itertools import product as cartesian
@@ -700,3 +701,14 @@ def json_dump_reference(obj, out):
     chowbg.cli._emit_json must reproduce."""
     json.dump(obj, out, indent=2)
     out.write("\n")
+
+
+_FIELD_RE = re.compile(r"^(C|Qbar|Q|F_(\d+))(?:\(mu_(\d+)\))?$")
+
+
+def regex_field_parts(text: str):
+    """The (base, characteristic digits, mu digits) that ``fields.parse_field``
+    reads from a descriptor, by the regex it used to match, or None for text
+    it must refuse as unrecognized."""
+    m = _FIELD_RE.match(text.strip())
+    return None if m is None else m.groups()

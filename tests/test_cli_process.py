@@ -302,18 +302,23 @@ def test_only_help_and_usage_errors_load_argparse(argv, loaded):
     assert child.stderr.splitlines()[-1] == loaded
 
 
-# The chowbg modules and their non-blank lines that one request of each verb
-# compiles, with no cached bytecode: today all six compile the same ten
+# The chowbg modules and their non-blank lines that one text request of each
+# verb compiles, with no cached bytecode: today all six compile the same ten
 # modules (help and usage errors also compile _usage, the argparse builder).
 # The bounds are upper bounds, so a verb may come to compile less.
 COMPILED_SURFACE = {
-    "describe": (10, 1972),
-    "series": (10, 1972),
-    "presentation": (10, 1972),
-    "galois-exponent": (10, 1972),
-    "bound": (10, 1972),
-    "sylow": (10, 1972),
+    "describe": (10, 1696),
+    "series": (10, 1696),
+    "presentation": (10, 1696),
+    "galois-exponent": (10, 1696),
+    "bound": (10, 1696),
+    "sylow": (10, 1696),
 }
+# The modules compiled only where their code first runs: big-integer
+# primality and factoring, the cyclotomic arithmetic of fields without all
+# roots of unity, the JSON answers, the repr and pickling of group tree nodes
+# and the row API.  A text table over C and a survey call run none of them.
+ON_DEMAND = {"_cyclotomic.py", "_factoring.py", "_json.py", "_nodes.py", "_rows.py"}
 # runs chowbg.cli as `python -m` does, and prints each compiled chowbg file
 # with its non-blank line count, from the "compile" audit events
 _SURFACE_PROBE = """
@@ -336,6 +341,16 @@ _SURFACE_PROBE = """
 @pytest.mark.parametrize("argv", VERB_CALLS, ids=[argv[0] for argv in VERB_CALLS])
 def test_compiled_surface_per_verb(argv, tmp_path):
     # an empty bytecode cache directory: every module is compiled from source
+    compiled = _compiled_by(argv, tmp_path)
+    assert {"__init__.py", "cli.py"} <= set(compiled)
+    modules, lines = COMPILED_SURFACE[argv[0]]
+    assert len(compiled) <= modules, compiled
+    assert sum(compiled.values()) <= lines, compiled
+
+
+def _compiled_by(argv, tmp_path) -> dict[str, int]:
+    """The chowbg files, with their non-blank line counts, that one request
+    compiles as a fresh process with an empty bytecode cache."""
     env = dict(ENV, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
     child = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(_SURFACE_PROBE), str(ROOT / "src" / "chowbg"), *argv],
@@ -346,12 +361,83 @@ def test_compiled_surface_per_verb(argv, tmp_path):
     )
     assert child.returncode == 0, child.stderr
     code, compiled = child.stderr.split(" ", 1)
-    compiled = ast.literal_eval(compiled)
     assert code == "0"
-    assert {"__init__.py", "cli.py"} <= set(compiled)
-    modules, lines = COMPILED_SURFACE[argv[0]]
-    assert len(compiled) <= modules, compiled
-    assert sum(compiled.values()) <= lines, compiled
+    return ast.literal_eval(compiled)
+
+
+@pytest.mark.parametrize(
+    "fmt, loaded", [("table", set()), ("json", {"_json.py"})], ids=["text", "json"]
+)
+def test_a_table_request_compiles_only_its_writer(fmt, loaded, tmp_path):
+    compiled = _compiled_by(["describe", "O(8)", "--max-degree", "33", "--format", fmt], tmp_path)
+    assert set(compiled) & ON_DEMAND == loaded, compiled
+
+
+# after chowbg.cli is imported, one call of each kind the survey times, each
+# under an audit hook that collects the chowbg files compiled meanwhile
+_SURVEY_PROBE = """
+    import os, sys
+    import chowbg.cli
+    from chowbg import models
+    from chowbg.fields import COMPLEX
+    from chowbg.groups import parse_group_expr
+    from chowbg.tables import ChowTable
+    package = os.path.join(sys.argv[1], "")
+    group = parse_group_expr("wr(2, wr(2, Z/2)) x Z/3")
+    calls = {
+        "chow_model": lambda: models.chow_model(group, COMPLEX, 12),
+        "chow_model_localized": lambda: models.chow_model_localized(group, COMPLEX, 12, 2),
+        "chow_model_mod_p": lambda: models.chow_model_mod_p(group, COMPLEX, 12, 2),
+        "chow_symmetric_local": lambda: models.chow_symmetric_local(5, 5, COMPLEX, 12),
+        "chow_symmetric_sylow_bound": lambda: models.chow_symmetric_sylow_bound(12, 2, 6),
+    }
+    compiled = []
+    def hook(event, args):
+        if event == "compile" and isinstance(args[1], str) and args[1].startswith(package):
+            compiled.append(args[1][len(package):])
+    sys.addaudithook(hook)
+    for name, call in calls.items():
+        assert isinstance(call(), ChowTable), name
+        print(name, compiled)
+"""
+
+
+def test_survey_calls_compile_nothing(tmp_path):
+    # a compile inside a timed survey call would cost it milliseconds
+    env = dict(ENV, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(tmp_path))
+    child = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_SURVEY_PROBE), str(ROOT / "src" / "chowbg")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        f"{name} []"
+        for name in (
+            "chow_model",
+            "chow_model_localized",
+            "chow_model_mod_p",
+            "chow_symmetric_local",
+            "chow_symmetric_sylow_bound",
+        )
+    ]
+
+
+def test_tracer_installs_without_loading_on_demand_modules():
+    # the CI line: traced runs import and compile what timed runs do
+    probe = (
+        "import sys, chowbg.cli, tracer; tracer.Tracer().install(); "
+        "print(sorted(m for m in sys.modules if m.startswith('chowbg.')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe], cwd=BENCH, env=ENV, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    loaded = {name.removeprefix("chowbg.") + ".py" for name in ast.literal_eval(child.stdout)}
+    assert {"cli.py", "graded.py", "cyclic.py"} <= loaded
+    assert not loaded & ON_DEMAND, loaded
 
 
 # runs chowbg.cli as `python -m` does and prints its exit code and the number

@@ -16,7 +16,7 @@ from chowbg.fields import (
 from chowbg.groups import CyclicZ
 from chowbg.models import chow_model
 from chowbg.tables import polynomial_table
-from oracles import cyclotomic_order_by_search, galois_exponent_by_search
+from oracles import cyclotomic_order_by_search, galois_exponent_by_search, regex_field_parts
 
 
 class TestParseField:
@@ -39,6 +39,24 @@ class TestParseField:
     def test_rejected(self, text):
         with pytest.raises(FieldParseError):
             parse_field(text)
+
+    # texts near the grammar: its tokens, Unicode digits and a superscript
+    # that are and are not decimal, whitespace and newlines
+    @given(st.lists(st.sampled_from(
+        ["C", "Q", "Qbar", "bar", "F_", "F", "_", "(mu_", "(", ")", "mu", "2", "3", "7", "0",
+         "\u0663", "\u00b2", " ", "\n", "x"]
+    ), max_size=6).map("".join))
+    def test_reads_what_the_grammar_regex_matches(self, text):
+        parts = regex_field_parts(text)
+        try:
+            k = parse_field(text)
+        except FieldParseError as exc:
+            assert (parts is None) == str(exc).startswith("unrecognized field descriptor")
+            return
+        base, char_digits, mu_digits = parts
+        assert k.name == (base if base in ("C", "Qbar") else text.strip())
+        assert k.characteristic == (int(char_digits) if char_digits else 0)
+        assert k.adjoined == ((int(mu_digits),) if mu_digits else ())
 
 
 class TestCyclotomicOrder:

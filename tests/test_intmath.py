@@ -1,20 +1,18 @@
+import sys
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from chowbg import _intmath
-from chowbg._intmath import (
-    PRIMALITY_BOUND,
-    _fermat_factor,
-    _strong_probable_prime,
-    factorint,
-    is_prime,
-    multiplicative_order,
-    require_prime,
-)
-from chowbg.errors import UnsupportedError
+from chowbg import _factoring
+from chowbg._cyclotomic import multiplicative_order
+from chowbg._factoring import _fermat_factor, _quote, _strong_probable_prime
+from chowbg._intmath import PRIMALITY_BOUND, factorint, is_prime, require_prime
+from chowbg.errors import UnsupportedError, echo
+from chowbg.fields import COMPLEX
+from chowbg.groups import CyclicZ
+from chowbg.models import chow_model
 from oracles import trial_factorint, trial_is_prime
 
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the first 12 primes
@@ -150,7 +148,7 @@ class TestFermatPass:
         def no_rho(n):
             raise AssertionError(f"rho called on {n}")
 
-        monkeypatch.setattr(_intmath, "_brent_factor", no_rho)
+        monkeypatch.setattr(_factoring, "_brent_factor", no_rho)
         assert factorint.__wrapped__(p * q) == ((p, 1), (q, 1))
         assert factorint.__wrapped__(41 * p * q) == ((41, 1), (p, 1), (q, 1))
 
@@ -180,3 +178,38 @@ def test_refusal_quotes_a_long_number_by_its_first_digits():
     )
     with pytest.raises(UnsupportedError, match=f"^cannot certify whether {PRIMALITY_BOUND} is"):
         is_prime(PRIMALITY_BOUND)  # 25 digits are quoted whole
+
+
+MERSENNE_16607 = 2**16607 - 1  # 5,000 digits, more than str() converts by default
+
+
+def test_refusal_of_a_number_past_the_str_limit_quotes_its_first_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the reference text, converted without the limit
+    try:
+        text = str(MERSENNE_16607)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    lead, digits = text[:20], len(text)
+    assert digits == 5000 > limit
+    with pytest.raises(UnsupportedError) as info:
+        is_prime(MERSENNE_16607)
+    assert str(info.value) == (
+        f"cannot certify whether {lead}... ({digits} characters) is prime: "
+        f"exact primality is only available below {PRIMALITY_BOUND}"
+    )
+    with pytest.raises(UnsupportedError) as info:
+        chow_model(CyclicZ(MERSENNE_16607), COMPLEX, 2)
+    assert str(info.value) == (
+        f"cannot certify the prime factors of {lead}... ({digits} characters): "
+        f"exact primality is only available below {PRIMALITY_BOUND}"
+    )
+    assert len(str(info.value)) < 300
+
+
+@given(st.integers(min_value=1, max_value=4300).flatmap(
+    lambda k: st.integers(min_value=10 ** (k - 1), max_value=10**k - 1)
+))
+def test_quote_is_echo_of_the_digits(n):
+    # below the str() limit the quote is the same text as errors.echo(str(n))
+    assert _quote(n) == echo(str(n))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chowbg import tables
-from chowbg.cli import _torsion_json, render_row_value, table_from_json_obj, table_to_json_obj
+from chowbg import _json, tables
+from chowbg.cli import render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.graded import tensor, to_table
 from chowbg.fields import parse_field
 from chowbg.groups import GL
@@ -227,7 +227,7 @@ class TestDegreeRow:
         d, f, t = args
         row = DegreeRow.from_counts(d, f, Counter(t))
         assert render_row_value(row.free_rank, row.counts) == run_length_row_value(row)
-        assert _torsion_json(row.counts) == run_length_torsion_json(row.torsion)
+        assert _json.torsion(row.counts) == run_length_torsion_json(row.torsion)
 
     @given(row_args)
     def test_pickle_round_trip(self, args):
