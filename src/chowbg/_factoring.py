@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 from ._intmath import _BASES, PRIMALITY_BOUND, is_prime
-from .errors import UnsupportedError, echo
+from .errors import UnsupportedError, echo_int
 
 _FERMAT_STEPS = 256  # values of a that _fermat_factor tries, one isqrt each
 
@@ -33,7 +33,7 @@ def certify_prime(n: int) -> bool:
     refused at or above the bound before any power: n may have thousands of
     digits."""
     if n >= PRIMALITY_BOUND:
-        raise _uncertified(f"whether {_quote(n)} is prime")
+        raise _uncertified(f"whether {echo_int(n)} is prime")
     return _strong_probable_prime(n)
 
 
@@ -47,7 +47,7 @@ def factor_rest(rest: int, n: int) -> dict[int, int]:
         try:
             m_is_prime = is_prime(m)
         except UnsupportedError:
-            raise _uncertified(f"the prime factors of {_quote(n)}") from None
+            raise _uncertified(f"the prime factors of {echo_int(n)}") from None
         if m_is_prime:
             exponents[m] = exponents.get(m, 0) + 1
         else:
@@ -60,17 +60,6 @@ def _uncertified(what: str) -> UnsupportedError:
     return UnsupportedError(
         f"cannot certify {what}: exact primality is only available below {PRIMALITY_BOUND}"
     )
-
-
-def _quote(n: int) -> str:
-    """``echo(str(n))`` for n >= 1, with only the leading digits of a number
-    of more than 40 digits converted: n // 10**skip has 22 to 24 digits, since
-    the estimate of n's digit count from its bit length is off by at most 1."""
-    if n < 10**40:
-        return echo(str(n))
-    skip = n.bit_length() * 30103 // 100000 - 23
-    lead = str(n // 10**skip)
-    return f"{lead[:20]}... ({skip + len(lead)} characters)"
 
 
 def _strong_probable_prime(n: int) -> bool:

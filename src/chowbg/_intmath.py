@@ -71,12 +71,8 @@ def factorint(n: int) -> tuple[tuple[int, int], ...]:
 
 def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """Return (p, e) with n == p**e if n >= 2 is a prime power, else None."""
-    if n < 2:
-        return None
-    fac = factorint(n)
-    if len(fac) != 1:
-        return None
-    return fac[0]
+    fac = factorint(n) if n >= 2 else ()
+    return fac[0] if len(fac) == 1 else None
 
 
 def is_prime_power(n: int) -> bool:

@@ -7,7 +7,7 @@ a validating subclass ends its ``__init__`` with ``super().__init__(...)``.
 of the same class, a hash over the field values, the ``Name(field=value,
 ...)`` repr, ``__match_args__`` for positional ``match`` patterns, pickling
 through the constructor, and ``FrozenInstanceError`` on assignment or
-deletion.  A slot named ``_...`` is a cache: stored, but not compared or pickled.
+deletion.  A slot named ``_...`` is a cache, which eq, hash, pickling and repr skip.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class Record:
         slots = cls.__slots__
         cls.__match_args__ = slots
         cls._setters = tuple(getattr(cls, name).__set__ for name in slots)
-        fields = tuple(name for name in slots if not name.startswith("_"))
+        cls._fields = fields = tuple(name for name in slots if not name.startswith("_"))
         if len(fields) > 1:
             values = attrgetter(*fields)
         elif fields:
@@ -50,7 +50,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):

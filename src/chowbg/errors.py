@@ -9,6 +9,15 @@ def echo(text: str, show=str) -> str:
     return show(text) if len(text) <= 40 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
+def echo_int(n: int) -> str:
+    """``echo(str(n))`` for n >= 0, also past the 4,300 digits ``str()`` converts."""
+    if n < 10**40:
+        return echo(str(n))
+    skip = n.bit_length() * 30103 // 100000 - 23  # n // 10**skip keeps 22 to 24 digits
+    lead = str(n // 10**skip)
+    return f"{lead[:20]}... ({skip + len(lead)} characters)"
+
+
 class GroupParseError(ValueError):
     """Syntax or arity error in a group expression; carries a byte offset."""
 

@@ -15,7 +15,7 @@ from math import lcm
 
 from ._intmath import is_prime, require_prime
 from ._record import Record
-from .errors import FieldParseError, UnsupportedError
+from .errors import FieldParseError, UnsupportedError, echo_int
 from .tables import ChowTable
 
 ALGEBRAICALLY_CLOSED = "algebraically_closed"
@@ -24,7 +24,7 @@ CYCLOTOMIC_EXTENSION = "cyclotomic_extension"
 
 
 class FieldDescriptor(Record):
-    __slots__ = ("characteristic", "kind", "adjoined", "name")
+    __slots__ = ("characteristic", "kind", "adjoined", "name", "_hash")
 
     def __init__(
         self,
@@ -39,7 +39,11 @@ class FieldDescriptor(Record):
             raise ValueError(f"unknown field kind {kind!r}")
         if kind == CYCLOTOMIC_EXTENSION and not adjoined:
             raise ValueError("cyclotomic extension needs at least one adjoined order")
-        super().__init__(characteristic, kind, adjoined, name)
+        values = (characteristic, kind, adjoined, name)
+        super().__init__(*values, hash(values))  # every memo lookup hashes its field
+
+    def __hash__(self):
+        return self._hash
 
 
 COMPLEX = FieldDescriptor(0, ALGEBRAICALLY_CLOSED, name="C")
@@ -160,7 +164,7 @@ def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:
 def require_char_ne(k: FieldDescriptor, m: int, what: str) -> None:
     """Tameness: raise UnsupportedError when char k divides m."""
     if k.characteristic != 0 and m % k.characteristic == 0:
-        raise UnsupportedError(f"{what} is only established in characteristic prime to {m}")
+        raise UnsupportedError(f"{what} is only established in characteristic prime to {echo_int(m)}")
 
 
 def require_mu(k: FieldDescriptor, m: int, what: str) -> None:

@@ -37,13 +37,20 @@ class Trivial(Record):
     __slots__ = ()
 
 
-class CyclicZ(Record):
-    __slots__ = ("n",)
+class _Positive(Record):
+    """A record of one integer n >= 1, which its class's ``_what`` names."""
+
+    __slots__ = ()
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("cyclic order must be >= 1")
+            raise ValueError(f"{self._what} must be >= 1")
         super().__init__(n)
+
+
+class CyclicZ(_Positive):
+    __slots__ = ("n",)
+    _what = "cyclic order"
 
 
 class FiniteAbelian(Record):
@@ -62,31 +69,19 @@ class Gm(Record):
     __slots__ = ()
 
 
-class GL(Record):
+class GL(_Positive):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("GL rank must be >= 1")
-        super().__init__(n)
+    _what = "GL rank"
 
 
-class O(Record):
+class O(_Positive):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("O rank must be >= 1")
-        super().__init__(n)
+    _what = "O rank"
 
 
-class SO(Record):
+class SO(_Positive):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("SO rank must be >= 1")
-        super().__init__(n)
+    _what = "SO rank"
 
 
 class Sp(Record):
@@ -103,13 +98,9 @@ class G2(Record):
     __slots__ = ()
 
 
-class Symmetric(Record):
+class Symmetric(_Positive):
     __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("symmetric group degree must be >= 1")
-        super().__init__(n)
+    _what = "symmetric group degree"
 
 
 class _Node(Record):

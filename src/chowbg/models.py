@@ -27,17 +27,15 @@ Anything outside this territory raises UnsupportedError, never a guess.
 
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
-(group, field) and serves every smaller bound as a truncation of its series.
-The p-local and mod-p answers are the views ``tables.localize_table`` and
-``tables.mod_p_table`` of the memo's table, imported here under the same
-names: the first keeps the levels of p of its series, the second is the level
-G_{p,1}, the free rank plus the p-power summands.
-
-The private ``_memo`` fills the memo in post-order from an explicit stack: a
-build that needs a wreath table (a wreath's inner group, a product's wreath
-term) waits there while that table is looked up or built, so a tower costs no
-Python frames.  Every function here returns series alone: a table's rows are
-built only by a reader of ``rows``, on that table.
+(group, field), wreath products included, and ``_memo`` serves a bound it
+reaches by one locked lookup; each public function truncates only what it
+returns.  The p-local and mod-p answers are the views ``tables.localize_table``
+and ``tables.mod_p_table`` of the stored table, imported here under the same
+names, truncated after the view, so only the series they keep are cut.  A
+Sylow bound builds its group once per memo lifetime.  A build that needs a
+wreath table (a wreath's inner group, a product's wreath term) waits on an
+explicit stack while that table is looked up or built, so a tower costs no
+Python frames.  No function here builds rows: only a reader of ``rows`` does.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from collections import namedtuple
 from threading import Lock
 
 from ._intmath import is_prime, require_prime
-from .errors import UnsupportedError
+from .errors import UnsupportedError, echo_int
 from .fields import (
     COMPLEX,
     FIELD_RULE_EXTRAPOLATED,
@@ -78,7 +76,6 @@ from .presentations import catalog_presentation, presentation_generators
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
-    INTEGRAL,
     UPPER_BOUND,
     ChowTable,
     Localization,
@@ -94,50 +91,53 @@ from .tables import (
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 _widest: dict = {}  # (g, k) -> the table of the largest bound built
+_sylow: dict = {}  # (n, p) -> the p-Sylow group of S_n
 _stats = [0, 0]  # hits, misses
 _lock = Lock()  # guards the store and the counts; a build runs outside it
 
 
 def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """Integral additive table of CH^*(BG) over k through the given degree.
+    """Integral additive table of CH^*(BG) over k through the given degree:
+    the stored table at its own bound, a fresh truncation below it.
 
-    Memoized on the grading: the table through degree b is the first b + 1
-    degrees of the table through any larger degree, so one table per
-    (g, k), wreath products included, is kept.  Its own bound returns it,
-    a smaller bound a fresh truncation, and only a larger bound builds
-    again.  ``chow_model.cache_info()`` counts every memo lookup, those of
-    wreath inner tables and product terms included, and a truncation as a
-    hit, so the misses are the ``polynomial_table`` and wreath builds, and
-    ``currsize`` the (g, k) entries; ``chow_model.cache_clear()`` empties both.
-    """
-    return _memo(g, k, bound)
+    ``chow_model.cache_info()`` counts every memo lookup, those of wreath
+    inner tables and product terms included, and a truncation as a hit, so
+    the misses are the builds and ``currsize`` the (g, k) entries;
+    ``chow_model.cache_clear()`` empties both and the Sylow groups."""
+    return _memo(g, k, bound).truncated(bound)
 
 
 def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """The stored table of (g, k), built if its bound is below ``bound``,
-    truncated to ``bound``."""
-    builds: list = []  # (group, build) pairs waiting for a wreath table, innermost last
-    while True:
-        with _lock:
-            table = _widest.get((g, k))
-            if table is None or not 0 <= bound <= table.bound:
-                builds.append((g, _build(g, k, bound)))  # it runs when sent a value
-                table = None
-            _stats[table is None] += 1  # hits, misses
-        while builds:
-            group, build = builds[-1]
-            try:
-                g = build.send(table)  # the next group whose table it needs
-                break
-            except StopIteration as done:
-                table = done.value
+    """The stored table of (g, k), built if its bound is below ``bound``."""
+    table = _lookup(g, k, bound)
+    if table is not None:
+        return table
+    builds = [(g, _build(g, k, bound))]  # (group, build) pairs waiting for a table, innermost last
+    while builds:
+        group, build = builds[-1]
+        try:
+            g = build.send(table)  # the next group whose table it needs
+        except StopIteration as done:
+            table = done.value
             builds.pop()
             with _lock:
                 stored = _widest.get((group, k))
                 if stored is None or bound > stored.bound:
                     _widest[(group, k)] = table
-        else:
-            return table.truncated(bound)
+            continue
+        table = _lookup(g, k, bound)
+        if table is None:
+            builds.append((g, _build(g, k, bound)))  # it runs when sent a value
+    return table
+
+
+def _lookup(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable | None:
+    """The stored table of (g, k) if it reaches ``bound`` (a hit), else None (a miss)."""
+    with _lock:
+        table = _widest.get((g, k))
+        hit = table is not None and 0 <= bound <= table.bound
+        _stats[not hit] += 1
+    return table if hit else None
 
 
 def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
@@ -154,17 +154,14 @@ def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
     return polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
 
 
-def _cache_info() -> CacheInfo:
-    return CacheInfo(_stats[0], _stats[1], len(_widest))
-
-
 def _cache_clear() -> None:
     with _lock:
         _widest.clear()
+        _sylow.clear()
         _stats[:] = [0, 0]
 
 
-chow_model.cache_info = _cache_info
+chow_model.cache_info = lambda: CacheInfo(_stats[0], _stats[1], len(_widest))
 chow_model.cache_clear = _cache_clear
 
 
@@ -179,7 +176,7 @@ def _model(
         case Trivial():
             return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
-            if isinstance(g, (O, SO)):
+            if k.characteristic == 2 and isinstance(g, (O, SO)):
                 require_char_ne(k, 2, f"CH^*(B{format_group(g)})")
             return presentation_generators(catalog_presentation(g, bound)), False
         case CyclicZ() | FiniteAbelian():
@@ -195,9 +192,9 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
     """``_model`` of a finite abelian group: ``(1, m)`` per cyclic factor, or
     ``(t, p)`` for a single Z/p over a field without mu_p."""
     factors = (g.n,) if isinstance(g, CyclicZ) else g.factors
-    if k.characteristic:  # the text of a check that passes is not built
-        for m in factors:
-            require_char_ne(k, m, f"B(Z/{m})")
+    for m in factors:  # the text of a check that passes is not built
+        if k.characteristic and m % k.characteristic == 0:
+            require_char_ne(k, m, f"B(Z/{echo_int(m)})")
     if all(contains_mu(k, m) for m in factors):
         return [(1, m) for m in factors], False
     # general-field path: only a single prime-order cyclic group is established
@@ -207,7 +204,8 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
         return [(cyclotomic_order(k, p), p)], extrapolated
     raise UnsupportedError(
         f"{k.name or 'the base field'} lacks the roots of unity needed for "
-        f"{format_group(g)}; only a single Z/p is established over such fields"
+        f"{' x '.join(f'Z/{echo_int(m)}' for m in factors)}; only a single Z/p is established "
+        "over such fields"
     )
 
 
@@ -252,9 +250,10 @@ def chow_symmetric_sylow_bound(
     """Exact table of the p-Sylow subgroup of S_n, an upper bound containing
     the p-local Chow groups of BS_n as a split summand."""
     require_prime(p)
-    require_mu(field, p, f"the {p}-Sylow table of S_{n}")
-    profile = sylow_profile(n, p)
-    table = _memo(profile.group(), field, bound)
+    if not contains_mu(field, p):  # the text of a check that passes is not built
+        require_mu(field, p, f"the {p}-Sylow table of S_{n}")
+    group = _sylow.get((n, p)) or _sylow.setdefault((n, p), sylow_profile(n, p).group())
+    table = _memo(group, field, bound).truncated(bound)
     return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
 
 
@@ -264,7 +263,7 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _memo(Symmetric(n), field, bound)
+    return _memo(Symmetric(n), field, bound).truncated(bound)
 
 
 def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int, int]]:
@@ -290,7 +289,7 @@ def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -
     require_prime(p)
     if isinstance(g, Symmetric):
         return chow_symmetric_local(g.n, p, k, bound)
-    return localize_table(_memo(g, k, bound), p)
+    return localize_table(_memo(g, k, bound), p).truncated(bound)
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
@@ -299,7 +298,5 @@ def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> Ch
     with the same checks in the same order and no localized copy."""
     require_prime(p)
     if isinstance(g, Symmetric):
-        table = chow_symmetric_local(g.n, p, k, bound)
-    else:
-        table = _memo(g, k, bound)
-    return mod_p_table(table, p)
+        return mod_p_table(chow_symmetric_local(g.n, p, k, bound), p)
+    return mod_p_table(_memo(g, k, bound), p).truncated(bound)

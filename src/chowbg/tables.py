@@ -56,7 +56,6 @@ class Localization(Record):
     __slots__ = ("kind", "prime")
 
     def __init__(self, kind: str, prime: int | None = None):
-        # kind: "integral" | "at_prime" | "mod_p"
         if kind not in ("integral", "at_prime", "mod_p"):
             raise ValueError(f"unknown localization kind {kind!r}")
         if (prime is None) != (kind == "integral"):
@@ -252,22 +251,28 @@ def torsion_counts(table: ChowTable) -> list[tuple[tuple[int, int], ...]]:
 def localize_table(table: ChowTable, p: int) -> ChowTable:
     """Keep the free part and the p-power torsion of every degree: the
     series ``free`` and the levels of p."""
-    require_prime(p)
-    levels = tuple(e for e in table.levels if e[0] == p)
-    return _view(table, table.free, levels, Localization("at_prime", p))
+    at_p = next((e for e in table.levels if e[0] == p), None)
+    return _view(table, "at_prime", p, table.free, (at_p,) if at_p else ())
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each degree, reported in the free-rank column: the
     free rank plus the number of p-power torsion summands, which is the
     level G_{p,1} of the series, or ``free`` without p-power torsion."""
-    require_prime(p)
     g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
-    return _view(table, g1, (), Localization("mod_p", p))
+    return _view(table, "mod_p", p, g1, ())
 
 
-def _view(table: ChowTable, free: tuple, levels: tuple, localization: Localization) -> ChowTable:
-    """The table with the given series and localization."""
+_localizations: dict = {}  # (kind, p) -> the one Localization(kind, p)
+
+
+def _view(table: ChowTable, kind: str, p: int, free: tuple, levels: tuple) -> ChowTable:
+    """The table with the given series, localized by the one
+    ``Localization(kind, p)``, made when p first passes ``require_prime``."""
+    localization = _localizations.get((kind, p))
+    if localization is None:
+        require_prime(p)
+        localization = _localizations.setdefault((kind, p), Localization(kind, p))
     return ChowTable._stored(
         table.bound, free, levels, table.group, table.field, localization, table.provenance
     )

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from chowbg import _factoring
 from chowbg._cyclotomic import multiplicative_order
-from chowbg._factoring import _fermat_factor, _quote, _strong_probable_prime
+from chowbg._factoring import _fermat_factor, _strong_probable_prime
 from chowbg._intmath import PRIMALITY_BOUND, factorint, is_prime, require_prime
-from chowbg.errors import UnsupportedError, echo
-from chowbg.fields import COMPLEX
-from chowbg.groups import CyclicZ
+from chowbg.errors import UnsupportedError, echo, echo_int
+from chowbg.fields import COMPLEX, parse_field
+from chowbg.groups import CyclicZ, O
 from chowbg.models import chow_model
 from oracles import trial_factorint, trial_is_prime
 
@@ -207,9 +207,22 @@ def test_refusal_of_a_number_past_the_str_limit_quotes_its_first_digits():
     assert len(str(info.value)) < 300
 
 
+@pytest.mark.parametrize("field", ["Q", "F_3", "F_5"])
+def test_a_huge_order_over_a_field_without_its_roots_is_refused_briefly(field):
+    # Q and F_5 lack mu_m, F_3 divides m: each refusal quotes m by its first digits
+    m = 3 * MERSENNE_16607
+    with pytest.raises(UnsupportedError) as info:
+        chow_model(CyclicZ(m), parse_field(field), 2)
+    assert "... (5000 characters)" in str(info.value) and len(str(info.value)) < 300
+
+
+def test_a_huge_rank_needs_no_text_where_no_check_refuses():
+    assert chow_model(O(10**5000), COMPLEX, 2).free == (1, 0, 1)
+
+
 @given(st.integers(min_value=1, max_value=4300).flatmap(
     lambda k: st.integers(min_value=10 ** (k - 1), max_value=10**k - 1)
 ))
 def test_quote_is_echo_of_the_digits(n):
     # below the str() limit the quote is the same text as errors.echo(str(n))
-    assert _quote(n) == echo(str(n))
+    assert echo_int(n) == echo(str(n))

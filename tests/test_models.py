@@ -895,3 +895,186 @@ class TestStoredSeries:
 def _assert_same_rows(table, reference):
     assert table.rows == reference.rows
     assert [hash(r) for r in table.rows] == [hash(r) for r in reference.rows]
+
+
+def _scripted_tallies(g, bound, stored):
+    """The (hits, misses) of one memo lookup of g through ``bound`` >= 0,
+    given the bound ``stored`` holds for each group, which it updates as the
+    memo does: a miss builds g, and that build looks up the inner group of a
+    wreath, or each wreath term of a product, in order."""
+    if stored.get(g, -1) >= bound:
+        return 1, 0
+    hits, misses = 0, 1
+    if isinstance(g, Wreath):
+        needs = [g.inner]
+    else:
+        needs = [t for t in product_terms(g) if isinstance(t, Wreath)]
+    for t in needs:
+        h, m = _scripted_tallies(t, bound, stored)
+        hits, misses = hits + h, misses + m
+    stored[g] = bound
+    return hits, misses
+
+
+# F_7 holds the roots of unity of order 2, 3 and 6 only: over it Z/5 takes the
+# cyclotomic route, and Z/4 or a wreath wr(5, -) is refused
+FAST_FIELDS = [C, parse_field("F_7")]
+VIEWS = {
+    "localized": (chow_model_localized, localize_table, from_counts_localize_table),
+    "mod_p": (chow_model_mod_p, mod_p_table, from_counts_mod_p_table),
+}
+
+
+class TestFastPaths:
+    """A memo hit is one lookup, a view reads the stored table and cuts only
+    what it keeps, and a Sylow bound reuses its group: each answers as the
+    slow references do, and the memo counts each lookup once."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        group_exprs().filter(lambda g: not isinstance(g, Symmetric)),
+        st.sampled_from(FAST_FIELDS),
+        st.integers(min_value=0, max_value=30),
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from(["cold", "same-bound", "larger-bound"]),
+        st.sampled_from(sorted(VIEWS)),
+    )
+    @example(parse_group_expr("wr(2, wr(2, Z/2)) x wr(2, Z/2)"), C, 9, 2, "cold", "localized")
+    @example(parse_group_expr("wr(3, Z/3) x Z/5"), FAST_FIELDS[1], 12, 5, "larger-bound", "mod_p")
+    def test_views_match_row_references_and_tallies(self, g, k, bound, p, state, view):
+        fast, table_view, reference_view = VIEWS[view]
+        chow_model.cache_clear()
+        if state != "cold":
+            try:  # a refused group is refused again below, by the same error
+                chow_model(g, k, bound + 3 * (state == "larger-bound"))
+            except UnsupportedError:
+                pass
+        before = chow_model.cache_info()
+        try:
+            table = fast(g, k, bound, p)
+        except UnsupportedError as error:
+            refusal = (UnsupportedError, str(error))
+            assert _outcome(lambda: table_view(chow_model(g, k, bound), p)) == refusal
+            return
+        after = chow_model.cache_info()
+        stored = {}
+        expected = (1, 0) if state != "cold" else _scripted_tallies(g, bound, stored)
+        assert (after.hits - before.hits, after.misses - before.misses) == expected
+        assert after.currsize == (len(stored) if state == "cold" else before.currsize)
+        full = chow_model(g, k, bound)
+        for reference in (table_view(full, p), reference_view(full, p)):
+            assert table == reference and hash(table) == hash(reference)
+            assert table.rows == reference.rows
+
+    def test_scripted_tallies_count_shared_wreaths_once(self):
+        g = parse_group_expr("wr(2, wr(2, Z/2)) x wr(2, Z/2)")
+        stored = {}
+        # misses: the product, wr(2, wr(2, Z/2)), wr(2, Z/2), Z/2; the second
+        # wreath term is the stored wr(2, Z/2)
+        assert _scripted_tallies(g, 6, stored) == (1, 4) and len(stored) == 4
+        assert _scripted_tallies(g, 5, stored) == (1, 0)
+        assert _scripted_tallies(g, 7, stored) == (1, 4)
+
+    def test_a_hit_builds_nothing(self, monkeypatch):
+        g = parse_group_expr("wr(2, Z/2) x wr(3, Z/3)")
+        chow_model.cache_clear()
+        wide = chow_model(g, C, 12)
+        monkeypatch.setattr(models, "_build", None)  # a call would raise TypeError
+        assert chow_model(g, C, 12) is wide and chow_model(g, C, 7) == wide.truncated(7)
+        assert chow_model_localized(g, C, 7, 3) == localize_table(wide, 3).truncated(7)
+        assert chow_model_mod_p(g, C, 12, 2) == mod_p_table(wide, 2)
+        # one hit per call; the misses are the product, both wreaths, Z/2 and Z/3
+        assert chow_model.cache_info()[:2] == (4, 5)
+
+    def test_views_share_one_localization_per_prime(self):
+        from chowbg import tables
+
+        g = parse_group_expr("wr(2, Z/4) x Z/3")
+        a, b = chow_model_localized(g, C, 8, 2), chow_model_localized(g, C, 5, 2)
+        assert a.localization is b.localization == Localization("at_prime", 2)
+        c, d = chow_model_mod_p(g, C, 8, 3), mod_p_table(chow_model(g, C, 8), 3)
+        assert c.localization is d.localization == Localization("mod_p", 3)
+        for view in (localize_table, mod_p_table):
+            with pytest.raises(ValueError, match="^p must be prime, got 4$"):
+                view(chow_model(g, C, 8), 4)
+        assert not [key for key in tables._localizations if key[1] == 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=14),
+        st.sampled_from([2, 3, 5]),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_sylow_bound_repeats_after_clear_and_across_threads(self, n, p, bound):
+        from concurrent.futures import ThreadPoolExecutor
+
+        chow_model.cache_clear()
+        first = chow_symmetric_sylow_bound(n, p, bound)
+        assert first.group == sylow_profile(n, p).group() and first.bound == bound
+        assert first.provenance == (EXACT, UPPER_BOUND)
+        assert chow_symmetric_sylow_bound(n, p, bound) == first
+        chow_model.cache_clear()
+        assert models._sylow == {} and chow_model.cache_info() == (0, 0, 0)
+        assert chow_symmetric_sylow_bound(n, p, bound) == first
+        chow_model.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            twins = list(pool.map(lambda _: chow_symmetric_sylow_bound(n, p, bound), range(2)))
+        assert twins == [first, first] and hash(twins[1]) == hash(first)
+
+    def test_sylow_group_built_once_per_memo_lifetime(self, monkeypatch):
+        made = []
+
+        def counting(n, p):
+            made.append((n, p))
+            return sylow_profile(n, p)
+
+        monkeypatch.setattr(models, "sylow_profile", counting)
+        chow_model.cache_clear()
+        first = chow_symmetric_sylow_bound(12, 2, 6)
+        assert chow_symmetric_sylow_bound(12, 2, 4) == first.truncated(4)
+        assert chow_symmetric_sylow_bound(12, 2, 6) == first and made == [(12, 2)]
+        chow_model.cache_clear()
+        assert chow_symmetric_sylow_bound(12, 2, 6) == first and made == [(12, 2)] * 2
+
+    @pytest.mark.parametrize(
+        "n, p, field, error, message",
+        [
+            (5, 4, C, ValueError, "p must be prime, got 4"),
+            (-1, 2, C, ValueError, "n must be >= 0"),
+            (5, 3, Q, UnsupportedError, "the 3-Sylow table of S_5 needs the roots of unity of order 3 in the base field"),
+            (5, 3, parse_field("F_3"), UnsupportedError, "the 3-Sylow table of S_5 is only established in characteristic prime to 3"),
+        ],
+        ids=["non-prime", "negative-n", "no-mu_p", "char-p"],
+    )  # fmt: skip
+    def test_sylow_refusals_cache_nothing(self, n, p, field, error, message):
+        chow_model.cache_clear()
+        with pytest.raises(error) as info:
+            chow_symmetric_sylow_bound(n, p, 4, field)
+        assert type(info.value) is error and str(info.value) == message
+        assert models._sylow == {} and chow_model.cache_info() == (0, 0, 0)
+
+    def test_concurrent_views_and_sylow_bounds_match_serial_answers(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        groups = [parse_group_expr(t) for t in ("wr(2, wr(2, Z/2)) x Z/3", "wr(3, Z/3) x GL(2)")]
+        calls = [("sylow", n, p, b) for n, p in ((12, 2), (9, 3), (10, 5)) for b in (3, 6)]
+        calls += [(kind, g, b, p) for kind in ("local", "modp", "model") for g in groups
+                  for b in (6, 10) for p in (2, 3)]  # fmt: skip
+        run = {
+            "sylow": lambda n, p, b: chow_symmetric_sylow_bound(n, p, b),
+            "local": lambda g, b, p: chow_model_localized(g, C, b, p),
+            "modp": lambda g, b, p: chow_model_mod_p(g, C, b, p),
+            "model": lambda g, b, p: chow_model(g, C, b),
+        }
+        chow_model.cache_clear()
+        serial = [run[kind](*args) for kind, *args in calls]
+        chow_model.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(run[kind], *args) for kind, *args in calls * 4]
+                answers = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == serial * 4

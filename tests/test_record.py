@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import chowbg
+from chowbg._record import Record
 from chowbg.errors import GradingError
 from chowbg.fields import FieldDescriptor, galois_fixed_exponent, parse_field
 from chowbg.graded import (
@@ -299,6 +300,37 @@ def test_table_comparison_and_views_come_from_record_and_tables():
     assert unbuilt._rows is None and unbuilt == table and hash(unbuilt) == hash(table)
     assert models.localize_table is tables.localize_table
     assert models.mod_p_table is tables.mod_p_table
+
+
+class _Cached(Record):
+    """A record with a cache slot, filled by a caller, that no value reads."""
+
+    __slots__ = ("a", "b", "_cache")
+
+    def __init__(self, a, b, cache=None):
+        super().__init__(a, b, cache)
+
+
+@pytest.mark.parametrize("cache", [None, 0, "stale", -1])
+def test_a_cache_slot_is_skipped_by_eq_hash_pickling_and_repr(cache):
+    value, plain = _Cached(1, (2,), cache), _Cached(1, (2,))
+    assert value == plain and hash(value) == hash(plain) == hash((1, (2,)))
+    assert value != _Cached(1, (3,), cache) and value._cache == cache
+    assert repr(value) == "_Cached(a=1, b=(2,))"
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+        assert twin == value and hash(twin) == hash(value) and twin._cache is None
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field '_cache'"):
+        value._cache = 1
+
+
+@pytest.mark.parametrize("text", ["C", "Q", "F_7", "F_2(mu_3)", "Q(mu_5)"])
+def test_a_field_keeps_the_hash_of_its_values(text):
+    # the hash is computed once, from the same values that eq and pickling read
+    k = parse_field(text)
+    assert k._hash == hash(k) == hash(k._values(k)) == Record.__hash__(k)
+    twin = pickle.loads(pickle.dumps(k))
+    assert twin == k and twin is not k and twin._hash == k._hash
+    assert "_hash" not in repr(k) and "_rows" not in repr(ChowTable((DegreeRow(0, 1, ()),), 0))
 
 
 G = Generator("g")
