@@ -24,9 +24,9 @@ from .tables import (
     ChowTable,
     DegreeRow,
     Localization,
+    _from_series,
     _levels,
     _set_rows,
-    _stored_levels,
     torsion_counts,
 )
 
@@ -66,8 +66,8 @@ def series_of_rows(rows: tuple[DegreeRow, ...], bound: int) -> tuple[tuple, tupl
             l, a = torsion_sort_key(q)
             for s in _levels(levels, l, a, free)[:a]:
                 s[d] += m
-    free = tuple(free)
-    return free, _stored_levels(free, levels)
+    table = _from_series(free, levels, bound)
+    return table.free, table.levels
 
 
 def rows(table: ChowTable) -> tuple[DegreeRow, ...]:

@@ -28,7 +28,7 @@ from functools import reduce
 from threading import Lock
 from weakref import WeakValueDictionary
 
-from ._intmath import invariant_factors, is_prime
+from ._intmath import invariant_factors, is_prime, require_prime
 from ._record import Record
 from .errors import GroupParseError, UnsupportedError
 
@@ -398,29 +398,36 @@ class SylowProfile(Record):
     __slots__ = ("prime", "heights")
 
     def group(self) -> GroupExpr:
-        return combine_product([wreath_tower(self.prime, h) for h in self.heights])
+        return sylow_group(sum(self.prime**h for h in self.heights), self.prime)
 
 
 def wreath_tower(p: int, height: int) -> GroupExpr:
-    if height == 0:
-        return Trivial()
-    expr: GroupExpr = CyclicZ(p)
-    for _ in range(height - 1):
-        expr = Wreath(p, expr)
-    return expr
+    return sylow_group(p**height, p)  # the p-Sylow subgroup of S_{p^height}
+
+
+def sylow_group(n: int, p: int) -> GroupExpr:
+    """``sylow_profile(n, p).group()``, in one walk over the base-p digits of n // p."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    require_prime(p)
+    m, d = divmod(n // p, p)
+    tower = CyclicZ(p)
+    g = None if d == 0 else tower if d == 1 else FiniteAbelian((p,) * d)  # height 1: one node
+    while m:
+        m, d = divmod(m, p)
+        tower = Wreath(p, tower)  # each height is built once
+        for _ in range(d):
+            g = tower if g is None else Product(g, tower)
+    return Trivial() if g is None else g
 
 
 def sylow_profile(n: int, p: int) -> SylowProfile:
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    heights = []
-    position = 0
-    m = n
-    while m:
-        digit = m % p
-        heights.extend([position] * digit)
-        m //= p
-        position += 1
+    require_prime(p)
+    heights, height = [], 0
+    while n:
+        n, digit = divmod(n, p)
+        heights += [height] * digit
+        height += 1
     return SylowProfile(p, tuple(heights))

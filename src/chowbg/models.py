@@ -27,15 +27,12 @@ Anything outside this territory raises UnsupportedError, never a guess.
 
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
-(group, field), wreath products included, and ``_memo`` serves a bound it
-reaches by one locked lookup; each public function truncates only what it
-returns.  The p-local and mod-p answers are the views ``tables.localize_table``
-and ``tables.mod_p_table`` of the stored table, imported here under the same
-names, truncated after the view, so only the series they keep are cut.  A
-Sylow bound builds its group once per memo lifetime.  A build that needs a
-wreath table (a wreath's inner group, a product's wreath term) waits on an
-explicit stack while that table is looked up or built, so a tower costs no
-Python frames.  No function here builds rows: only a reader of ``rows`` does.
+(group, field), wreath products included, ``_memo`` serves a bound it reaches
+by one locked lookup, and each public function truncates only what it
+returns, a p-local or mod-p view after ``localize_table`` or ``mod_p_table``.
+A Sylow bound builds its group once per memo lifetime and key (n // p, p).  A
+build that needs a wreath table waits on an explicit stack, so a tower costs
+no Python frames.  No function here builds rows: only a reader of ``rows`` does.
 """
 
 from __future__ import annotations
@@ -68,9 +65,8 @@ from .groups import (
     Symmetric,
     Trivial,
     Wreath,
-    format_group,
     product_terms,
-    sylow_profile,
+    sylow_group,
 )
 from .presentations import catalog_presentation, presentation_generators
 from .tables import (
@@ -79,6 +75,7 @@ from .tables import (
     UPPER_BOUND,
     ChowTable,
     Localization,
+    _localizations,
     cyclic_power_table,
     localize_table,
     mod_p_table,
@@ -91,7 +88,7 @@ from .tables import (
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 _widest: dict = {}  # (g, k) -> the table of the largest bound built
-_sylow: dict = {}  # (n, p) -> the p-Sylow group of S_n
+_sylow: dict = {}  # (n // p, p) -> the p-Sylow group of S_n, which S_{n - n mod p} shares
 _stats = [0, 0]  # hits, misses
 _lock = Lock()  # guards the store and the counts; a build runs outside it
 
@@ -177,7 +174,7 @@ def _model(
             return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
             if k.characteristic == 2 and isinstance(g, (O, SO)):
-                require_char_ne(k, 2, f"CH^*(B{format_group(g)})")
+                require_char_ne(k, 2, f"CH^*(B{type(g).__name__}({echo_int(g.n)}))")
             return presentation_generators(catalog_presentation(g, bound)), False
         case CyclicZ() | FiniteAbelian():
             return _abelian_generators(g, k)
@@ -239,9 +236,14 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return polynomial_table(_symmetric_generators(n, k, (p,)), bound).with_metadata(
-        group=Symmetric(n), field=k, localization=Localization("at_prime", p)
-    )
+    cyclic = _symmetric_generators(n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
+    if bound < 0:
+        raise ValueError("table must have one row per degree 0..bound")
+    period = (1,) + (0,) * (p - 2) if cyclic and p <= bound + 1 else ()  # G_{p,1}: 1 where p-1 | d
+    levels = ((p, ((period * (bound // (p - 1) + 1))[: bound + 1],)),) if period else ()
+    key = ("at_prime", p)  # p has passed require_prime
+    at_p = _localizations.get(key) or _localizations.setdefault(key, Localization(*key))
+    return ChowTable._stored(bound, (1,) + (0,) * bound, levels, Symmetric(n), k, at_p, (EXACT,))
 
 
 def chow_symmetric_sylow_bound(
@@ -251,8 +253,8 @@ def chow_symmetric_sylow_bound(
     the p-local Chow groups of BS_n as a split summand."""
     require_prime(p)
     if not contains_mu(field, p):  # the text of a check that passes is not built
-        require_mu(field, p, f"the {p}-Sylow table of S_{n}")
-    group = _sylow.get((n, p)) or _sylow.setdefault((n, p), sylow_profile(n, p).group())
+        require_mu(field, p, f"the {p}-Sylow table of S_{echo_int(n)}")
+    group = _sylow.get((n // p, p)) or _sylow.setdefault((n // p, p), sylow_group(n, p))
     table = _memo(group, field, bound).truncated(bound)
     return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
 
@@ -272,10 +274,11 @@ def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int,
     it is cyclic of order p (n < 2p); a larger Sylow subgroup raises."""
     generators = []
     for p in primes:
-        require_char_ne(k, p, f"the {p}-local table of S_{n}")
+        if k.characteristic and p % k.characteristic == 0:  # the text is built only to refuse
+            require_char_ne(k, p, f"the {p}-local table of S_{echo_int(n)}")
         if n >= 2 * p:
             raise UnsupportedError(
-                f"the {p}-Sylow subgroup of S_{n} is not cyclic; the stable-element "
+                f"the {p}-Sylow subgroup of S_{echo_int(n)} is not cyclic; the stable-element "
                 "computation beyond prime-order Sylow subgroups is not available"
             )
         if n >= p:

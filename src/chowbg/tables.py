@@ -20,18 +20,12 @@ pairs as ``row.counts``; nothing in the package reads it on the way to an
 answer or its output, so the view and the tables built from rows run in
 ``_rows``, compiled on first use.
 
-``polynomial_table`` is the Kunneth product of a list of factors:
-one-generator rings ``Z[x]/(m x)``, given as ``(degree, m)`` pairs, and
-whole tables (the wreath products).  ``cyclic_power_table`` is the
-codimension cyclic power that builds wreath products.  Both work on the
-series, so their cost grows with the distinct (prime, exponent) levels and
-the bound, not with the pairs of classes: a generator is a stride prefix
-sum, a table factor a truncated product of series (one big-integer product
-each), the cyclic power Polya's ``(s^p + (p - 1) s(t^p)) / p`` with the
-power taken by squaring.  The torsion comes back by differencing adjacent
-levels, canonical as built.  The p-local and mod-p views, ``localize_table``
-and ``mod_p_table``, live here too, so the series are rebuilt only in this
-module; outside it they are only read (``free``, ``levels``).
+The kernels ``polynomial_table`` (the Kunneth product) and
+``cyclic_power_table`` (the wreath step) work on the series, so their cost
+grows with the distinct (prime, exponent) levels and the bound, not with the
+pairs of classes.  The views ``localize_table`` and ``mod_p_table`` and the
+truncation live here too, so the series are rebuilt only in this module;
+outside it they are only read (``free``, ``levels``).
 """
 
 from __future__ import annotations
@@ -191,14 +185,13 @@ class ChowTable(Record):
     def truncated(self, bound: int) -> "ChowTable":
         """The table through degree ``bound`` of a graded table: this table
         at its own bound, else a new one with the series cut after degree
-        ``bound`` and the same metadata."""
+        ``bound`` and the same metadata, in one pass over the sorted levels."""
         if bound == self.bound:
             return self
         if not 0 <= bound < self.bound:
             raise ValueError(f"degree {bound} outside table bound {self.bound}")
-        n = bound + 1
-        free = self.free[:n]
-        levels = _stored_levels(free, {l: [s[:n] for s in lv] for l, lv in self.levels})
+        free = self.free[: bound + 1]
+        levels = _stored_levels(free, [(l, [s[: bound + 1] for s in lv]) for l, lv in self.levels])
         return ChowTable._stored(
             bound, free, levels, self.group, self.field, self.localization, self.provenance
         )
@@ -217,14 +210,13 @@ _set_bound, _set_free, _set_levels, _set_group = ChowTable._setters[:4]
 _set_field, _set_localization, _set_provenance, _set_rows = ChowTable._setters[4:]
 
 
-def _stored_levels(free: tuple, levels: dict) -> tuple:
-    """``levels`` in the stored form: primes in increasing order, tuples, and
-    the top levels that equal ``free`` (no summand of that exponent) and
-    then primes without levels dropped, so that equal tables store equal
-    series."""
+def _stored_levels(free: tuple, levels: list) -> tuple:
+    """``levels``, (prime, list of level tuples) pairs by increasing prime, in
+    the stored form: the top levels that equal ``free`` (no summand of that
+    exponent) and then primes without levels dropped, so that equal tables
+    store equal series."""
     out = []
-    for l in sorted(levels):
-        lv = [tuple(s) for s in levels[l]]
+    for l, lv in levels:
         while lv and lv[-1] == free:
             lv.pop()
         if lv:
@@ -281,7 +273,7 @@ def _view(table: ChowTable, kind: str, p: int, free: tuple, levels: tuple) -> Ch
 def _from_series(free: list[int], levels: dict, bound: int) -> ChowTable:
     """The integral table, without metadata, of kernel series."""
     free = tuple(free)
-    levels = _stored_levels(free, levels)
+    levels = _stored_levels(free, sorted((l, [tuple(s) for s in lv]) for l, lv in levels.items()))
     return ChowTable._stored(bound, free, levels, None, None, INTEGRAL, (EXACT,))
 
 

@@ -24,6 +24,7 @@ from chowbg._intmath import (
 )
 from chowbg._record import Record
 from chowbg.errors import UnsupportedError
+from chowbg.fields import require_char_ne
 from chowbg.graded import from_table, tensor, to_table
 from chowbg.groups import (
     G2,
@@ -409,6 +410,51 @@ def from_counts_mod_p_table(table, p):
 
 def _view_table(table, rows, localization):
     return ChowTable(rows, table.bound, table.group, table.field, localization, table.provenance)
+
+
+def sylow_group_by_towers(n, p):
+    """The p-Sylow subgroup of S_n as ``combine_product`` of one wreath tower
+    per unit of each base-p digit of n, each tower built by its own loop of
+    ``Wreath`` nodes: the reference for ``groups.sylow_group``."""
+    towers, height = [], 0
+    while n:
+        n, digit = divmod(n, p)
+        for _ in range(digit):
+            tower = Trivial() if height == 0 else CyclicZ(p)
+            for _ in range(height - 1):
+                tower = Wreath(p, tower)
+            towers.append(tower)
+        height += 1
+    return combine_product(towers)
+
+
+def truncated_by_dict(table, bound):
+    """``table.truncated(bound)`` the way the stored form was rebuilt from a
+    dict: the cut series of every prime re-sorted and re-tupled, and the top
+    levels equal to ``free`` dropped: the reference for the one-pass cut."""
+    n = bound + 1
+    free = table.free[:n]
+    cut = {l: [s[:n] for s in lv] for l, lv in table.levels}
+    levels = []
+    for l in sorted(cut):
+        lv = [tuple(s) for s in cut[l]]
+        while lv and lv[-1] == free:
+            lv.pop()
+        if lv:
+            levels.append((l, tuple(lv)))
+    metadata = (table.group, table.field, table.localization, table.provenance)
+    return ChowTable._stored(bound, free, tuple(levels), *metadata)
+
+
+def symmetric_local_by_kernel(n, p, k, bound):
+    """The p-local table of S_n, n < 2p, as the Kunneth kernel builds the
+    ring ``Z[x]/(p x)``, deg x = p - 1 (the point for n < p), with its
+    metadata set by a copy: the reference for ``chow_symmetric_local``."""
+    require_char_ne(k, p, f"the {p}-local table of S_{n}")
+    table = polynomial_table([(p - 1, p)] if n >= p else [], bound)
+    return table.with_metadata(
+        group=Symmetric(n), field=k, localization=Localization("at_prime", p)
+    )
 
 
 def run_length_row_value(row):

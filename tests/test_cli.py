@@ -260,6 +260,14 @@ class TestOtherVerbs:
         assert "2-Sylow subgroup of S_6: Z/2 x wr(2, Z/2)" in out
         assert "  1: (Z/2)^3" in out
 
+    def test_sylow_below_a_large_prime_is_trivial(self):
+        # n < p: the group comes from the base-p digits of n // p, with no
+        # list of one entry per unit of n
+        code, out, err = invoke(["sylow", "100000000000", "--prime", "100000000003", "--max-degree", "2"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "100000000003-Sylow subgroup of S_100000000000: 1"
+        assert out.splitlines()[-3:] == ["  0: Z", "  1: 0", "  2: 0"]
+
     def test_sylow_needs_roots_of_unity_exit_3(self):
         code, out, err = invoke(["sylow", "3", "--prime", "3", "--field", "Q"])
         assert (code, out) == (3, "")

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from chowbg import models
 from chowbg.errors import UnsupportedError
-from chowbg.fields import contains_mu, parse_field
+from chowbg.fields import contains_mu, parse_field, require_mu
 from chowbg.graded import localize, mod_p_dimension, to_table
 from chowbg.groups import (
+    SO,
     CyclicZ,
     FiniteAbelian,
+    O,
     Product,
     Symmetric,
+    Trivial,
     Wreath,
     parse_group_expr,
     product_terms,
+    sylow_group,
     sylow_profile,
 )
 from chowbg.models import (
@@ -48,7 +52,10 @@ from oracles import (
     kunneth_factors,
     labelled_kunneth_table,
     pairwise_kunneth_table,
+    sylow_group_by_towers,
+    symmetric_local_by_kernel,
     symmetric_rows,
+    truncated_by_dict,
 )
 from strategies import finite_group_exprs, graded_groups, group_exprs, isomorphic_spellings
 
@@ -491,6 +498,24 @@ class TestFieldGuards:
         # the primes are produced lazily, so a huge n stops at p = 2
         with pytest.raises(UnsupportedError, match="^the 2-Sylow subgroup of S_10000000 is not cyclic"):
             model("S_10000000", C)
+
+    @pytest.mark.parametrize(
+        "build, start",
+        [
+            (lambda: chow_model(O(10**5000), F_2, 2), "CH^*(BO(10000000000000000000... (5001 characters)))"),
+            (lambda: chow_model(SO(10**5000), F_2, 2), "CH^*(BSO(10000000000000000000... (5001 characters)))"),
+            (lambda: chow_model(Symmetric(10**5000), C, 2), "the 2-Sylow subgroup of S_10000000000000000000... (5001 characters) is not cyclic"),
+            (lambda: chow_model(Symmetric(10**5000), F_2, 2), "the 2-local table of S_10000000000000000000... (5001 characters)"),
+            (lambda: chow_symmetric_local(10**5000, 3, C, 2), "the 3-Sylow subgroup of S_10000000000000000000... (5001 characters)"),
+            (lambda: chow_symmetric_sylow_bound(10**5000, 3, 2, Q), "the 3-Sylow table of S_10000000000000000000... (5001 characters)"),
+        ],
+        ids=["O/F_2", "SO/F_2", "S_n/C", "S_n/F_2", "S_n-local/C", "sylow/Q"],
+    )  # fmt: skip
+    def test_refusals_quote_numbers_past_the_str_limit(self, build, start):
+        # str() of a 5,001-digit number raises ValueError: the texts use echo_int
+        with pytest.raises(UnsupportedError) as info:
+            build()
+        assert str(info.value).startswith(start) and len(str(info.value)) < 300
 
     def test_symmetric_local_equals_localized_integral(self):
         fields = [parse_field(k) for k in ("C", "Q", "Q(mu_3)", "F_2", "F_3", "F_5", "F_7(mu_5)")]
@@ -1022,19 +1047,128 @@ class TestFastPaths:
         assert twins == [first, first] and hash(twins[1]) == hash(first)
 
     def test_sylow_group_built_once_per_memo_lifetime(self, monkeypatch):
+        # S_12 and S_13 share their 2-Sylow subgroup, so one build serves both
         made = []
 
         def counting(n, p):
             made.append((n, p))
-            return sylow_profile(n, p)
+            return sylow_group(n, p)
 
-        monkeypatch.setattr(models, "sylow_profile", counting)
+        monkeypatch.setattr(models, "sylow_group", counting)
         chow_model.cache_clear()
         first = chow_symmetric_sylow_bound(12, 2, 6)
-        assert chow_symmetric_sylow_bound(12, 2, 4) == first.truncated(4)
-        assert chow_symmetric_sylow_bound(12, 2, 6) == first and made == [(12, 2)]
+        assert made == [(12, 2)] and models._sylow == {(6, 2): first.group}
+        misses = chow_model.cache_info().misses
+        for n, bound in ((12, 4), (13, 6), (13, 2), (12, 6)):
+            hits = chow_model.cache_info().hits
+            assert chow_symmetric_sylow_bound(n, 2, bound) == first.truncated(bound)
+            assert chow_model.cache_info()[:2] == (hits + 1, misses)  # one hit, no build
+        assert made == [(12, 2)] and list(models._sylow) == [(6, 2)]
+        assert chow_symmetric_sylow_bound(14, 2, 6).group is sylow_profile(14, 2).group()
+        assert made == [(12, 2), (14, 2)]
         chow_model.cache_clear()
-        assert chow_symmetric_sylow_bound(12, 2, 6) == first and made == [(12, 2)] * 2
+        assert models._sylow == {}
+        assert chow_symmetric_sylow_bound(13, 2, 6) == first
+        assert made == [(12, 2), (14, 2), (13, 2)] and list(models._sylow) == [(6, 2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2000), st.sampled_from([2, 3, 5, 7, 11]))
+    @example(0, 2)
+    @example(2000, 2)
+    @example(1330, 11)
+    def test_sylow_group_is_the_profile_group(self, n, p):
+        built = sylow_group(n, p)
+        for reference in (sylow_profile(n, p).group(), sylow_group_by_towers(n, p)):
+            if isinstance(built, (Product, Wreath)):
+                assert built is reference  # interned nodes
+            else:
+                assert built == reference and type(built) is type(reference)
+        assert sylow_group(n - n % p, p) is built or sylow_group(n - n % p, p) == built
+
+    @pytest.mark.parametrize("n, p, error, message", [
+        (-1, 2, ValueError, "n must be >= 0"),
+        (5, 4, ValueError, "p must be prime, got 4"),
+        (5, 1, ValueError, "p must be prime, got 1"),
+    ])  # fmt: skip
+    def test_sylow_group_refusals(self, n, p, error, message):
+        with pytest.raises(error) as info:
+            sylow_group(n, p)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_sylow_group_of_a_large_prime_is_trivial(self):
+        # n < p: no list of n entries, as the profile's heights would make
+        assert sylow_group(10**11, 10**11 + 3) == sylow_group(10**15, 10**15 + 37) == Trivial()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=60),
+                st.sampled_from([2, 3, 5, 7, 11]),
+                st.integers(min_value=0, max_value=12),
+                st.sampled_from(FAST_FIELDS),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_sylow_bounds_match_the_profile_models_in_any_order(self, calls):
+        chow_model.cache_clear()
+        answers = []
+        for n, p, bound, k in calls:
+            before = chow_model.cache_info()
+            try:
+                answers.append(chow_symmetric_sylow_bound(n, p, bound, k))
+            except UnsupportedError as error:
+                assert not contains_mu(k, p) and chow_model.cache_info() == before
+                answers.append(str(error))
+        for (n, p, bound, k), answer in zip(calls, answers):
+            chow_model.cache_clear()  # each reference from an empty memo
+            if not contains_mu(k, p):
+                with pytest.raises(UnsupportedError) as refusal:
+                    require_mu(k, p, f"the {p}-Sylow table of S_{n}")
+                assert answer == str(refusal.value)
+                continue
+            reference = chow_model(sylow_profile(n, p).group(), k, bound)
+            reference = reference.with_metadata(provenance=(EXACT, UPPER_BOUND))
+            assert answer == reference and answer.levels == reference.levels
+
+    @settings(max_examples=120, deadline=None)
+    @given(group_exprs(), st.sampled_from(FAST_FIELDS), st.integers(min_value=0, max_value=16))
+    def test_one_pass_truncation_matches_the_dict_reference(self, g, k, top):
+        try:
+            table = chow_model(g, k, top)
+        except UnsupportedError:
+            return
+        for view in (table, localize_table(table, 2), mod_p_table(table, 3)):
+            for bound in range(top):
+                cut, reference = view.truncated(bound), truncated_by_dict(view, bound)
+                assert cut == reference and cut.levels == reference.levels
+                metadata = (view.group, view.field, view.localization, view.provenance)
+                assert cut == ChowTable(view.rows[: bound + 1], bound, *metadata)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.integers(min_value=1, max_value=25),
+        st.sampled_from(KUNNETH_FIELDS),
+        st.integers(min_value=0, max_value=30),
+    )
+    def test_symmetric_local_matches_the_kernel_table(self, p, n, k, bound):
+        if n >= 2 * p:
+            with pytest.raises(UnsupportedError):
+                chow_symmetric_local(n, p, k, bound)
+            return
+        try:
+            expected = symmetric_local_by_kernel(n, p, k, bound)
+        except UnsupportedError as refusal:
+            with pytest.raises(UnsupportedError, match=f"^{re.escape(str(refusal))}$"):
+                chow_symmetric_local(n, p, k, bound)
+            return
+        table = chow_symmetric_local(n, p, k, bound)
+        assert table == expected and table.levels == expected.levels
+        assert table.rows == expected.rows
+        assert table.localization is chow_model_localized(CyclicZ(p), C, 0, p).localization
 
     @pytest.mark.parametrize(
         "n, p, field, error, message",
