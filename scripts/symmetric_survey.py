@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Survey the p-local tables of symmetric groups.
 
-For each n and prime p <= n, print the Sylow profile, the exact p-local
+For each n and prime p <= n, print the Sylow subgroup, the exact p-local
 table when the Sylow subgroup is cyclic, and the Sylow upper-bound table
 otherwise.
 
@@ -13,7 +13,7 @@ import argparse
 from chowbg.cli import render_row_value
 from chowbg.errors import UnsupportedError
 from chowbg.fields import parse_field
-from chowbg.groups import format_group, sylow_profile
+from chowbg.groups import format_group, sylow_group
 from chowbg.models import chow_symmetric_local, chow_symmetric_sylow_bound
 
 
@@ -29,8 +29,7 @@ def main():
     field = parse_field("C")
     for n in range(2, args.max_n + 1):
         for p in primes_up_to(n):
-            profile = sylow_profile(n, p)
-            header = f"S_{n} at p={p}  (Sylow = {format_group(profile.group())})"
+            header = f"S_{n} at p={p}  (Sylow = {format_group(sylow_group(n, p))})"
             try:
                 table = chow_symmetric_local(n, p, field, args.max_degree)
                 kind = "exact p-local table"

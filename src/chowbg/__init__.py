@@ -29,11 +29,10 @@ from .fields import (
 )
 from .groups import (
     GroupExpr,
-    SylowProfile,
     format_group,
     generator_bound,
     parse_group_expr,
-    sylow_profile,
+    sylow_group,
 )
 from .models import (
     chow_integral_symmetric,
@@ -90,12 +89,12 @@ graded = _register("graded")
 __all__ = [
     "ChowTable", "DegreeRow", "FieldDescriptor", "FieldParseError", "GaloisFixedSpec",
     "GradingError", "GroupExpr", "GroupParseError", "Localization", "RingPresentation",
-    "SylowProfile", "UnsupportedError", "additive_table_from_presentation",
-    "apply_cyclotomic_invariants", "catalog_presentation", "chow_integral_symmetric",
-    "chow_model", "chow_model_localized", "chow_model_mod_p", "chow_symmetric_local",
-    "chow_symmetric_sylow_bound", "chow_wreath", "contains_mu", "cyclic", "cyclotomic_order",
-    "errors", "fields", "format_group", "galois_fixed_exponent", "generator_bound", "graded",
-    "groups", "localize_table", "mod_p_table", "models", "parse_field", "parse_group_expr",
-    "presentations", "sylow_profile", "tables",
+    "UnsupportedError", "additive_table_from_presentation", "apply_cyclotomic_invariants",
+    "catalog_presentation", "chow_integral_symmetric", "chow_model", "chow_model_localized",
+    "chow_model_mod_p", "chow_symmetric_local", "chow_symmetric_sylow_bound", "chow_wreath",
+    "contains_mu", "cyclic", "cyclotomic_order", "errors", "fields", "format_group",
+    "galois_fixed_exponent", "generator_bound", "graded", "groups", "localize_table",
+    "mod_p_table", "models", "parse_field", "parse_group_expr", "presentations", "sylow_group",
+    "tables",
 ]  # fmt: skip
 __version__ = "0.1.0"

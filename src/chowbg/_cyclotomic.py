@@ -81,8 +81,6 @@ def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:
     p = table.group.n
     if t < 1 or (p - 1) % t != 0:
         raise ValueError(f"t must divide p - 1 = {p - 1}, got {t}")
-    rows = tuple(
-        row if row.degree % t == 0 else DegreeRow(row.degree, 0, ())
-        for row in table.rows
-    )
-    return table.with_metadata(rows=rows)
+    rows = [row if row.degree % t == 0 else DegreeRow(row.degree, 0, ()) for row in table.rows]
+    metadata = (table.group, table.field, table.localization, table.provenance)
+    return ChowTable.from_rows(rows, table.bound, *metadata)

@@ -4,10 +4,10 @@ No CLI request and no ``models`` call builds or reads a ``DegreeRow``: the
 writers read the series.  ``tables`` keeps ``DegreeRow``, ``ChowTable`` and a
 delegate of the same name for each function here that a method or a public
 name runs: ``rows``, the per-degree view that its first reader builds from the
-series and caches on that table alone; ``series_of_rows``, the checks and the
-conversion of a table built from rows (the constructor, ``with_metadata(rows=
-...)``, ``cli.table_from_json_obj``); ``set_row``, the canonical pairs of a
-row; and ``torsion_sort_key``, the (prime, exponent) order of those pairs.
+series and caches on that table alone; ``from_rows``, the checks and the
+conversion of a table built from rows (``ChowTable.from_rows``,
+``cli.table_from_json_obj``); ``set_row``, the canonical pairs of a row; and
+``torsion_sort_key``, the (prime, exponent) order of those pairs.
 """
 
 from __future__ import annotations
@@ -55,8 +55,10 @@ def set_row(row: DegreeRow, degree: int, free_rank: int, counts) -> None:
     Record.__init__(row, degree, free_rank, tuple(pairs))
 
 
-def series_of_rows(rows: tuple[DegreeRow, ...], bound: int) -> tuple[tuple, tuple]:
-    """The stored ``free`` and ``levels`` of one row per degree 0..bound."""
+def from_rows(rows, bound: int, group, field, localization, provenance) -> ChowTable:
+    """``ChowTable.from_rows``: the table of one row per degree 0..bound,
+    with the rows given cached as its ``rows``."""
+    rows = tuple(rows)
     if bound < 0 or [r.degree for r in rows] != list(range(bound + 1)):
         raise ValueError("table must have one row per degree 0..bound")
     free = [r.free_rank for r in rows]
@@ -66,8 +68,9 @@ def series_of_rows(rows: tuple[DegreeRow, ...], bound: int) -> tuple[tuple, tupl
             l, a = torsion_sort_key(q)
             for s in _levels(levels, l, a, free)[:a]:
                 s[d] += m
-    table = _from_series(free, levels, bound)
-    return table.free, table.levels
+    table = _from_series(free, levels, bound, group, field, localization, provenance)
+    _set_rows(table, rows)
+    return table
 
 
 def rows(table: ChowTable) -> tuple[DegreeRow, ...]:
@@ -96,11 +99,11 @@ def table_from_json_obj(obj: dict, schema: int) -> ChowTable:
             counts[order] = counts.get(order, 0) + t["multiplicity"]
         table_rows.append(DegreeRow.from_counts(entry["degree"], entry["free_rank"], counts))
     loc = obj["localization"]
-    return ChowTable(
-        rows=tuple(table_rows),
-        bound=obj["bound"],
-        group=parse_group_expr(obj["group"]) if obj["group"] is not None else None,
-        field=parse_field(obj["field"]["name"]) if obj["field"] is not None else None,
-        localization=Localization(loc["kind"], loc.get("prime")),
-        provenance=tuple(obj["provenance"]),
+    return from_rows(
+        table_rows,
+        obj["bound"],
+        parse_group_expr(obj["group"]) if obj["group"] is not None else None,
+        parse_field(obj["field"]["name"]) if obj["field"] is not None else None,
+        Localization(loc["kind"], loc.get("prime")),
+        tuple(obj["provenance"]),
     )

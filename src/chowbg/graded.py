@@ -238,7 +238,7 @@ def to_table(group: GradedAbelianGroup) -> ChowTable:
         elif s.order != 1:
             torsion[s.degree].extend(p**e for p, e in factorint(s.order))
     rows = tuple(DegreeRow(d, free[d], tuple(torsion[d])) for d in range(bound + 1))
-    return ChowTable(rows=rows, bound=bound)
+    return ChowTable.from_rows(rows, bound)
 
 
 def from_table(table: ChowTable) -> GradedAbelianGroup:

@@ -387,26 +387,10 @@ def _generator_bound(g: GroupExpr) -> int:
     )
 
 
-class SylowProfile(Record):
-    """Shape of the p-Sylow subgroup of a symmetric group.
-
-    Each base-p digit d at position i contributes d copies of the i-fold
-    iterated wreath power of Z/p (height 0 is the trivial group), and the
-    Sylow subgroup is the product of those factors.
-    """
-
-    __slots__ = ("prime", "heights")
-
-    def group(self) -> GroupExpr:
-        return sylow_group(sum(self.prime**h for h in self.heights), self.prime)
-
-
-def wreath_tower(p: int, height: int) -> GroupExpr:
-    return sylow_group(p**height, p)  # the p-Sylow subgroup of S_{p^height}
-
-
 def sylow_group(n: int, p: int) -> GroupExpr:
-    """``sylow_profile(n, p).group()``, in one walk over the base-p digits of n // p."""
+    """The p-Sylow subgroup of S_n: each base-p digit d at position i of n
+    gives d copies of the i-fold iterated wreath power of Z/p (height 0 is
+    the trivial group), built in one walk over the base-p digits of n // p."""
     if n < 0:
         raise ValueError("n must be >= 0")
     require_prime(p)
@@ -419,15 +403,3 @@ def sylow_group(n: int, p: int) -> GroupExpr:
         for _ in range(d):
             g = tower if g is None else Product(g, tower)
     return Trivial() if g is None else g
-
-
-def sylow_profile(n: int, p: int) -> SylowProfile:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    require_prime(p)
-    heights, height = [], 0
-    while n:
-        n, digit = divmod(n, p)
-        heights += [height] * digit
-        height += 1
-    return SylowProfile(p, tuple(heights))

@@ -74,12 +74,11 @@ from .tables import (
     EXTRAPOLATED_FIELD,
     UPPER_BOUND,
     ChowTable,
-    Localization,
-    _localizations,
     cyclic_power_table,
     localize_table,
     mod_p_table,
     polynomial_table,
+    shared_localization,
 )
 
 
@@ -241,9 +240,8 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
         raise ValueError("table must have one row per degree 0..bound")
     period = (1,) + (0,) * (p - 2) if cyclic and p <= bound + 1 else ()  # G_{p,1}: 1 where p-1 | d
     levels = ((p, ((period * (bound // (p - 1) + 1))[: bound + 1],)),) if period else ()
-    key = ("at_prime", p)  # p has passed require_prime
-    at_p = _localizations.get(key) or _localizations.setdefault(key, Localization(*key))
-    return ChowTable._stored(bound, (1,) + (0,) * bound, levels, Symmetric(n), k, at_p, (EXACT,))
+    at_p = shared_localization("at_prime", p)
+    return ChowTable(bound, (1,) + (0,) * bound, levels, Symmetric(n), k, at_p)
 
 
 def chow_symmetric_sylow_bound(

@@ -5,11 +5,12 @@ the degrees 0..bound: ``free``, the free rank of each degree, and
 ``levels``, one ``(l, (G_{l,1}, ..., G_{l,A}))`` pair per prime l with
 torsion, where G_{l,a} counts the free rank plus the torsion summands of
 l-valuation at least a and A is the largest exponent of l that occurs.
-This is the one stored form from the kernels to the ``chow_model`` memo to
-the p-local and mod-p views: a view keeps or sums levels, a smaller bound
-truncates the series, and a table factor of a Kunneth product enters as
-its series.  Equality, hashing and pickling read the bound, the series and
-the metadata (group, base field, localization, provenance).
+This is the one stored form, and what ``ChowTable(bound, free, levels,
+...)`` takes, from the kernels to the ``chow_model`` memo to the p-local
+and mod-p views: a view keeps or sums levels, a smaller bound truncates the
+series, and a table factor of a Kunneth product enters as its series.
+Equality, hashing, repr and pickling are ``Record``'s and read the bound,
+the series and the metadata (group, base field, localization, provenance).
 
 ``torsion_counts`` reads each degree's torsion off the series as canonical
 ``(order, multiplicity)`` pairs: one pair per distinct prime-power order,
@@ -17,15 +18,14 @@ sorted by (prime, exponent), so tables render deterministically and cost
 grows with the distinct orders, not with the number of cyclic summands.
 ``rows`` is the per-degree view, one ``DegreeRow`` per degree holding those
 pairs as ``row.counts``; nothing in the package reads it on the way to an
-answer or its output, so the view and the tables built from rows run in
-``_rows``, compiled on first use.
+answer or its output, so the view and ``ChowTable.from_rows``, the checked
+reader of rows, run in ``_rows``, compiled on first use.
 
 The kernels ``polynomial_table`` (the Kunneth product) and
-``cyclic_power_table`` (the wreath step) work on the series, so their cost
-grows with the distinct (prime, exponent) levels and the bound, not with the
-pairs of classes.  The views ``localize_table`` and ``mod_p_table`` and the
-truncation live here too, so the series are rebuilt only in this module;
-outside it they are only read (``free``, ``levels``).
+``cyclic_power_table`` (the wreath step), the views ``localize_table`` and
+``mod_p_table`` and the truncation work on the series, so their cost grows
+with the distinct (prime, exponent) levels and the bound, not with the pairs
+of classes.
 """
 
 from __future__ import annotations
@@ -36,14 +36,9 @@ from functools import lru_cache, partial
 from itertools import accumulate, chain, repeat
 from operator import sub
 from sys import byteorder
-from typing import TYPE_CHECKING
 
 from ._intmath import factorint, require_prime
 from ._record import Record
-
-if TYPE_CHECKING:  # only for annotations; avoids import cycles
-    from .fields import FieldDescriptor
-    from .groups import GroupExpr
 
 
 class Localization(Record):
@@ -115,41 +110,36 @@ class ChowTable(Record):
     """Additive table through degree ``bound``: the series ``free`` and
     ``levels`` (see the module docstring) and the metadata.
 
-    ``ChowTable(rows, bound, ...)`` checks one row per degree 0..bound and
-    converts the rows to series; ``rows`` and ``row(d)`` read the cached
-    per-degree view, which the first read builds from the series.
+    ``ChowTable(bound, free, levels, ...)`` takes the series in the stored
+    form, unchecked, as the kernels, the views and the truncation build
+    them.  Rows enter through ``ChowTable.from_rows``, which checks one row
+    per degree 0..bound; ``rows`` and ``row(d)`` read the cached per-degree
+    view, which the first read builds from the series.
     """
 
     __slots__ = ("bound", "free", "levels", "group", "field", "localization", "provenance", "_rows")
 
     def __init__(
-        self,
-        rows: tuple[DegreeRow, ...],
-        bound: int,
-        group: GroupExpr | None = None,
-        field: FieldDescriptor | None = None,
-        localization: Localization = INTEGRAL,
-        provenance: tuple[str, ...] = (EXACT,),
+        self, bound, free, levels, group=None, field=None, localization=INTEGRAL, provenance=(EXACT,)
     ):
-        from . import _rows
-
-        rows = tuple(rows)
-        free, levels = _rows.series_of_rows(rows, bound)
-        super().__init__(bound, free, levels, group, field, localization, provenance, rows)
+        _set_bound(self, bound)  # the slot setters directly: ``Record.__init__``'s loop is slower
+        _set_free(self, free)
+        _set_levels(self, levels)
+        _set_group(self, group)
+        _set_field(self, field)
+        _set_localization(self, localization)
+        _set_provenance(self, provenance)
+        _set_rows(self, None)
 
     @classmethod
-    def _stored(cls, bound, free, levels, group, field, localization, provenance) -> "ChowTable":
-        """A table of series already in the stored form, unchecked, its rows unbuilt."""
-        table = cls.__new__(cls)
-        _set_bound(table, bound)  # the slot setters directly: ``Record.__init__``'s loop is slower
-        _set_free(table, free)
-        _set_levels(table, levels)
-        _set_group(table, group)
-        _set_field(table, field)
-        _set_localization(table, localization)
-        _set_provenance(table, provenance)
-        _set_rows(table, None)
-        return table
+    def from_rows(
+        cls, rows, bound, group=None, field=None, localization=INTEGRAL, provenance=(EXACT,)
+    ) -> "ChowTable":
+        """The table of one ``DegreeRow`` per degree 0..bound, checked and
+        converted to series once; its ``rows`` are the rows given."""
+        from . import _rows
+
+        return _rows.from_rows(rows, bound, group, field, localization, provenance)
 
     @property
     def rows(self) -> tuple[DegreeRow, ...]:
@@ -164,22 +154,17 @@ class ChowTable(Record):
         return self.rows[degree]
 
     def with_metadata(self, **kw) -> "ChowTable":
-        """A copy with the given fields replaced; an unknown field is a TypeError.
-
-        New rows or a new bound are checked and converted as in the
-        constructor; a copy that replaces only metadata shares the series."""
-        if not kw.keys() <= _METADATA:  # the constructor checks rows and names
-            for name in _FIELDS:
-                kw.setdefault(name, getattr(self, name))
-            return ChowTable(**kw)
-        return ChowTable._stored(
+        """A copy with the given metadata replaced, sharing the series; any
+        other name is a TypeError."""
+        return ChowTable(
             self.bound,
             self.free,
             self.levels,
-            kw.get("group", self.group),
-            kw.get("field", self.field),
-            kw.get("localization", self.localization),
-            kw.get("provenance", self.provenance),
+            kw.pop("group", self.group),
+            kw.pop("field", self.field),
+            kw.pop("localization", self.localization),
+            kw.pop("provenance", self.provenance),
+            **kw,
         )
 
     def truncated(self, bound: int) -> "ChowTable":
@@ -192,20 +177,11 @@ class ChowTable(Record):
             raise ValueError(f"degree {bound} outside table bound {self.bound}")
         free = self.free[: bound + 1]
         levels = _stored_levels(free, [(l, [s[: bound + 1] for s in lv]) for l, lv in self.levels])
-        return ChowTable._stored(
+        return ChowTable(
             bound, free, levels, self.group, self.field, self.localization, self.provenance
         )
 
-    def __reduce__(self):
-        return (ChowTable._stored, self._values(self))
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _FIELDS)
-        return f"ChowTable({fields})"
-
-
-_FIELDS = ("rows", "bound", "group", "field", "localization", "provenance")  # constructor order
-_METADATA = frozenset(_FIELDS[2:])
 _set_bound, _set_free, _set_levels, _set_group = ChowTable._setters[:4]
 _set_field, _set_localization, _set_provenance, _set_rows = ChowTable._setters[4:]
 
@@ -258,23 +234,26 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
 _localizations: dict = {}  # (kind, p) -> the one Localization(kind, p)
 
 
-def _view(table: ChowTable, kind: str, p: int, free: tuple, levels: tuple) -> ChowTable:
-    """The table with the given series, localized by the one
-    ``Localization(kind, p)``, made when p first passes ``require_prime``."""
+def shared_localization(kind: str, p: int) -> Localization:
+    """The one ``Localization(kind, p)``, made when p first passes ``require_prime``."""
     localization = _localizations.get((kind, p))
     if localization is None:
         require_prime(p)
         localization = _localizations.setdefault((kind, p), Localization(kind, p))
-    return ChowTable._stored(
-        table.bound, free, levels, table.group, table.field, localization, table.provenance
-    )
+    return localization
 
 
-def _from_series(free: list[int], levels: dict, bound: int) -> ChowTable:
-    """The integral table, without metadata, of kernel series."""
+def _view(table: ChowTable, kind: str, p: int, free: tuple, levels: tuple) -> ChowTable:
+    """The table with the given series, localized by the shared ``Localization(kind, p)``."""
+    loc = shared_localization(kind, p)
+    return ChowTable(table.bound, free, levels, table.group, table.field, loc, table.provenance)
+
+
+def _from_series(free: list[int], levels: dict, bound: int, *metadata) -> ChowTable:
+    """The table of kernel series with the given metadata (none: integral, exact)."""
     free = tuple(free)
     levels = _stored_levels(free, sorted((l, [tuple(s) for s in lv]) for l, lv in levels.items()))
-    return ChowTable._stored(bound, free, levels, None, None, INTEGRAL, (EXACT,))
+    return ChowTable(bound, free, levels, *metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def _table_from_counts(out: list[dict[int, int]]) -> ChowTable:
     for d, counts in enumerate(out):
         free = counts.pop(0, 0)
         rows.append(DegreeRow.from_counts(d, free, counts))
-    return ChowTable(rows=tuple(rows), bound=len(out) - 1)
+    return ChowTable.from_rows(rows, len(out) - 1)
 
 
 def cyclic_square_of_plane():
@@ -409,7 +409,8 @@ def from_counts_mod_p_table(table, p):
 
 
 def _view_table(table, rows, localization):
-    return ChowTable(rows, table.bound, table.group, table.field, localization, table.provenance)
+    metadata = (table.group, table.field, localization, table.provenance)
+    return ChowTable.from_rows(rows, table.bound, *metadata)
 
 
 def sylow_group_by_towers(n, p):
@@ -443,7 +444,7 @@ def truncated_by_dict(table, bound):
         if lv:
             levels.append((l, tuple(lv)))
     metadata = (table.group, table.field, table.localization, table.provenance)
-    return ChowTable._stored(bound, free, tuple(levels), *metadata)
+    return ChowTable(bound, free, tuple(levels), *metadata)
 
 
 def symmetric_local_by_kernel(n, p, k, bound):
@@ -740,6 +741,39 @@ def _abelianization_orders(g: GroupExpr) -> tuple[int, ...]:
         case Wreath(p, _):
             return (p,)  # the walk visits its inner group
     raise ValueError(f"abelianization requires a finite group, got {format_group(g)}")
+
+
+def order_valuation(g: GroupExpr, p: int) -> int:
+    """v_p(|G|) of a finite group expression, on the explicit stack of
+    ``_walk``: Z/m gives v_p(m), wr(q, H) gives v_p(q) + q v_p(|H|), and a
+    product the sum over its factors; the Sylow order oracle."""
+    return sum(scale * _valuation(_own_order(t), p) for t, scale in _walk(g))
+
+
+def _own_order(g: GroupExpr) -> int:
+    """The order a node of the walk contributes itself: a wreath its degree."""
+    match g:
+        case Trivial() | SO(1):
+            return 1
+        case CyclicZ(n):
+            return n
+        case FiniteAbelian(factors):
+            return reduce(lambda a, b: a * b, factors, 1)
+        case Symmetric(n):
+            return factorial(n)
+        case O(1):
+            return 2
+        case Wreath(q, _):
+            return q  # the walk visits its inner group, scaled by q
+    raise ValueError(f"not a finite group: {format_group(g)}")
+
+
+def _valuation(m: int, p: int) -> int:
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
 
 
 def json_dump_reference(obj, out):

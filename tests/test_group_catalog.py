@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,10 +19,17 @@ from chowbg.groups import (
     format_group,
     generator_bound,
     parse_group_expr,
-    sylow_profile,
+    product_terms,
+    sylow_group,
 )
-from oracles import abelian_invariant_factors, abelianization, group_dimension
-from strategies import group_exprs
+from oracles import (
+    abelian_invariant_factors,
+    abelianization,
+    group_dimension,
+    group_order,
+    order_valuation,
+)
+from strategies import finite_group_exprs, group_exprs
 
 
 class TestParser:
@@ -160,27 +169,55 @@ class TestGeneratorBound:
 
 
 class TestSylowProfile:
+    """The p-Sylow subgroup of S_n: one wreath tower of height h per unit of
+    the base-p digit of p^h in n."""
+
     def test_six_at_two(self):
-        assert sylow_profile(6, 2).heights == (1, 2)
+        assert sylow_group(6, 2) == Product(CyclicZ(2), Wreath(2, CyclicZ(2)))
 
     def test_three_at_three(self):
-        assert sylow_profile(3, 3).heights == (1,)
+        assert sylow_group(3, 3) == CyclicZ(3)
 
     def test_seven_at_three(self):
-        assert sylow_profile(7, 3).heights == (0, 1, 1)
+        assert sylow_group(7, 3) == FiniteAbelian((3, 3))
 
     def test_group_expr(self):
-        assert format_group(sylow_profile(6, 2).group()) == "Z/2 x wr(2, Z/2)"
-        assert sylow_profile(7, 3).group() == FiniteAbelian((3, 3))
-        assert sylow_profile(2, 3).group() == Trivial()
+        assert format_group(sylow_group(6, 2)) == "Z/2 x wr(2, Z/2)"
+        assert sylow_group(9, 3) == Wreath(3, CyclicZ(3))
+        assert sylow_group(2, 3) == Trivial()
 
     @given(st.integers(min_value=0, max_value=2000), st.sampled_from([2, 3, 5, 7]))
     def test_digits_reconstruct_n(self, n, p):
-        profile = sylow_profile(n, p)
-        assert sum(p**h for h in profile.heights) == n
-        from collections import Counter
+        # a tower of height h >= 1 stands for p^h points; the units digit adds none
+        heights = Counter()
+        for term in product_terms(sylow_group(n, p)):
+            h = 1
+            while isinstance(term, Wreath):
+                term, h = term.inner, h + 1
+            if term == CyclicZ(p):
+                heights[h] += 1
+            elif term != Trivial():
+                assert h == 1 and term == FiniteAbelian((p,) * len(term.factors))
+                heights[h] += len(term.factors)
+        assert sum(m * p**h for h, m in heights.items()) == n - n % p
+        assert all(m < p for m in heights.values())
 
-        assert all(mult < p for mult in Counter(profile.heights).values())
+    def test_order_is_the_p_part_of_n_factorial(self):
+        # Legendre: v_p(n!) is the sum of floor(n / p^i), i >= 1
+        for p in (2, 3, 5, 7, 11):
+            for n in range(3001):
+                legendre, q = 0, p
+                while q <= n:
+                    legendre, q = legendre + n // q, q * p
+                assert order_valuation(sylow_group(n, p), p) == legendre, (n, p)
+        assert order_valuation(sylow_group(10**11, 10**11 + 3), 10**11 + 3) == 0
+
+    @given(finite_group_exprs(), st.sampled_from([2, 3, 5, 7]))
+    def test_order_valuation_oracle_matches_the_order(self, g, p):
+        order, v = group_order(g), 0
+        while order % p == 0:
+            order, v = order // p, v + 1
+        assert order_valuation(g, p) == v
 
 
 class TestAbelianization:

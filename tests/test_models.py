@@ -23,7 +23,6 @@ from chowbg.groups import (
     parse_group_expr,
     product_terms,
     sylow_group,
-    sylow_profile,
 )
 from chowbg.models import (
     chow_integral_symmetric,
@@ -614,7 +613,7 @@ class TestCharacterCheck:
     def test_sylow_towers_up_to_height_six(self, p, top):
         # CH^1 is the character group, whatever the cyclic power does above it
         for n in range(1, top + 1):
-            g = sylow_profile(n, p).group()
+            g = sylow_group(n, p)
             row = chow_model(g, C, 2).rows[1]
             assert row.free_rank == 0
             assert sorted(row.torsion) == sorted(abelian_invariant_factors_elementary(g))
@@ -850,8 +849,8 @@ class TestStoredSeries:
         rows = table.rows
         assert table._rows is rows and table.rows is rows
         metadata = (table.group, table.field, table.localization, table.provenance)
-        assert table == ChowTable(rows, table.bound, *metadata)
-        assert rows == ChowTable(rows, table.bound).rows
+        assert table == ChowTable.from_rows(rows, table.bound, *metadata)
+        assert rows == ChowTable.from_rows(rows, table.bound).rows
 
     def test_recursion_builds_no_rows(self):
         chow_model.cache_clear()
@@ -895,8 +894,8 @@ class TestStoredSeries:
             for t in tables:
                 t.rows
         rows = pickle.loads(pickle.dumps(stored)).rows  # leaves ``stored`` as it was
-        wide = ChowTable(rows, stored.bound, g, C, INTEGRAL, stored.provenance)
-        narrow = ChowTable(rows[: bound + 1], bound, g, C, INTEGRAL, stored.provenance)
+        wide = ChowTable.from_rows(rows, stored.bound, g, C, INTEGRAL, stored.provenance)
+        narrow = ChowTable.from_rows(rows[: bound + 1], bound, g, C, INTEGRAL, stored.provenance)
         references = [
             wide,
             narrow,
@@ -1035,7 +1034,7 @@ class TestFastPaths:
 
         chow_model.cache_clear()
         first = chow_symmetric_sylow_bound(n, p, bound)
-        assert first.group == sylow_profile(n, p).group() and first.bound == bound
+        assert first.group == sylow_group_by_towers(n, p) and first.bound == bound
         assert first.provenance == (EXACT, UPPER_BOUND)
         assert chow_symmetric_sylow_bound(n, p, bound) == first
         chow_model.cache_clear()
@@ -1064,7 +1063,7 @@ class TestFastPaths:
             assert chow_symmetric_sylow_bound(n, 2, bound) == first.truncated(bound)
             assert chow_model.cache_info()[:2] == (hits + 1, misses)  # one hit, no build
         assert made == [(12, 2)] and list(models._sylow) == [(6, 2)]
-        assert chow_symmetric_sylow_bound(14, 2, 6).group is sylow_profile(14, 2).group()
+        assert chow_symmetric_sylow_bound(14, 2, 6).group is sylow_group_by_towers(14, 2)
         assert made == [(12, 2), (14, 2)]
         chow_model.cache_clear()
         assert models._sylow == {}
@@ -1078,11 +1077,11 @@ class TestFastPaths:
     @example(1330, 11)
     def test_sylow_group_is_the_profile_group(self, n, p):
         built = sylow_group(n, p)
-        for reference in (sylow_profile(n, p).group(), sylow_group_by_towers(n, p)):
-            if isinstance(built, (Product, Wreath)):
-                assert built is reference  # interned nodes
-            else:
-                assert built == reference and type(built) is type(reference)
+        reference = sylow_group_by_towers(n, p)
+        if isinstance(built, (Product, Wreath)):
+            assert built is reference  # interned nodes
+        else:
+            assert built == reference and type(built) is type(reference)
         assert sylow_group(n - n % p, p) is built or sylow_group(n - n % p, p) == built
 
     @pytest.mark.parametrize("n, p, error, message", [
@@ -1129,7 +1128,7 @@ class TestFastPaths:
                     require_mu(k, p, f"the {p}-Sylow table of S_{n}")
                 assert answer == str(refusal.value)
                 continue
-            reference = chow_model(sylow_profile(n, p).group(), k, bound)
+            reference = chow_model(sylow_group_by_towers(n, p), k, bound)
             reference = reference.with_metadata(provenance=(EXACT, UPPER_BOUND))
             assert answer == reference and answer.levels == reference.levels
 
@@ -1145,7 +1144,7 @@ class TestFastPaths:
                 cut, reference = view.truncated(bound), truncated_by_dict(view, bound)
                 assert cut == reference and cut.levels == reference.levels
                 metadata = (view.group, view.field, view.localization, view.provenance)
-                assert cut == ChowTable(view.rows[: bound + 1], bound, *metadata)
+                assert cut == ChowTable.from_rows(view.rows[: bound + 1], bound, *metadata)
 
     @settings(max_examples=120, deadline=None)
     @given(

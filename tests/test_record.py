@@ -49,7 +49,6 @@ from chowbg.groups import (
     Trivial,
     Wreath,
     parse_group_expr,
-    sylow_profile,
 )
 from chowbg.presentations import RingPresentation, catalog_presentation
 from chowbg.tables import INTEGRAL, ChowTable, DegreeRow, Localization
@@ -70,7 +69,6 @@ SAMPLES = [
     (Symmetric(4), "Symmetric(n=4)"),
     (Wreath(3, CyclicZ(3)), "Wreath(p=3, inner=CyclicZ(n=3))"),
     (Product(GL(1), O(2)), "Product(left=GL(n=1), right=O(n=2))"),
-    (sylow_profile(6, 2), "SylowProfile(prime=2, heights=(1, 2))"),
     (Generator("e1"), "Generator(name='e1')"),
     (
         Tensor((Generator("a"), Generator("b"))),
@@ -93,10 +91,9 @@ SAMPLES = [
     (Localization("at_prime", 3), "Localization(kind='at_prime', prime=3)"),
     (INTEGRAL, "Localization(kind='integral', prime=None)"),
     (
-        ChowTable((DegreeRow(0, 1, ()),), 0),
-        "ChowTable(rows=(DegreeRow(degree=0, free_rank=1, counts=()),), bound=0, "
-        "group=None, field=None, localization=Localization(kind='integral', prime=None), "
-        "provenance=('exact',))",
+        ChowTable.from_rows((DegreeRow(0, 1, ()), DegreeRow(1, 0, (2,))), 1),
+        "ChowTable(bound=1, free=(1, 0), levels=((2, ((1, 1),)),), group=None, field=None, "
+        "localization=Localization(kind='integral', prime=None), provenance=('exact',))",
     ),
     (
         parse_field("C"),
@@ -238,18 +235,19 @@ def test_keyword_construction_and_defaults():
     assert FieldDescriptor(characteristic=0, kind="algebraically_closed", name="C") == (
         parse_field("C")
     )
-    table = ChowTable(rows=[DegreeRow(0, 1, ())], bound=0)
+    table = ChowTable.from_rows(rows=[DegreeRow(0, 1, ())], bound=0)
     assert table.rows == (DegreeRow(0, 1, ()),) and table.provenance == ("exact",)
     assert table.localization is INTEGRAL and table.group is None and table.field is None
+    assert ChowTable(bound=0, free=(1,), levels=()) == table
 
 
 def test_with_metadata_replaces_fields():
-    table = ChowTable((DegreeRow(0, 1, ()),), 0)
+    table = ChowTable.from_rows((DegreeRow(0, 1, ()),), 0)
     changed = table.with_metadata(group=GL(1), provenance=("exact", "upper-bound"))
     assert changed.group == GL(1) and changed.provenance == ("exact", "upper-bound")
     assert changed.rows == table.rows and changed.bound == 0
     assert table.group is None
-    with pytest.raises(ValueError, match="one row per degree"):
+    with pytest.raises(TypeError, match="'bound'"):  # metadata only: the series are not replaced
         table.with_metadata(bound=1)
     with pytest.raises(TypeError):
         table.with_metadata(bogus=1)
@@ -292,9 +290,9 @@ def test_fields_are_stored_only_by_record():
 def test_table_comparison_and_views_come_from_record_and_tables():
     from chowbg import models, tables
 
-    for name in ("_key", "__eq__", "__hash__", "with_series"):
+    for name in ("_key", "__eq__", "__hash__", "__repr__", "__reduce__", "_stored", "with_series"):
         assert name not in vars(ChowTable)
-    table = ChowTable((DegreeRow(0, 1, ()),), 0)
+    table = ChowTable.from_rows((DegreeRow(0, 1, ()),), 0)
     assert table._values(table) == (0, (1,), (), None, None, INTEGRAL, ("exact",))
     unbuilt = pickle.loads(pickle.dumps(table))  # the row cache is not compared or pickled
     assert unbuilt._rows is None and unbuilt == table and hash(unbuilt) == hash(table)
@@ -330,7 +328,7 @@ def test_a_field_keeps_the_hash_of_its_values(text):
     assert k._hash == hash(k) == hash(k._values(k)) == Record.__hash__(k)
     twin = pickle.loads(pickle.dumps(k))
     assert twin == k and twin is not k and twin._hash == k._hash
-    assert "_hash" not in repr(k) and "_rows" not in repr(ChowTable((DegreeRow(0, 1, ()),), 0))
+    assert "_hash" not in repr(k) and "_rows" not in repr(ChowTable(0, (1,), ()))
 
 
 G = Generator("g")
@@ -370,9 +368,13 @@ FAULTS = [
         "prime required exactly for at_prime / mod_p",
     ),
     (lambda: Localization("mod_p"), ValueError, "prime required exactly for at_prime / mod_p"),
-    (lambda: ChowTable((), -1), ValueError, "table must have one row per degree 0..bound"),
     (
-        lambda: ChowTable((DegreeRow(1, 0, ()),), 0),
+        lambda: ChowTable.from_rows((), -1),
+        ValueError,
+        "table must have one row per degree 0..bound",
+    ),
+    (
+        lambda: ChowTable.from_rows((DegreeRow(1, 0, ()),), 0),
         ValueError,
         "table must have one row per degree 0..bound",
     ),
@@ -426,14 +428,14 @@ def test_validation_messages_kept(make, error, message):
 ALL_NAMES = [
     "ChowTable", "DegreeRow", "FieldDescriptor", "FieldParseError", "GaloisFixedSpec",
     "GradingError", "GroupExpr", "GroupParseError", "Localization", "RingPresentation",
-    "SylowProfile", "UnsupportedError", "additive_table_from_presentation",
+    "UnsupportedError", "additive_table_from_presentation",
     "apply_cyclotomic_invariants",
     "catalog_presentation", "chow_integral_symmetric", "chow_model", "chow_model_localized",
     "chow_model_mod_p", "chow_symmetric_local", "chow_symmetric_sylow_bound", "chow_wreath",
     "contains_mu", "cyclic", "cyclotomic_order", "errors", "fields", "format_group",
     "galois_fixed_exponent", "generator_bound", "graded", "groups",
     "localize_table", "mod_p_table", "models", "parse_field", "parse_group_expr",
-    "presentations", "sylow_profile", "tables",
+    "presentations", "sylow_group", "tables",
 ]  # fmt: skip
 
 
@@ -448,5 +450,5 @@ def test_cli_import_skips_dataclasses_and_keeps_exports():
     )
     assert child.returncode == 0 and child.stderr == ""
     assert child.stdout == "[]\n"
-    assert len(ALL_NAMES) == 40
+    assert len(ALL_NAMES) == 39
     assert sorted(chowbg.__all__) == ALL_NAMES

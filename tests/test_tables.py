@@ -1,17 +1,20 @@
+import copy
 import pickle
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowbg import _json, tables
 from chowbg.cli import render_row_value, table_from_json_obj, table_to_json_obj
+from chowbg.errors import UnsupportedError
 from chowbg.graded import tensor, to_table
 from chowbg.fields import parse_field
 from chowbg.groups import GL
+from chowbg.models import chow_model
 from chowbg.tables import (
     EXACT,
     UPPER_BOUND,
@@ -19,6 +22,8 @@ from chowbg.tables import (
     DegreeRow,
     Localization,
     cyclic_power_table,
+    localize_table,
+    mod_p_table,
     polynomial_table,
     torsion_sort_key,
 )
@@ -28,7 +33,7 @@ from oracles import (
     run_length_row_value,
     run_length_torsion_json,
 )
-from strategies import graded_groups
+from strategies import graded_groups, group_exprs
 
 ROW_ORDERS = (2, 3, 4, 5, 8, 9, 25, 27)
 
@@ -39,9 +44,8 @@ row_args = st.tuples(st.integers(min_value=0, max_value=20), free_ranks, torsion
 
 def table(*rows):
     """Table whose degree-d row is (free_rank, torsion) = rows[d]."""
-    return ChowTable(
-        rows=tuple(DegreeRow(d, free, tors) for d, (free, tors) in enumerate(rows)),
-        bound=len(rows) - 1,
+    return ChowTable.from_rows(
+        [DegreeRow(d, free, tors) for d, (free, tors) in enumerate(rows)], len(rows) - 1
     )
 
 
@@ -309,18 +313,60 @@ class TestSharedRows:
         }
         for name, value in fields.items():  # t has the default metadata
             copy = t.with_metadata(**{name: value})
-            assert copy.rows == t.rows and copy == ChowTable(t.rows, t.bound, **{name: value})
+            assert copy.rows == t.rows
+            assert copy == ChowTable.from_rows(t.rows, t.bound, **{name: value})
         copy = t.with_metadata(**fields)
         assert copy.free is t.free and copy.levels is t.levels
-        assert copy.rows == t.rows and copy == ChowTable(t.rows, t.bound, **fields)
+        assert copy.rows == t.rows and copy == ChowTable.from_rows(t.rows, t.bound, **fields)
 
     def test_new_rows_or_bound_are_still_checked(self):
+        # with_metadata replaces metadata only: new rows go through from_rows
         t = table((1, ()), (0, (2,)), (0, ()))
-        with pytest.raises(ValueError, match="one row per degree"):
+        with pytest.raises(TypeError, match="'bound'"):
             t.with_metadata(bound=1)
-        with pytest.raises(ValueError, match="one row per degree"):
+        with pytest.raises(TypeError, match="'rows'"):
             t.with_metadata(rows=t.rows[::-1])
+        with pytest.raises(ValueError, match="one row per degree"):
+            ChowTable.from_rows(t.rows[::-1], t.bound)
         with pytest.raises(TypeError, match="bogus"):
             t.with_metadata(bogus=1)
         with pytest.raises(TypeError, match="bogus"):
             t.with_metadata(group=GL(1), bogus=1)
+
+
+class TestStoredConstructor:
+    """``ChowTable(bound, free, levels, ...)`` takes what the slots hold, so
+    eq, hash, copying and pickling are ``Record``'s and round-trip a table."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        group_exprs(),
+        st.sampled_from([parse_field("C"), parse_field("F_7")]),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from(["stored", "at_prime", "mod_p", "truncated"]),
+        st.booleans(),
+    )
+    def test_slots_rebuild_copy_and_pickle_the_table(self, g, k, bound, p, view, read_rows):
+        try:
+            t = chow_model(g, k, bound)
+        except UnsupportedError:
+            assume(False)
+        t = {
+            "stored": lambda: t,
+            "at_prime": lambda: localize_table(t, p),
+            "mod_p": lambda: mod_p_table(t, p),
+            "truncated": lambda: t.truncated(bound // 2),
+        }[view]()
+        if read_rows:
+            t.rows  # a filled cache is neither compared nor copied
+        rebuilt = ChowTable(t.bound, t.free, t.levels, t.group, t.field, t.localization, t.provenance)
+        assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt.rows == t.rows
+        for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert twin == t and hash(twin) == hash(t) and twin is not t and twin._rows is None
+        for metadata in ({"provenance": (EXACT, UPPER_BOUND)}, {"group": GL(1), "field": None}):
+            changed = t.with_metadata(**metadata)
+            assert changed.free is t.free and changed.levels is t.levels
+        for name in ("rows", "bound", "free", "levels", "bogus"):
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                t.with_metadata(**{name: getattr(t, name, 1)})
