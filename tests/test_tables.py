@@ -352,12 +352,8 @@ class TestStoredConstructor:
             t = chow_model(g, k, bound)
         except UnsupportedError:
             assume(False)
-        t = {
-            "stored": lambda: t,
-            "at_prime": lambda: localize_table(t, p),
-            "mod_p": lambda: mod_p_table(t, p),
-            "truncated": lambda: t.truncated(bound // 2),
-        }[view]()
+        views = {"at_prime": localize_table(t, p), "mod_p": mod_p_table(t, p)}
+        t = dict(views, stored=t, truncated=t.truncated(bound // 2))[view]
         if read_rows:
             t.rows  # a filled cache is neither compared nor copied
         rebuilt = ChowTable(t.bound, t.free, t.levels, t.group, t.field, t.localization, t.provenance)
