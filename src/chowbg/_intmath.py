@@ -45,7 +45,7 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    if not is_prime(p):
+    if p not in _SMALL_PRIMES and not is_prime(p):  # a small prime costs one set lookup
         raise ValueError(f"p must be prime, got {p}")
 
 

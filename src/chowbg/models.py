@@ -28,8 +28,8 @@ Anything outside this territory raises UnsupportedError, never a guess.
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
 (group, field), wreath products included, ``_memo`` serves a bound it reaches
-by one locked lookup, and each public function truncates only what it
-returns, a p-local or mod-p view after ``localize_table`` or ``mod_p_table``.
+by one locked read, and each public function builds at most one table from
+it, through ``tables.cut``: a truncation, a view, a Sylow bound's provenance.
 A Sylow bound builds its group once per memo lifetime and key (n // p, p).  A
 build that needs a wreath table waits on an explicit stack, so a tower costs
 no Python frames.  No function here builds rows: only a reader of ``rows`` does.
@@ -74,8 +74,9 @@ from .tables import (
     EXTRAPOLATED_FIELD,
     UPPER_BOUND,
     ChowTable,
+    cut,
     cyclic_power_table,
-    localize_table,
+    localize_table,  # bound for chowbg.__init__ and for tracers; the views call cut
     mod_p_table,
     polynomial_table,
     shared_localization,
@@ -100,40 +101,37 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     inner tables and product terms included, and a truncation as a hit, so
     the misses are the builds and ``currsize`` the (g, k) entries;
     ``chow_model.cache_clear()`` empties both and the Sylow groups."""
-    return _memo(g, k, bound).truncated(bound)
+    t = _memo(g, k, bound)
+    if t.bound == bound:
+        return t
+    return cut(bound, t.free, t.levels, t.group, t.field, t.localization, t.provenance)
 
 
 def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """The stored table of (g, k), built if its bound is below ``bound``."""
-    table = _lookup(g, k, bound)
-    if table is not None:
-        return table
-    builds = [(g, _build(g, k, bound))]  # (group, build) pairs waiting for a table, innermost last
-    while builds:
-        group, build = builds[-1]
-        try:
-            g = build.send(table)  # the next group whose table it needs
-        except StopIteration as done:
-            table = done.value
-            builds.pop()
-            with _lock:
-                stored = _widest.get((group, k))
-                if stored is None or bound > stored.bound:
-                    _widest[(group, k)] = table
-            continue
-        table = _lookup(g, k, bound)
-        if table is None:
+    builds = []  # (group, build) pairs waiting for a table, innermost last
+    while True:
+        with _lock:
+            table = _widest.get((g, k))
+            hit = table is not None and 0 <= bound <= table.bound
+            _stats[not hit] += 1
+        if not hit:
+            table = None
             builds.append((g, _build(g, k, bound)))  # it runs when sent a value
-    return table
-
-
-def _lookup(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable | None:
-    """The stored table of (g, k) if it reaches ``bound`` (a hit), else None (a miss)."""
-    with _lock:
-        table = _widest.get((g, k))
-        hit = table is not None and 0 <= bound <= table.bound
-        _stats[not hit] += 1
-    return table if hit else None
+        while builds:
+            group, build = builds[-1]
+            try:
+                g = build.send(table)  # the next group whose table it needs
+                break
+            except StopIteration as done:
+                table = done.value
+                builds.pop()
+                with _lock:
+                    stored = _widest.get((group, k))
+                    if stored is None or bound > stored.bound:
+                        _widest[(group, k)] = table
+        else:
+            return table
 
 
 def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
@@ -232,16 +230,20 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     ``Z[x]/(p x)`` with ``deg x = p - 1``.  The outcome is the same for
     every base field of characteristic != p.
     """
-    require_prime(p)
+    at_p = shared_localization("at_prime", p)  # a p that is not prime raises here
     if n < 1:
         raise ValueError("n must be >= 1")
-    cyclic = _symmetric_generators(n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
+    return _symmetric_local(Symmetric(n), p, k, bound, at_p)
+
+
+def _symmetric_local(g: Symmetric, p: int, k: FieldDescriptor, bound: int, loc) -> ChowTable:
+    """``chow_symmetric_local`` of g, or its mod-p view for a mod-p ``loc``, as one table."""
+    cyclic = _symmetric_generators(g.n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
     if bound < 0:
         raise ValueError("table must have one row per degree 0..bound")
     period = (1,) + (0,) * (p - 2) if cyclic and p <= bound + 1 else ()  # G_{p,1}: 1 where p-1 | d
     levels = ((p, ((period * (bound // (p - 1) + 1))[: bound + 1],)),) if period else ()
-    at_p = shared_localization("at_prime", p)
-    return ChowTable(bound, (1,) + (0,) * bound, levels, Symmetric(n), k, at_p)
+    return cut(bound, (1,) + (0,) * bound, levels, g, k, loc, (EXACT,), True)
 
 
 def chow_symmetric_sylow_bound(
@@ -253,8 +255,8 @@ def chow_symmetric_sylow_bound(
     if not contains_mu(field, p):  # the text of a check that passes is not built
         require_mu(field, p, f"the {p}-Sylow table of S_{echo_int(n)}")
     group = _sylow.get((n // p, p)) or _sylow.setdefault((n // p, p), sylow_group(n, p))
-    table = _memo(group, field, bound).truncated(bound)
-    return table.with_metadata(provenance=(EXACT, UPPER_BOUND))
+    t = _memo(group, field, bound)
+    return cut(bound, t.free, t.levels, t.group, t.field, t.localization, (EXACT, UPPER_BOUND))
 
 
 def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX) -> ChowTable:
@@ -287,17 +289,19 @@ def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int,
 def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
     """p-local table: symmetric groups use their dedicated local route,
     everything else localizes the integral table."""
-    require_prime(p)
+    at_p = shared_localization("at_prime", p)  # a p that is not prime raises here
     if isinstance(g, Symmetric):
-        return chow_symmetric_local(g.n, p, k, bound)
-    return localize_table(_memo(g, k, bound), p).truncated(bound)
+        return _symmetric_local(g, p, k, bound, at_p)
+    t = _memo(g, k, bound)
+    return cut(bound, t.free, t.levels, t.group, t.field, at_p, t.provenance, True)
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
-    """F_p-dimension table: ``mod_p_table`` reads only the p-power torsion,
-    so it applies to the table ``chow_model_localized`` would localize,
-    with the same checks in the same order and no localized copy."""
-    require_prime(p)
+    """F_p-dimension table: the mod-p view (``mod_p_table``) of the table
+    ``chow_model_localized`` would localize, with the same checks in the same
+    order, built as one table; it reads only the p-power torsion."""
+    mod_p = shared_localization("mod_p", p)  # a p that is not prime raises here
     if isinstance(g, Symmetric):
-        return mod_p_table(chow_symmetric_local(g.n, p, k, bound), p)
-    return mod_p_table(_memo(g, k, bound), p).truncated(bound)
+        return _symmetric_local(g, p, k, bound, mod_p)
+    t = _memo(g, k, bound)
+    return cut(bound, t.free, t.levels, t.group, t.field, mod_p, t.provenance, True)

@@ -22,10 +22,9 @@ answer or its output, so the view and ``ChowTable.from_rows``, the checked
 reader of rows, run in ``_rows``, compiled on first use.
 
 The kernels ``polynomial_table`` (the Kunneth product) and
-``cyclic_power_table`` (the wreath step), the views ``localize_table`` and
-``mod_p_table`` and the truncation work on the series, so their cost grows
-with the distinct (prime, exponent) levels and the bound, not with the pairs
-of classes.
+``cyclic_power_table`` (the wreath step) and ``cut``, behind the truncation
+and the views, work on the series, so their cost grows with the distinct
+(prime, exponent) levels and the bound, not with the pairs of classes.
 """
 
 from __future__ import annotations
@@ -108,14 +107,9 @@ class DegreeRow(Record):
 
 class ChowTable(Record):
     """Additive table through degree ``bound``: the series ``free`` and
-    ``levels`` (see the module docstring) and the metadata.
-
-    ``ChowTable(bound, free, levels, ...)`` takes the series in the stored
-    form, unchecked, as the kernels, the views and the truncation build
-    them.  Rows enter through ``ChowTable.from_rows``, which checks one row
-    per degree 0..bound; ``rows`` and ``row(d)`` read the cached per-degree
-    view, which the first read builds from the series.
-    """
+    ``levels`` in the stored form (see the module docstring), taken
+    unchecked, and the metadata.  ``from_rows`` checks rows on the way in;
+    ``rows`` and ``row(d)`` read the per-degree view, cached on first read."""
 
     __slots__ = ("bound", "free", "levels", "group", "field", "localization", "provenance", "_rows")
 
@@ -156,30 +150,18 @@ class ChowTable(Record):
     def with_metadata(self, **kw) -> "ChowTable":
         """A copy with the given metadata replaced, sharing the series; any
         other name is a TypeError."""
-        return ChowTable(
-            self.bound,
-            self.free,
-            self.levels,
-            kw.pop("group", self.group),
-            kw.pop("field", self.field),
-            kw.pop("localization", self.localization),
-            kw.pop("provenance", self.provenance),
-            **kw,
-        )
+        group, field = kw.pop("group", self.group), kw.pop("field", self.field)
+        loc, prov = kw.pop("localization", self.localization), kw.pop("provenance", self.provenance)
+        return ChowTable(self.bound, self.free, self.levels, group, field, loc, prov, **kw)
 
     def truncated(self, bound: int) -> "ChowTable":
-        """The table through degree ``bound`` of a graded table: this table
-        at its own bound, else a new one with the series cut after degree
-        ``bound`` and the same metadata, in one pass over the sorted levels."""
+        """The table through degree ``bound``: this table, or its cut series."""
         if bound == self.bound:
             return self
         if not 0 <= bound < self.bound:
             raise ValueError(f"degree {bound} outside table bound {self.bound}")
-        free = self.free[: bound + 1]
-        levels = _stored_levels(free, [(l, [s[: bound + 1] for s in lv]) for l, lv in self.levels])
-        return ChowTable(
-            bound, free, levels, self.group, self.field, self.localization, self.provenance
-        )
+        s = self
+        return cut(bound, s.free, s.levels, s.group, s.field, s.localization, s.provenance)
 
 
 _set_bound, _set_free, _set_levels, _set_group = ChowTable._setters[:4]
@@ -219,16 +201,16 @@ def torsion_counts(table: ChowTable) -> list[tuple[tuple[int, int], ...]]:
 def localize_table(table: ChowTable, p: int) -> ChowTable:
     """Keep the free part and the p-power torsion of every degree: the
     series ``free`` and the levels of p."""
-    at_p = next((e for e in table.levels if e[0] == p), None)
-    return _view(table, "at_prime", p, table.free, (at_p,) if at_p else ())
+    t, at_p = table, shared_localization("at_prime", p)
+    return cut(t.bound, t.free, t.levels, t.group, t.field, at_p, t.provenance, True)
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     """F_p-dimension of each degree, reported in the free-rank column: the
     free rank plus the number of p-power torsion summands, which is the
     level G_{p,1} of the series, or ``free`` without p-power torsion."""
-    g1 = next((lv[0] for l, lv in table.levels if l == p), table.free)
-    return _view(table, "mod_p", p, g1, ())
+    t, mod_p = table, shared_localization("mod_p", p)
+    return cut(t.bound, t.free, t.levels, t.group, t.field, mod_p, t.provenance, True)
 
 
 _localizations: dict = {}  # (kind, p) -> the one Localization(kind, p)
@@ -243,10 +225,22 @@ def shared_localization(kind: str, p: int) -> Localization:
     return localization
 
 
-def _view(table: ChowTable, kind: str, p: int, free: tuple, levels: tuple) -> ChowTable:
-    """The table with the given series, localized by the shared ``Localization(kind, p)``."""
-    loc = shared_localization(kind, p)
-    return ChowTable(table.bound, free, levels, table.group, table.field, loc, table.provenance)
+def cut(bound, free, levels, group, field, localization, provenance, view=False) -> ChowTable:
+    """The table through ``bound`` of stored series reaching it, cut after ``bound`` in
+    the stored form; with ``view``, only the series the localization's view keeps."""
+    if view:
+        p, kept = localization.prime, ()
+        for l, lv in levels:
+            if l == p:
+                kept = lv
+        if localization.kind == "mod_p":
+            free, levels = kept[0] if kept else free, ()
+        else:
+            levels = ((p, kept),) if kept else ()
+    if len(free) > bound + 1:
+        free = free[: bound + 1]
+        levels = _stored_levels(free, [(l, [s[: bound + 1] for s in lv]) for l, lv in levels])
+    return ChowTable(bound, free, levels, group, field, localization, provenance)
 
 
 def _from_series(free: list[int], levels: dict, bound: int, *metadata) -> ChowTable:

@@ -61,6 +61,35 @@ def test_require_prime_message():
         require_prime(4)
 
 
+def _raised(call):
+    """The type and text of the error a call raises, or None if it returns."""
+    try:
+        call()
+    except (ValueError, UnsupportedError) as error:
+        return type(error), str(error)
+    return None
+
+
+def _require_by_is_prime(p):
+    # the check before the small-prime membership test: is_prime alone
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
+# 41**2 = 1681 is the first number past the small-prime table and
+# 41 * 43 = 1763 the first past it with no factor below 41
+@given(
+    st.one_of(
+        st.integers(max_value=-1),
+        st.sampled_from([0, 1, 1681, 1763]),
+        st.integers(min_value=1670, max_value=1770),
+        st.integers(min_value=2, max_value=10**30),
+    )
+)
+def test_require_prime_raises_exactly_where_is_prime_fails(p):
+    assert _raised(lambda: require_prime(p)) == _raised(lambda: _require_by_is_prime(p))
+
+
 class TestAgainstTrialDivision:
     @given(st.integers(min_value=-10, max_value=10**6))
     def test_is_prime(self, n):

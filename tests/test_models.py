@@ -1010,6 +1010,83 @@ class TestFastPaths:
         # one hit per call; the misses are the product, both wreaths, Z/2 and Z/3
         assert chow_model.cache_info()[:2] == (4, 5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.sampled_from([2, 3, 5]),
+        st.sampled_from(FAST_FIELDS),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3),
+    )
+    @example(12, 2, C, 6, 0)
+    @example(26, 3, C, 5, 3)
+    def test_sylow_bound_matches_truncated_relabel(self, n, p, k, bound, extra):
+        chow_model.cache_clear()
+        try:  # the stored bound is bound + extra
+            chow_symmetric_sylow_bound(n, p, bound + extra, k)
+        except UnsupportedError as error:  # F_7 lacks mu_5: refused again by the same error
+            refusal = (UnsupportedError, str(error))
+            assert _outcome(lambda: chow_symmetric_sylow_bound(n, p, bound, k)) == refusal
+            return
+        before = chow_model.cache_info()
+        table = chow_symmetric_sylow_bound(n, p, bound, k)
+        assert chow_model.cache_info() == (before.hits + 1, before.misses, before.currsize)
+        stored = chow_model(sylow_group(n, p), k, bound + extra)
+        expected = stored.truncated(bound).with_metadata(provenance=(EXACT, UPPER_BOUND))
+        assert table == expected and hash(table) == hash(expected)
+        assert table.rows == expected.rows
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([2, 3, 4, 5, 7]),
+        st.sampled_from([*FAST_FIELDS, parse_field("F_3"), Q]),
+        st.integers(min_value=-1, max_value=16),
+    )
+    @example(4, 3, C, 8)
+    @example(3, 3, parse_field("F_3"), 4)
+    def test_symmetric_mod_p_matches_mod_p_of_local(self, n, p, k, bound):
+        chow_model.cache_clear()
+        try:
+            reference = mod_p_table(chow_symmetric_local(n, p, k, bound), p)
+        except (ValueError, UnsupportedError) as error:
+            refusal = (type(error), str(error))
+            assert _outcome(lambda: chow_model_mod_p(Symmetric(n), k, bound, p)) == refusal
+            return
+        table = chow_model_mod_p(Symmetric(n), k, bound, p)
+        assert table == reference and hash(table) == hash(reference)
+        assert table.rows == reference.rows and table.localization is reference.localization
+        assert chow_model.cache_info() == (0, 0, 0)  # the S_n route keeps no memo entry
+
+    def test_a_hit_builds_one_table(self, monkeypatch):
+        g = parse_group_expr("wr(2, Z/2) x wr(3, Z/3)")
+        chow_model.cache_clear()
+        wide = chow_model(g, C, 12)
+        chow_symmetric_sylow_bound(12, 2, 8)
+        misses = chow_model.cache_info().misses
+        built = []  # the bound of each table built
+        init = ChowTable.__init__
+
+        def counting(self, bound, *args):
+            built.append(bound)
+            init(self, bound, *args)
+
+        monkeypatch.setattr(ChowTable, "__init__", counting)
+        calls = {
+            "chow_model at the stored bound": (lambda: chow_model(g, C, 12), []),
+            "chow_model below it": (lambda: chow_model(g, C, 7), [7]),
+            "p-local view": (lambda: chow_model_localized(g, C, 7, 3), [7]),
+            "mod-p view": (lambda: chow_model_mod_p(g, C, 12, 2), [12]),
+            "Sylow bound below its stored bound": (lambda: chow_symmetric_sylow_bound(12, 2, 5), [5]),
+            "mod-p table of an S_n": (lambda: chow_model_mod_p(Symmetric(5), C, 12, 5), [12]),
+        }
+        for name, (call, bounds) in calls.items():
+            built.clear()
+            call()
+            assert built == bounds, name
+        monkeypatch.undo()
+        assert chow_model(g, C, 12) is wide and chow_model.cache_info().misses == misses
+
     def test_views_share_one_localization_per_prime(self):
         from chowbg import tables
 
