@@ -115,10 +115,14 @@ class _Node(Record):
     __init__ = object.__init__  # ``__new__`` fills the node
 
     def __new__(cls, *values):
-        node = object.__new__(cls)
-        Record.__init__(node, *values)
-        with _intern_lock:  # children are interned nodes or leaves: the key hashes in O(1)
-            return _interned.setdefault((cls, *values), node)
+        key = (cls, *values)  # children are interned nodes or leaves: the key hashes in O(1)
+        node = _interned.get(key)  # a live node is read without the lock
+        if node is None:
+            node = object.__new__(cls)
+            Record.__init__(node, *values)
+            with _intern_lock:
+                node = _interned.setdefault(key, node)
+        return node
 
     def __repr__(self):
         from . import _nodes

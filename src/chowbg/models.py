@@ -72,6 +72,7 @@ from .presentations import catalog_presentation, presentation_generators
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
+    INTEGRAL,
     UPPER_BOUND,
     ChowTable,
     cut,
@@ -145,7 +146,7 @@ def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
         factors += generators
         extrapolated |= x
     provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-    return polynomial_table(factors, bound).with_metadata(group=g, field=k, provenance=provenance)
+    return polynomial_table(factors, bound, g, k, INTEGRAL, provenance)
 
 
 def _cache_clear() -> None:
@@ -215,9 +216,7 @@ def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
     if inner.field is not None:
         require_mu(inner.field, p, f"wr({p}, -)")
     group = Wreath(p, inner.group) if inner.group is not None else None
-    return cyclic_power_table(inner, p).with_metadata(
-        group=group, field=inner.field, provenance=inner.provenance
-    )
+    return cyclic_power_table(inner, p, group, inner.field, INTEGRAL, inner.provenance)
 
 
 def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> ChowTable:

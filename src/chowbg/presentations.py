@@ -103,4 +103,4 @@ def presentation_generators(pres: RingPresentation) -> list[tuple[int, int]]:
 
 def additive_table_from_presentation(pres: RingPresentation, bound: int) -> ChowTable:
     """Expand an exact presentation into per-degree free ranks and torsion."""
-    return polynomial_table(presentation_generators(pres), bound).with_metadata(group=pres.group)
+    return polynomial_table(presentation_generators(pres), bound, pres.group)

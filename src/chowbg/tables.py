@@ -17,23 +17,25 @@ the series and the metadata (group, base field, localization, provenance).
 sorted by (prime, exponent), so tables render deterministically and cost
 grows with the distinct orders, not with the number of cyclic summands.
 ``rows`` is the per-degree view, one ``DegreeRow`` per degree holding those
-pairs as ``row.counts``; nothing in the package reads it on the way to an
-answer or its output, so the view and ``ChowTable.from_rows``, the checked
-reader of rows, run in ``_rows``, compiled on first use.
+pairs as ``row.counts``; no answer or output reads it, so the view and
+``ChowTable.from_rows``, the checked reader of rows, run in ``_rows``.
 
 The kernels ``polynomial_table`` (the Kunneth product) and
-``cyclic_power_table`` (the wreath step) and ``cut``, behind the truncation
-and the views, work on the series, so their cost grows with the distinct
-(prime, exponent) levels and the bound, not with the pairs of classes.
+``cyclic_power_table`` (the wreath step), which build their table with its
+metadata, and ``cut``, behind the truncation and the views, work on the
+series, so their cost grows with the distinct (prime, exponent) levels and
+the bound, not with the pairs of classes.  The unit series (1, 0, ..., 0),
+the ``free`` of every finite group, multiplies and Polya-powers to a copy;
+a Polya power of another series packs it once (see ``_polya``).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, chain, repeat
-from operator import sub
+from operator import add, sub
 from sys import byteorder
 
 from ._intmath import factorint, require_prime
@@ -60,12 +62,6 @@ INTEGRAL = Localization("integral")
 EXACT = "exact"
 UPPER_BOUND = "upper-bound"
 EXTRAPOLATED_FIELD = "extrapolated-field"
-
-
-def torsion_sort_key(order: int) -> tuple[int, int]:
-    from . import _rows
-
-    return _rows.torsion_sort_key(order)
 
 
 class DegreeRow(Record):
@@ -261,13 +257,13 @@ def _from_series(free: list[int], levels: dict, bound: int, *metadata) -> ChowTa
 # the product of the factors' series of the same level.
 
 
-def polynomial_table(factors, bound: int) -> ChowTable:
-    """Integral table through ``bound`` of the tensor product of the factors,
-    folded one at a time: a ``(degree, m)`` generator is the ring
-    ``Z[x]/(m x)``, with m = 0 for ``Z[x]``, and a ``ChowTable`` of bound at
-    least ``bound`` enters as its series; no factors give the point.  A
-    generator of degree above ``bound`` is skipped: none of its positive
-    powers reaches the table.
+def polynomial_table(factors, bound: int, *metadata) -> ChowTable:
+    """Table through ``bound``, with the metadata given (none: integral,
+    exact), of the tensor product of the factors, folded one at a time: a
+    ``(degree, m)`` generator is the ring ``Z[x]/(m x)``, with m = 0 for
+    ``Z[x]``, and a ``ChowTable`` of bound at least ``bound`` enters as its
+    series; no factors give the point.  A generator of degree above ``bound``
+    is skipped: none of its positive powers reaches the table.
 
     ``Z/a (x) Z/b = Z/gcd(a, b)`` with the convention gcd(0, x) = x; coprime
     pairs contribute nothing.  There is no Tor correction: this models the
@@ -303,18 +299,17 @@ def polynomial_table(factors, bound: int) -> ChowTable:
             for l, e in factorint(m):
                 for s in _levels(levels, l, e, free)[:e]:
                     _stride_sum(s, degree)
-    return _from_series(free, levels, bound)
+    return _from_series(free, levels, bound, *metadata)
 
 
-def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
-    """Cyclic power in codimension grading on the series of the table: the
-    rows of the labelled reference
+def cyclic_power_table(table: ChowTable, p: int, *metadata) -> ChowTable:
+    """Cyclic power in codimension grading on the series of the table, with
+    the metadata given: the rows of the labelled reference
     ``to_table(cyclic.cyclic_power_codim(from_table(table), p))``.
 
     A class is a (degree e, order q) summand, q = 0 free; S is the classes
     with p | q.  Rotation orbits of p-tuples of summands are counted by
-    Polya's ``(s^p + (p - 1) s(t^p)) / p`` on each series, the power taken
-    by square-and-multiply over the bits of p (Knuth, TAOCP vol. 2, 4.6.3),
+    Polya's ``(s^p + (p - 1) s(t^p)) / p`` on each series (``_polya``),
     since each nontrivial rotation fixes just the constant tuples.  The
     constant tuple of a class in S is dropped, and gamma (``Z/(p q)`` in
     degree p e) and alpha (``Z/p`` in every degree above p e) take its place:
@@ -323,36 +318,26 @@ def cyclic_power_table(table: ChowTable, p: int) -> ChowTable:
     count of S-classes of degree e to G_{p,1} in every degree above p e.
     """
     require_prime(p)
-    bound = table.bound
-    free, levels = table.free, dict(table.levels)
+    bound, free, levels = table.bound, table.free, dict(table.levels)
     at_p = levels.get(p, ())
-    s_classes = at_p[0] if at_p else free  # free plus p-power summands per degree
-    exact = [  # the Z/p^b, b = 1..A, in the degrees e with p e <= bound
-        [g[e] - h[e] for e in range(bound // p + 1)] for g, h in zip(at_p, at_p[1:] + (free,))
-    ]
     out_free = _polya(free, p, bound)
     out = {l: [_polya(s, p, bound) for s in lv] for l, lv in levels.items()}
-    for b, counts in enumerate(exact, 1):
+    for b, (g, h) in enumerate(zip(at_p, at_p[1:] + (free,)), 1):
+        counts = list(map(sub, g[: bound // p + 1], h))  # the Z/p^b in degrees e, p e <= bound
         if any(counts):
             gamma = _levels(out, p, b + 1, out_free)[b]
-            for e, m in enumerate(counts):
-                gamma[p * e] += m
-    if bound:
-        alpha = _levels(out, p, 1, out_free)[0]
-        below = 0  # S-classes of degree e with p e < t
-        for t in range(1, bound + 1):
-            if (t - 1) % p == 0:
-                below += s_classes[(t - 1) // p]
-            alpha[t] += below
-    return _from_series(out_free, out, bound)
+            gamma[::p] = map(add, gamma[::p], counts)
+    steps = [0] * (bound + 1)  # the S-classes (free or p-power) of degree e, at degree p e + 1
+    steps[1::p] = (at_p[0] if at_p else free)[: (bound - 1) // p + 1]
+    alpha = _levels(out, p, 1, out_free)[0]
+    alpha[:] = map(add, alpha, accumulate(steps))
+    return _from_series(out_free, out, bound, *metadata)
 
 
 def _levels(levels: dict, l: int, a: int, free: list[int]) -> list[list[int]]:
-    """The level list of the prime l, extended through level a with copies
-    of ``free``."""
+    """The level list of prime l, extended through level a by copies of ``free``."""
     lv = levels.setdefault(l, [])
-    while len(lv) < a:
-        lv.append(free.copy())
+    lv += [free.copy() for _ in range(a - len(lv))]
     return lv
 
 
@@ -376,32 +361,65 @@ def _product(free, levels, free2, levels2, bound: int) -> tuple[list[int], dict]
 
 def _mul(a, b, bound: int) -> list[int]:
     """The first bound + 1 coefficients of the product of two series of
-    bound + 1 nonnegative coefficients, by one big-integer product
-    (Kronecker substitution): each series is packed into an integer, one
-    slot per degree, with slots wide enough for every coefficient of the
-    product.  Slots of at most 8 bytes pack through ``array``, wider ones
-    through ``int.to_bytes`` (counts reach 2^64 at large bounds)."""
+    bound + 1 nonnegative coefficients: a list of the other if one is the
+    unit series (1, 0, ..., 0), of any length, and otherwise one big-integer
+    product of the two packed one slot per degree (Kronecker substitution)."""
     n = bound + 1
+    for x, y in ((a, b), (b, a)):
+        if x[0] == 1 == sum(x):  # the unit series: no coefficient is negative
+            return list(y[:n])
     width = (max(a).bit_length() + max(b).bit_length() + n.bit_length() + 7) // 8
+    width = _SLOTS.get(width, width)
+    x = _pack(a, width)
+    return _unpack(x * (x if b is a else _pack(b, width)), n, width)
+
+
+def _polya(s, p: int, bound: int) -> list[int]:
+    """Rotation orbits of p-tuples, ``(s^p + (p - 1) s(t^p)) / p`` through
+    ``bound``; a count that p does not divide raises ArithmeticError.  The unit
+    series is its own count, (1 + (p - 1)) / p = 1.  Otherwise s^p is taken by
+    square-and-multiply over the bits of p (Knuth, TAOCP vol. 2, 4.6.3) on s packed
+    once in slots wide enough for s^p, unless those slots pass 8 bytes and p > 3,
+    where ``_mul`` steps sized to each product beat products at the final width."""
+    n = bound + 1
+    if s[0] == 1 == sum(s):
+        return list(s)
+    width = (p * max(s).bit_length() + (p - 1) * n.bit_length() + 7) // 8
+    wide, width = width > 8 and p > 3, _SLOTS.get(width, width)
+    mask = None if wide else (1 << 8 * n * width) - 1
+    x = out = s if wide else _pack(s, width)
+    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds a new value
+        out = _mul(out, out, bound) if wide else out * out & mask
+        if bit == "1":
+            out = _mul(out, x, bound) if wide else out * x & mask
+    out = out if wide else _unpack(out, n, width)
+    out[::p] = [c + (p - 1) * e for c, e in zip(out[::p], s)]
+    orbits = [c // p for c in out]
+    if p * sum(orbits) != sum(out):  # the remainders, each in 0..p - 1, are not all 0
+        d = next(d for d, c in enumerate(out) if c % p)
+        raise ArithmeticError(f"Polya count {out[d]} in degree {d} is not a multiple of {p}")
+    return orbits
+
+
+def _pack(a, width: int) -> int:
+    """The series a as one integer, one ``width``-byte slot per coefficient."""
     if width > 8:
-        x = _pack(a, width)
-        y = x if b is a else _pack(b, width)
-        buf = (x * y).to_bytes(2 * n * width, "little")
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+    return int.from_bytes(_little(_ITEMS[width](a)), "little")
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The lowest n ``width``-byte slots of x, as ``_pack`` fills them."""
+    buf = (x & (1 << 8 * n * width) - 1).to_bytes(n * width, "little")
+    if width > 8:
         return [int.from_bytes(buf[i : i + width], "little") for i in range(0, n * width, width)]
-    items = _items(width)
-    x = int.from_bytes(_little(items(a)), "little")
-    y = x if b is a else int.from_bytes(_little(items(b)), "little")
-    out = items()
-    out.frombytes(memoryview((x * y).to_bytes(2 * n * out.itemsize, "little"))[: n * out.itemsize])
-    return _little(out).tolist()
+    return _little(_ITEMS[width](buf)).tolist()
 
 
-@lru_cache(maxsize=None)
-def _items(width: int):
-    """The ``array`` constructor of the unsigned typecode with the smallest
-    item of at least ``width`` <= 8 bytes ('Q' has 8 everywhere)."""
-    code = next(code for code in "BHILQ" if array(code).itemsize >= width)
-    return partial(array, code)
+# per slot width w <= 8 bytes, the ``array`` constructor of the unsigned typecode
+# with the smallest item of at least w bytes ('Q' has 8 everywhere), and that item size
+_ITEMS = {w: partial(array, next(c for c in "BHILQ" if array(c).itemsize >= w)) for w in range(9)}
+_SLOTS = {w: items().itemsize for w, items in _ITEMS.items()}
 
 
 def _little(items):
@@ -409,25 +427,3 @@ def _little(items):
     if byteorder == "big":
         items.byteswap()
     return items
-
-
-def _pack(a, width: int) -> int:
-    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
-
-
-def _polya(s, p: int, bound: int) -> list[int]:
-    """Rotation orbits of p-tuples, ``(s^p + (p - 1) s(t^p)) / p`` through
-    ``bound``; a count that p does not divide raises ArithmeticError."""
-    out = s
-    for bit in bin(p)[3:]:  # p >= 2, so at least one squaring builds a new list
-        out = _mul(out, out, bound)
-        if bit == "1":
-            out = _mul(out, s, bound)
-    for e in range(bound // p + 1):
-        out[p * e] += (p - 1) * s[e]
-    for d, c in enumerate(out):
-        orbits, rest = divmod(c, p)
-        if rest:
-            raise ArithmeticError(f"Polya count {c} in degree {d} is not a multiple of {p}")
-        out[d] = orbits
-    return out

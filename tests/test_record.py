@@ -136,6 +136,25 @@ def test_equal_copies_hash_equally(value):
     assert type(twin) is type(value) and hash(twin) == hash(value)
 
 
+def test_a_live_node_is_found_without_the_lock(monkeypatch):
+    from chowbg import groups
+
+    class Refused:
+        def __enter__(self):
+            raise AssertionError("the intern lock was taken for a live node")
+
+        def __exit__(self, *exc):
+            return False
+
+    inner = Product(GL(1), O(1))
+    live = Wreath(3, inner)
+    monkeypatch.setattr(groups, "_intern_lock", Refused())
+    assert Wreath(3, inner) is live and Product(GL(1), O(1)) is inner
+    for p in (0, 1, 4, 21):
+        with pytest.raises(ValueError, match="wreath degree must be prime"):
+            Wreath(p, inner)
+
+
 def test_tree_nodes_are_interned_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 

@@ -3,12 +3,14 @@ import pickle
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chowbg import _json, tables
+from chowbg._rows import torsion_sort_key
 from chowbg.cli import render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.errors import UnsupportedError
 from chowbg.graded import tensor, to_table
@@ -25,7 +27,6 @@ from chowbg.tables import (
     localize_table,
     mod_p_table,
     polynomial_table,
-    torsion_sort_key,
 )
 from oracles import (
     gcd_cyclic_power_table,
@@ -140,9 +141,9 @@ class TestSeriesKernels:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(graded_groups(max_bound=10), max_size=2),
+        st.lists(graded_groups(max_bound=70), max_size=2),
         oracle_generators,
-        st.integers(min_value=0, max_value=20),
+        st.integers(min_value=0, max_value=70),
         st.randoms(use_true_random=False),
     )
     def test_polynomial_table_matches_gcd_oracle(self, groups, generators, bound, rng):
@@ -154,7 +155,7 @@ class TestSeriesKernels:
         assert_same_table(polynomial_table(factors, bound), gcd_polynomial_table(factors, bound))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(ORACLE_PRIMES), graded_groups(max_bound=10, max_summands=6))
+    @given(st.sampled_from(ORACLE_PRIMES), graded_groups(max_bound=70, max_summands=6))
     def test_cyclic_power_table_matches_gcd_oracle(self, p, g):
         t = to_table(g)
         assert_same_table(cyclic_power_table(t, p), gcd_cyclic_power_table(t, p))
@@ -163,7 +164,7 @@ class TestSeriesKernels:
     @given(
         st.sampled_from(ORACLE_PRIMES),
         oracle_generators,
-        st.integers(min_value=0, max_value=24),
+        st.integers(min_value=0, max_value=70),
     )
     def test_cyclic_power_of_generator_tables_matches_gcd_oracle(self, p, generators, bound):
         t = gcd_polynomial_table(generators, bound)
@@ -209,11 +210,98 @@ class TestKroneckerProduct:
         assert tables._mul(a, b, bound) == naive_product(a, b, bound)
         assert tables._mul(a, a, bound) == naive_product(a, a, bound)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 3), st.integers(0, 90), st.data())
+    def test_unit_operand_gives_a_copy_of_the_other(self, bound, extra, bits, data):
+        # the unit series (1, 0, ..., 0) is the free series of every finite group
+        unit = [1] + [0] * (bound + extra)  # extra > 0: longer than bound + 1
+        other = data.draw(
+            st.lists(st.integers(min_value=0, max_value=2**bits), min_size=bound + 1, max_size=bound + 1)
+        )
+        for u in (unit, tuple(unit)):
+            for o in (other, tuple(other)):
+                for got in (tables._mul(u, o, bound), tables._mul(o, u, bound)):
+                    assert got == naive_product(u, o, bound) == other
+                    assert type(got) is list and got is not other
+            assert tables._mul(u, u, bound) == unit[: bound + 1]
+
     @pytest.mark.parametrize("width", range(1, 9))
     def test_slots_round_up_to_an_array_item(self, width):
-        items = tables._items(width)()
+        items = tables._ITEMS[width]()
         assert items.itemsize >= width
         assert all(items.itemsize <= size for size in (1, 2, 4, 8) if size >= width)
+        assert tables._SLOTS[width] == items.itemsize
+
+
+def polya_counts(s, p, bound):
+    """``s^p + (p - 1) s(t^p)`` through ``bound``, the power by p - 1
+    convolution products."""
+    power = list(s[: bound + 1])
+    for _ in range(p - 1):
+        power = naive_product(power, s, bound)
+    return [c + (p - 1) * s[d // p] if d % p == 0 else c for d, c in enumerate(power)]
+
+
+def naive_polya(s, p, bound):
+    counts = polya_counts(s, p, bound)
+    assert all(c % p == 0 for c in counts)
+    return [c // p for c in counts]
+
+
+def polya_slot_bytes(s, p, bound):
+    """The slot width in bytes that ``tables._polya`` packs s with once."""
+    return (p * max(s).bit_length() + (p - 1) * (bound + 1).bit_length() + 7) // 8
+
+
+# coefficient bits that keep every slot of s^p within 8 bytes through bound 30
+PACKED_BITS = {2: 24, 3: 14, 5: 6, 7: 3}
+
+
+class TestPolyaPower:
+    """``tables._polya`` against p - 1 convolution products and Polya's
+    formula: on one packed integer (slots of at most 8 bytes, or wider at
+    p <= 3), by ``_mul`` steps (wider slots at p > 3, which every p = 101
+    power needs), and on the unit series."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(sorted(PACKED_BITS)), st.integers(0, 30), st.data())
+    def test_packed_path_matches_naive(self, p, bound, data):
+        coefficients = st.integers(min_value=0, max_value=2 ** PACKED_BITS[p] - 1)
+        s = data.draw(st.lists(coefficients, min_size=bound + 1, max_size=bound + 1))
+        assert polya_slot_bytes(s, p, bound) <= 8
+        assert tables._polya(s, p, bound) == naive_polya(s, p, bound)
+        assert tables._polya(tuple(s), p, bound) == naive_polya(s, p, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(0, 12), st.integers(65, 90), st.data())
+    def test_wide_path_matches_naive(self, p, bound, bits, data):
+        rest = st.lists(st.integers(min_value=0, max_value=2**bits), min_size=bound, max_size=bound)
+        s = data.draw(rest) + [data.draw(st.integers(min_value=2**64, max_value=2**bits))]
+        s.insert(data.draw(st.integers(min_value=0, max_value=bound)), s.pop())
+        assert polya_slot_bytes(s, p, bound) > 8
+        with mock.patch.object(tables, "_mul", wraps=tables._mul) as mul:
+            assert tables._polya(s, p, bound) == naive_polya(s, p, bound)
+        assert mul.called == (p > 3)  # a chain of one or two products packs once at any width
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+    def test_unit_series_is_its_own_orbit_count(self, p):
+        for bound in (0, 1, p - 1, p, p + 1):
+            unit = [1] + [0] * bound
+            for s in (unit, tuple(unit)):
+                got = tables._polya(s, p, bound)
+                assert got == naive_polya(unit, p, bound) == unit
+                assert type(got) is list and got is not s
+
+    @pytest.mark.parametrize("big", [False, True], ids=["packed", "wide"])
+    def test_a_count_p_does_not_divide_raises(self, big):
+        # Polya counts of a prime p always divide; of p = 4 they need not
+        s = [1, 1, 2**70 if big else 3, 1]
+        assert (polya_slot_bytes(s, 4, 3) > 8) == big
+        counts = polya_counts(s, 4, 3)
+        d = next(d for d, c in enumerate(counts) if c % 4)
+        message = f"Polya count {counts[d]} in degree {d} is not a multiple of 4"
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            tables._polya(s, 4, 3)
 
 
 class TestDegreeRow:
