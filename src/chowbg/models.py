@@ -29,8 +29,12 @@ Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
 (group, field), wreath products included, ``_memo`` serves a bound it reaches
 by one locked read, and each public function builds at most one table from
-it, through ``tables.cut``: a truncation, a view, a Sylow bound's provenance.
-A Sylow bound builds its group once per memo lifetime and key (n // p, p).  A
+it: ``chow_model`` a truncation, by ``ChowTable.truncated``, and the views and
+the Sylow bound through ``tables.cut``.  S_n tables come only from these
+general entry points: ``chow_integral_symmetric`` and ``chow_symmetric_local``
+check n (and p) and call ``chow_model`` and ``chow_model_localized``, and the
+S_n views cut the closed form of ``_symmetric_local`` without the memo.  A
+Sylow bound builds its group once per memo lifetime and key (n // p, p).  A
 build that needs a wreath table waits on an explicit stack, so a tower costs
 no Python frames.  No function here builds rows: only a reader of ``rows`` does.
 """
@@ -102,10 +106,7 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     inner tables and product terms included, and a truncation as a hit, so
     the misses are the builds and ``currsize`` the (g, k) entries;
     ``chow_model.cache_clear()`` empties both and the Sylow groups."""
-    t = _memo(g, k, bound)
-    if t.bound == bound:
-        return t
-    return cut(bound, t.free, t.levels, t.group, t.field, t.localization, t.provenance)
+    return _memo(g, k, bound).truncated(bound)
 
 
 def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
@@ -209,10 +210,12 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
 
 
 def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
-    """Table of B(wr(p, G)) from the table of BG via the codim cyclic power."""
+    """Table of B(wr(p, G)) from the exact integral table of BG via the codim cyclic power."""
     require_prime(p)
     if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
         raise UnsupportedError("wreath construction needs an exact inner table")
+    if inner.localization.kind != "integral":
+        raise UnsupportedError("wreath construction needs an integral inner table")
     if inner.field is not None:
         require_mu(inner.field, p, f"wr({p}, -)")
     group = Wreath(p, inner.group) if inner.group is not None else None
@@ -229,14 +232,14 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     ``Z[x]/(p x)`` with ``deg x = p - 1``.  The outcome is the same for
     every base field of characteristic != p.
     """
-    at_p = shared_localization("at_prime", p)  # a p that is not prime raises here
+    require_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _symmetric_local(Symmetric(n), p, k, bound, at_p)
+    return chow_model_localized(Symmetric(n), k, bound, p)
 
 
 def _symmetric_local(g: Symmetric, p: int, k: FieldDescriptor, bound: int, loc) -> ChowTable:
-    """``chow_symmetric_local`` of g, or its mod-p view for a mod-p ``loc``, as one table."""
+    """The p-local table of g, or its mod-p view for a mod-p ``loc``, as one table."""
     cyclic = _symmetric_generators(g.n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
     if bound < 0:
         raise ValueError("table must have one row per degree 0..bound")
@@ -264,7 +267,7 @@ def chow_integral_symmetric(n: int, bound: int, field: FieldDescriptor = COMPLEX
     the Kunneth product of the local rings (mixed monomials have gcd 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _memo(Symmetric(n), field, bound).truncated(bound)
+    return chow_model(Symmetric(n), field, bound)
 
 
 def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int, int]]:

@@ -143,13 +143,6 @@ class ChowTable(Record):
             raise ValueError(f"degree {degree} outside table bound {self.bound}")
         return self.rows[degree]
 
-    def with_metadata(self, **kw) -> "ChowTable":
-        """A copy with the given metadata replaced, sharing the series; any
-        other name is a TypeError."""
-        group, field = kw.pop("group", self.group), kw.pop("field", self.field)
-        loc, prov = kw.pop("localization", self.localization), kw.pop("provenance", self.provenance)
-        return ChowTable(self.bound, self.free, self.levels, group, field, loc, prov, **kw)
-
     def truncated(self, bound: int) -> "ChowTable":
         """The table through degree ``bound``: this table, or its cut series."""
         if bound == self.bound:

@@ -366,6 +366,12 @@ def kunneth_factors(g):
     return [g]
 
 
+def relabelled(table, **metadata):
+    """The table of ``table``'s series with the given metadata replaced."""
+    labels = {name: getattr(table, name) for name in ("group", "field", "localization", "provenance")}
+    return ChowTable(table.bound, table.free, table.levels, **{**labels, **metadata})
+
+
 def pairwise_kunneth_table(factor_tables):
     """Kunneth product of integral tables folded pairwise, each step the
     two-table product ``polynomial_table([a, b], min(a.bound, b.bound))``,
@@ -376,7 +382,7 @@ def pairwise_kunneth_table(factor_tables):
     if EXTRAPOLATED_FIELD in flags:
         provenance += (EXTRAPOLATED_FIELD,)
     product = reduce(lambda a, b: polynomial_table([a, b], min(a.bound, b.bound)), factor_tables)
-    return product.with_metadata(provenance=provenance)
+    return relabelled(product, provenance=provenance)
 
 
 def labelled_kunneth_table(factor_tables):
@@ -450,12 +456,10 @@ def truncated_by_dict(table, bound):
 def symmetric_local_by_kernel(n, p, k, bound):
     """The p-local table of S_n, n < 2p, as the Kunneth kernel builds the
     ring ``Z[x]/(p x)``, deg x = p - 1 (the point for n < p), with its
-    metadata set by a copy: the reference for ``chow_symmetric_local``."""
+    metadata: the reference for ``chow_symmetric_local``."""
     require_char_ne(k, p, f"the {p}-local table of S_{n}")
-    table = polynomial_table([(p - 1, p)] if n >= p else [], bound)
-    return table.with_metadata(
-        group=Symmetric(n), field=k, localization=Localization("at_prime", p)
-    )
+    generators = [(p - 1, p)] if n >= p else []
+    return polynomial_table(generators, bound, Symmetric(n), k, Localization("at_prime", p))
 
 
 def run_length_row_value(row):

@@ -171,7 +171,7 @@ class TestInvariantFiltering:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
             for t in (t for t in range(1, p) if (p - 1) % t == 0):
                 for bound in range(41):
-                    full = polynomial_table([(1, p)], bound).with_metadata(group=CyclicZ(p))
+                    full = polynomial_table([(1, p)], bound, CyclicZ(p))
                     filtered = apply_cyclotomic_invariants(full, t)
                     assert polynomial_table([(t, p)], bound).rows == filtered.rows
 

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chowbg import models
+from chowbg._intmath import is_prime
 from chowbg.errors import UnsupportedError
 from chowbg.fields import contains_mu, parse_field, require_mu
 from chowbg.graded import localize, mod_p_dimension, to_table
@@ -51,6 +52,7 @@ from oracles import (
     kunneth_factors,
     labelled_kunneth_table,
     pairwise_kunneth_table,
+    relabelled,
     sylow_group_by_towers,
     symmetric_local_by_kernel,
     symmetric_rows,
@@ -263,6 +265,13 @@ class TestWreath:
         with pytest.raises(UnsupportedError, match="exact inner table"):
             chow_wreath(2, chow_symmetric_sylow_bound(4, 2, 3))
 
+    def test_local_or_mod_p_inner_rejected(self):
+        # the cyclic power of a view is not the view of the cyclic power's table
+        t = model("Z/6", bound=6)
+        for p, inner in ((2, localize_table(t, 2)), (3, mod_p_table(t, 3))):
+            with pytest.raises(UnsupportedError, match="^wreath construction needs an integral"):
+                chow_wreath(p, inner)
+
     def test_group_metadata(self):
         t = model("wr(3, Z/3)", bound=2)
         assert t.group == Wreath(3, CyclicZ(3))
@@ -440,6 +449,28 @@ class TestSymmetricIntegral:
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             chow_integral_symmetric(0, 4)
 
+    @pytest.mark.parametrize("k", [C, parse_field("F_2")], ids=["C", "F_2"])
+    @pytest.mark.parametrize("warm", [None, 9], ids=["cold", "warm"])
+    @pytest.mark.parametrize("bound", [-1, 0, 4, 9])
+    @pytest.mark.parametrize("n", range(-1, 6))
+    def test_equals_chow_model_of_symmetric(self, n, bound, warm, k):
+        def counted(call):  # the outcome and the cache_info() counts it moved
+            chow_model.cache_clear()
+            if warm and n >= 1:
+                _outcome(lambda: chow_model(Symmetric(n), k, warm))
+            before = chow_model.cache_info()
+            outcome = _outcome(call)
+            after = chow_model.cache_info()
+            return outcome, tuple(map(int.__sub__, after, before))
+
+        wrapper = counted(lambda: chow_integral_symmetric(n, bound, k))
+        if n < 1:  # refused before Symmetric(n), which refuses n < 1 with its own text
+            assert wrapper == ((ValueError, "n must be >= 1"), (0, 0, 0))
+            with pytest.raises(ValueError, match="^symmetric group degree must be >= 1$"):
+                Symmetric(n)
+        else:
+            assert wrapper == counted(lambda: chow_model(Symmetric(n), k, bound))
+
     def test_memoized_with_dispatch(self):
         chow_model.cache_clear()  # the stored table is the one of bound 4
         assert chow_integral_symmetric(3, 4, Q) is chow_model(Symmetric(3), Q, 4)
@@ -573,11 +604,11 @@ class TestLocalizations:
         p_primary = all(q % p == 0 for row in integral.rows for q, _ in row.counts)
         assert (local.rows == integral.rows) == p_primary
         if p_primary:
-            assert local == integral.with_metadata(localization=Localization("at_prime", p))
+            assert local == relabelled(integral, localization=Localization("at_prime", p))
         # a torsion-free table is its own mod-p table, up to the localization
         if all(not row.counts for row in integral.rows):
             assert reduced.rows == integral.rows
-            assert reduced == integral.with_metadata(localization=Localization("mod_p", p))
+            assert reduced == relabelled(integral, localization=Localization("mod_p", p))
 
     def test_localize_table(self):
         t = localize_table(model("S_3", bound=4), 2)
@@ -826,7 +857,7 @@ PUBLIC_CALLS = {
     "chow_model_mod_p": lambda b: chow_model_mod_p(parse_group_expr("wr(3, Z/3) x GL(2)"), C, b, 3),
     "chow_model_mod_p/torsion-free": lambda b: chow_model_mod_p(parse_group_expr("GL(2)"), C, b, 3),
     "chow_model_mod_p/S_n": lambda b: chow_model_mod_p(Symmetric(3), C, b, 3),
-    "chow_wreath": lambda b: chow_wreath(2, polynomial_table([(1, 4)], b).with_metadata(field=C)),
+    "chow_wreath": lambda b: chow_wreath(2, polynomial_table([(1, 4)], b, None, C)),
     "chow_symmetric_local": lambda b: chow_symmetric_local(3, 2, C, b),
     "chow_symmetric_sylow_bound": lambda b: chow_symmetric_sylow_bound(6, 2, b),
     "chow_integral_symmetric": lambda b: chow_integral_symmetric(3, b),
@@ -1032,7 +1063,7 @@ class TestFastPaths:
         table = chow_symmetric_sylow_bound(n, p, bound, k)
         assert chow_model.cache_info() == (before.hits + 1, before.misses, before.currsize)
         stored = chow_model(sylow_group(n, p), k, bound + extra)
-        expected = stored.truncated(bound).with_metadata(provenance=(EXACT, UPPER_BOUND))
+        expected = relabelled(stored.truncated(bound), provenance=(EXACT, UPPER_BOUND))
         assert table == expected and hash(table) == hash(expected)
         assert table.rows == expected.rows
 
@@ -1206,7 +1237,7 @@ class TestFastPaths:
                 assert answer == str(refusal.value)
                 continue
             reference = chow_model(sylow_group_by_towers(n, p), k, bound)
-            reference = reference.with_metadata(provenance=(EXACT, UPPER_BOUND))
+            reference = relabelled(reference, provenance=(EXACT, UPPER_BOUND))
             assert answer == reference and answer.levels == reference.levels
 
     @settings(max_examples=120, deadline=None)
@@ -1230,19 +1261,30 @@ class TestFastPaths:
         st.sampled_from(KUNNETH_FIELDS),
         st.integers(min_value=0, max_value=30),
     )
+    @example(4, 0, C, 3)  # both arguments refused: the p error comes first
+    @example(4, 5, C, 3)
+    @example(9, -1, C, 3)
+    @example(3, 0, C, 3)
+    @example(2, -1, C, 3)
     def test_symmetric_local_matches_the_kernel_table(self, p, n, k, bound):
+        outcome = _outcome(lambda: chow_symmetric_local(n, p, k, bound))
+        if not is_prime(p) or n < 1:  # checked before S_n is built
+            message = "n must be >= 1" if is_prime(p) else f"p must be prime, got {p}"
+            assert outcome == (ValueError, message)
+            return
+        assert outcome == _outcome(lambda: chow_model_localized(Symmetric(n), k, bound, p))
         if n >= 2 * p:
-            with pytest.raises(UnsupportedError):
-                chow_symmetric_local(n, p, k, bound)
+            assert outcome[0] is UnsupportedError
             return
         try:
             expected = symmetric_local_by_kernel(n, p, k, bound)
         except UnsupportedError as refusal:
-            with pytest.raises(UnsupportedError, match=f"^{re.escape(str(refusal))}$"):
-                chow_symmetric_local(n, p, k, bound)
+            assert outcome == (UnsupportedError, str(refusal))
             return
         table = chow_symmetric_local(n, p, k, bound)
-        assert table == expected and table.levels == expected.levels
+        general = chow_model_localized(Symmetric(n), k, bound, p)
+        for t in (table, general):
+            assert t == expected and t.levels == expected.levels
         assert table.rows == expected.rows
         assert table.localization is chow_model_localized(CyclicZ(p), C, 0, p).localization
 

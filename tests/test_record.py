@@ -260,18 +260,6 @@ def test_keyword_construction_and_defaults():
     assert ChowTable(bound=0, free=(1,), levels=()) == table
 
 
-def test_with_metadata_replaces_fields():
-    table = ChowTable.from_rows((DegreeRow(0, 1, ()),), 0)
-    changed = table.with_metadata(group=GL(1), provenance=("exact", "upper-bound"))
-    assert changed.group == GL(1) and changed.provenance == ("exact", "upper-bound")
-    assert changed.rows == table.rows and changed.bound == 0
-    assert table.group is None
-    with pytest.raises(TypeError, match="'bound'"):  # metadata only: the series are not replaced
-        table.with_metadata(bound=1)
-    with pytest.raises(TypeError):
-        table.with_metadata(bogus=1)
-
-
 @pytest.mark.parametrize(
     "make, message",
     [

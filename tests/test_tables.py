@@ -15,14 +15,10 @@ from chowbg.cli import render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.errors import UnsupportedError
 from chowbg.graded import tensor, to_table
 from chowbg.fields import parse_field
-from chowbg.groups import GL
 from chowbg.models import chow_model
 from chowbg.tables import (
-    EXACT,
-    UPPER_BOUND,
     ChowTable,
     DegreeRow,
-    Localization,
     cyclic_power_table,
     localize_table,
     mod_p_table,
@@ -391,36 +387,6 @@ class TestSharedRows:
         copy = pickle.loads(pickle.dumps(stored.rows))
         assert copy == t.rows
 
-    def test_metadata_copy_keeps_the_checked_rows(self):
-        t = table((1, ()), (0, (2, 3)), (2, (4, 4, 9)))
-        fields = {
-            "group": GL(2),
-            "field": parse_field("Q"),
-            "localization": Localization("at_prime", 3),
-            "provenance": (EXACT, UPPER_BOUND),
-        }
-        for name, value in fields.items():  # t has the default metadata
-            copy = t.with_metadata(**{name: value})
-            assert copy.rows == t.rows
-            assert copy == ChowTable.from_rows(t.rows, t.bound, **{name: value})
-        copy = t.with_metadata(**fields)
-        assert copy.free is t.free and copy.levels is t.levels
-        assert copy.rows == t.rows and copy == ChowTable.from_rows(t.rows, t.bound, **fields)
-
-    def test_new_rows_or_bound_are_still_checked(self):
-        # with_metadata replaces metadata only: new rows go through from_rows
-        t = table((1, ()), (0, (2,)), (0, ()))
-        with pytest.raises(TypeError, match="'bound'"):
-            t.with_metadata(bound=1)
-        with pytest.raises(TypeError, match="'rows'"):
-            t.with_metadata(rows=t.rows[::-1])
-        with pytest.raises(ValueError, match="one row per degree"):
-            ChowTable.from_rows(t.rows[::-1], t.bound)
-        with pytest.raises(TypeError, match="bogus"):
-            t.with_metadata(bogus=1)
-        with pytest.raises(TypeError, match="bogus"):
-            t.with_metadata(group=GL(1), bogus=1)
-
 
 class TestStoredConstructor:
     """``ChowTable(bound, free, levels, ...)`` takes what the slots hold, so
@@ -448,9 +414,3 @@ class TestStoredConstructor:
         assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt.rows == t.rows
         for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
             assert twin == t and hash(twin) == hash(t) and twin is not t and twin._rows is None
-        for metadata in ({"provenance": (EXACT, UPPER_BOUND)}, {"group": GL(1), "field": None}):
-            changed = t.with_metadata(**metadata)
-            assert changed.free is t.free and changed.levels is t.levels
-        for name in ("rows", "bound", "free", "levels", "bogus"):
-            with pytest.raises(TypeError, match=f"'{name}'"):
-                t.with_metadata(**{name: getattr(t, name, 1)})
