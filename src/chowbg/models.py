@@ -32,11 +32,11 @@ by one locked read, and each public function builds at most one table from
 it: ``chow_model`` a truncation, by ``ChowTable.truncated``, and the views and
 the Sylow bound through ``tables.cut``.  S_n tables come only from these
 general entry points: ``chow_integral_symmetric`` and ``chow_symmetric_local``
-check n (and p) and call ``chow_model`` and ``chow_model_localized``, and the
-S_n views cut the closed form of ``_symmetric_local`` without the memo.  A
-Sylow bound builds its group once per memo lifetime and key (n // p, p).  A
-build that needs a wreath table waits on an explicit stack, so a tower costs
-no Python frames.  No function here builds rows: only a reader of ``rows`` does.
+check n (and p) and call ``chow_model`` and ``chow_model_localized``; the two
+views share one body, ``_view``, which cuts S_n's p-local ring from its closed
+form without the memo.  A Sylow bound builds its group once per memo lifetime
+and key (n // p, p).  A wreath table a build needs waits on an explicit stack,
+so a tower costs no Python frames.  Only a reader of ``rows`` builds rows.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Integral additive table of CH^*(BG) over k through the given degree:
     the stored table at its own bound, a fresh truncation below it.
 
-    ``chow_model.cache_info()`` counts every memo lookup, those of wreath
-    inner tables and product terms included, and a truncation as a hit, so
-    the misses are the builds and ``currsize`` the (g, k) entries;
+    ``chow_model.cache_info()`` counts as hits the memo lookups that a stored
+    table serves (wreath inner tables, product terms and truncations included),
+    as misses the builds that finish, and as ``currsize`` the (g, k) entries;
     ``chow_model.cache_clear()`` empties both and the Sylow groups."""
     return _memo(g, k, bound).truncated(bound)
 
@@ -116,7 +116,7 @@ def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
         with _lock:
             table = _widest.get((g, k))
             hit = table is not None and 0 <= bound <= table.bound
-            _stats[not hit] += 1
+            _stats[0] += hit
         if not hit:
             table = None
             builds.append((g, _build(g, k, bound)))  # it runs when sent a value
@@ -129,6 +129,7 @@ def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
                 table = done.value
                 builds.pop()
                 with _lock:
+                    _stats[1] += 1
                     stored = _widest.get((group, k))
                     if stored is None or bound > stored.bound:
                         _widest[(group, k)] = table
@@ -238,16 +239,6 @@ def chow_symmetric_local(n: int, p: int, k: FieldDescriptor, bound: int) -> Chow
     return chow_model_localized(Symmetric(n), k, bound, p)
 
 
-def _symmetric_local(g: Symmetric, p: int, k: FieldDescriptor, bound: int, loc) -> ChowTable:
-    """The p-local table of g, or its mod-p view for a mod-p ``loc``, as one table."""
-    cyclic = _symmetric_generators(g.n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
-    if bound < 0:
-        raise ValueError("table must have one row per degree 0..bound")
-    period = (1,) + (0,) * (p - 2) if cyclic and p <= bound + 1 else ()  # G_{p,1}: 1 where p-1 | d
-    levels = ((p, ((period * (bound // (p - 1) + 1))[: bound + 1],)),) if period else ()
-    return cut(bound, (1,) + (0,) * bound, levels, g, k, loc, (EXACT,), True)
-
-
 def chow_symmetric_sylow_bound(
     n: int, p: int, bound: int, field: FieldDescriptor = COMPLEX
 ) -> ChowTable:
@@ -291,19 +282,26 @@ def _symmetric_generators(n: int, k: FieldDescriptor, primes) -> list[tuple[int,
 def chow_model_localized(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
     """p-local table: symmetric groups use their dedicated local route,
     everything else localizes the integral table."""
-    at_p = shared_localization("at_prime", p)  # a p that is not prime raises here
-    if isinstance(g, Symmetric):
-        return _symmetric_local(g, p, k, bound, at_p)
-    t = _memo(g, k, bound)
-    return cut(bound, t.free, t.levels, t.group, t.field, at_p, t.provenance, True)
+    return _view(g, k, bound, shared_localization("at_prime", p))  # a p not prime raises here
 
 
 def chow_model_mod_p(g: GroupExpr, k: FieldDescriptor, bound: int, p: int) -> ChowTable:
     """F_p-dimension table: the mod-p view (``mod_p_table``) of the table
     ``chow_model_localized`` would localize, with the same checks in the same
     order, built as one table; it reads only the p-power torsion."""
-    mod_p = shared_localization("mod_p", p)  # a p that is not prime raises here
+    return _view(g, k, bound, shared_localization("mod_p", p))  # a p not prime raises here
+
+
+def _view(g: GroupExpr, k: FieldDescriptor, bound: int, loc) -> ChowTable:
+    """The view ``loc`` of the table of (g, k) through ``bound``, as one table:
+    cut from the stored table, or for S_n from its p-local ring."""
     if isinstance(g, Symmetric):
-        return _symmetric_local(g, p, k, bound, mod_p)
+        p = loc.prime
+        cyclic = _symmetric_generators(g.n, k, (p,))  # [(p - 1, p)] while the Sylow group is Z/p
+        if bound < 0:
+            raise ValueError("table must have one row per degree 0..bound")
+        period = (1,) + (0,) * (p - 2) if cyclic and p <= bound + 1 else ()  # 1 where p - 1 | d
+        levels = ((p, ((period * (bound // (p - 1) + 1))[: bound + 1],)),) if period else ()
+        return cut(bound, (1,) + (0,) * bound, levels, g, k, loc, (EXACT,))
     t = _memo(g, k, bound)
-    return cut(bound, t.free, t.levels, t.group, t.field, mod_p, t.provenance, True)
+    return cut(bound, t.free, t.levels, t.group, t.field, loc, t.provenance)

@@ -191,7 +191,7 @@ def localize_table(table: ChowTable, p: int) -> ChowTable:
     """Keep the free part and the p-power torsion of every degree: the
     series ``free`` and the levels of p."""
     t, at_p = table, shared_localization("at_prime", p)
-    return cut(t.bound, t.free, t.levels, t.group, t.field, at_p, t.provenance, True)
+    return cut(t.bound, t.free, t.levels, t.group, t.field, at_p, t.provenance)
 
 
 def mod_p_table(table: ChowTable, p: int) -> ChowTable:
@@ -199,7 +199,7 @@ def mod_p_table(table: ChowTable, p: int) -> ChowTable:
     free rank plus the number of p-power torsion summands, which is the
     level G_{p,1} of the series, or ``free`` without p-power torsion."""
     t, mod_p = table, shared_localization("mod_p", p)
-    return cut(t.bound, t.free, t.levels, t.group, t.field, mod_p, t.provenance, True)
+    return cut(t.bound, t.free, t.levels, t.group, t.field, mod_p, t.provenance)
 
 
 _localizations: dict = {}  # (kind, p) -> the one Localization(kind, p)
@@ -214,11 +214,11 @@ def shared_localization(kind: str, p: int) -> Localization:
     return localization
 
 
-def cut(bound, free, levels, group, field, localization, provenance, view=False) -> ChowTable:
-    """The table through ``bound`` of stored series reaching it, cut after ``bound`` in
-    the stored form; with ``view``, only the series the localization's view keeps."""
-    if view:
-        p, kept = localization.prime, ()
+def cut(bound, free, levels, group, field, localization, provenance) -> ChowTable:
+    """The table through ``bound`` of stored series reaching it, in its localization's
+    view (a view of a view is itself), cut after ``bound`` in the stored form."""
+    p, kept = localization.prime, ()
+    if p:
         for l, lv in levels:
             if l == p:
                 kept = lv

@@ -5,14 +5,20 @@ interpreter shows: warnings printed while ``runpy`` starts the module, or
 errors raised when the standard streams are flushed at exit.  Here a
 stratified sample of the benchmark's ``cli-small`` references runs one
 process per request, and a reader that leaves early must not get a
-traceback.  The benchmark's modules are imported, never changed.
+traceback.  ``END_TO_END`` is the table of end-to-end checks, each a fresh
+process with its exit code, output pin or predicate, stderr and time bound:
+the sha256 pins of the paper's constructions at large degree, refusals of
+huge numbers, and library round trips.  The benchmark's modules are
+imported, never changed.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -109,8 +115,10 @@ def test_flat_product_of_500_terms():
 
 
 def _timed_run(argv):
+    # a ``-c`` argv is a Python program, any other one a CLI request
+    command = [sys.executable, *argv] if argv[0] == "-c" else [*CLI, *argv]
     start = time.perf_counter()
-    child = subprocess.run([*CLI, *argv], env=ENV, capture_output=True, timeout=60)
+    child = subprocess.run(command, env=ENV, capture_output=True, timeout=60)
     return child, time.perf_counter() - start
 
 
@@ -307,12 +315,12 @@ def test_only_help_and_usage_errors_load_argparse(argv, loaded):
 # modules (help and usage errors also compile _usage, the argparse builder).
 # The bounds are upper bounds, so a verb may come to compile less.
 COMPILED_SURFACE = {
-    "describe": (10, 1650),
-    "series": (10, 1650),
-    "presentation": (10, 1650),
-    "galois-exponent": (10, 1650),
-    "bound": (10, 1650),
-    "sylow": (10, 1650),
+    "describe": (10, 1648),
+    "series": (10, 1648),
+    "presentation": (10, 1648),
+    "galois-exponent": (10, 1648),
+    "bound": (10, 1648),
+    "sylow": (10, 1648),
 }
 # The modules compiled only where their code first runs: big-integer
 # primality and factoring, the cyclotomic arithmetic of fields without all
@@ -426,7 +434,7 @@ def test_survey_calls_compile_nothing(tmp_path):
 
 
 def test_tracer_installs_without_loading_on_demand_modules():
-    # the CI line: traced runs import and compile what timed runs do
+    # traced benchmark runs import and compile what timed runs do
     probe = (
         "import sys, chowbg.cli, tracer; tracer.Tracer().install(); "
         "print(sorted(m for m in sys.modules if m.startswith('chowbg.')))"
@@ -485,3 +493,148 @@ def test_no_verb_builds_a_degree_row(argv):
     )
     assert child.returncode == 0 and child.stdout, child.stderr
     assert child.stderr == "0 0\n"
+
+
+# End-to-end checks, one fresh process each: (argv as shell words, exit code,
+# stdout, stderr, seconds).  An expected output of None is not read, a str is
+# the sha256 of the bytes, bytes are the bytes and a function is a predicate;
+# "-c" runs a Python program instead of the CLI.
+_ONES, _P15 = "1" * 4000, 10**15 + 37
+END_TO_END = [
+    ("describe O(3) --max-degree 3", 0, None, b"", 60),
+    ("describe 'Z/5 x GL(1)' --field Q --max-degree 8 --format json", 0, None, b"", 60),
+    ("describe 'wr(2, Z/2) x O(3)' --max-degree 6", 0, None, b"", 60),
+    ("sylow 6 --prime 2 --max-degree 3 --format json", 0, None, b"", 60),
+    ("galois-exponent --prime 5 --degree 4 --format json", 0, None, b"", 60),
+    ("presentation 'Sp(4)'", 0, None, b"", 60),
+    ("bound G2 --format json", 0, None, b"", 60),
+    ("describe --help", 0, lambda out: out.startswith(b"usage: chowbg describe "), b"", 60),
+    (
+        "describe Z/2 --max-degree -1",
+        2, b"", lambda err: b"\nusage: chowbg describe" in b"\n" + err, 60,
+    ),
+    (f"describe Z/2 --max-degree -{_ONES}", 2, b"", lambda err: len(err) < 300, 60),
+    (f"describe Z/2 --prime {_ONES}", 2, b"", lambda err: len(err) < 300, 60),
+    (f"describe Z/2 --max-degree x{_ONES}", 2, b"", lambda err: len(err) < 300, 60),
+    ("describe Z/2 --max-degree 100000", 0, None, b"", 10),
+    (
+        "describe Z/2 --max-degree 1000000",
+        0, lambda out: out.splitlines()[-1] == b"  1000000: Z/2", b"", 30,
+    ),
+    ("describe Z/3 --field 'F_2(mu_1000000007)' --max-degree 2", 0, None, b"", 10),
+    (f"describe '{WREATH_2000}'", 0, None, b"", 10),
+    (f"series '{WREATH_2000}' --format json", 0, None, b"", 10),
+    (
+        "sylow 3 --prime 3 --field Q",
+        3, b"", lambda err: b"roots of unity of order 3" in err and b"-th" not in err, 60,
+    ),
+    ("describe 'Z/3 x GL(1) x Z/3' --field Q", 3, None, None, 60),
+    (f"galois-exponent --prime {_P15} --degree 4", 0, None, b"", 5),
+    (f"describe Z/{_P15} --max-degree 2", 0, None, b"", 5),
+    (f"describe S_3 --prime {_P15}", 0, None, b"", 5),
+    (f"describe Z/3 --field F_{_P15}", 0, None, b"", 5),
+    (
+        f"sylow {LONG_INTEGER} --prime 2",
+        2, None, lambda err: len(err) < 300 and b"integer of 4301 digits is too long" in err, 60,
+    ),
+    ("sylow 100000000000 --prime 100000000003 --max-degree 2", 0, None, b"", 5),
+    (f"describe '{FLAT_4000}' --max-degree 1", 0, None, b"", 60),
+    (
+        "-c 'from chowbg import chow_model, parse_field, parse_group_expr as p; "
+        't = " x ".join(["GL(1) x O(1)"] * 2000); C = parse_field("C"); '
+        "assert chow_model(p(t), C, 1) is chow_model(p(t), C, 1)'",
+        0, b"", b"", 60,
+    ),
+    (
+        "-c 'import copy, pickle; from chowbg import parse_group_expr as p; "
+        'g = p("wr(2, " * 2000 + "Z/2" + ")" * 2000); '
+        "assert pickle.loads(pickle.dumps(g)) is g and copy.deepcopy(g) is g; "
+        'assert repr(g).count("Wreath(") == 2000\'',
+        0, b"", b"", 10,
+    ),
+    (
+        """-c '
+from chowbg import chow_model, parse_field
+from chowbg.errors import UnsupportedError
+from chowbg.groups import O, Symmetric
+for g, k in ((O(10**5000), "F_2"), (Symmetric(10**5000), "C")):
+    try:
+        chow_model(g, parse_field(k), 2)
+    except UnsupportedError as refusal:
+        assert len(str(refusal)) < 300, str(refusal)
+    else:
+        raise SystemExit("no refusal")
+'""",
+        0, b"", b"", 60,
+    ),
+    (
+        """-c '
+import copy, pickle
+from chowbg import ChowTable, chow_model, chow_model_localized, cli, parse_field, parse_group_expr
+g, C = parse_group_expr("wr(2, wr(3, Z/3))"), parse_field("C")
+for t in (chow_model(g, C, 12), chow_model_localized(g, C, 12, 2)):
+    slots = (t.bound, t.free, t.levels, t.group, t.field, t.localization, t.provenance)
+    twins = (
+        pickle.loads(pickle.dumps(t)),
+        copy.deepcopy(t),
+        ChowTable(*slots),
+        cli.table_from_json_obj(cli.table_to_json_obj(t)),
+    )
+    assert all(twin == t for twin in twins), twins
+'""",
+        0, b"", b"", 60,
+    ),
+]
+# sha256 pins of the paper's constructions at large degree: B(Z/2), cyclic powers,
+# a wreath tower, the views of wreath products and of S_n, and a Sylow bound
+PINS = {
+    "describe Z/2 --max-degree 100000 --format json":
+        "f327b1b1b8d583ea71ab9e5f11ae48882f347b980077289797cbdb01cde8d5e6",
+    "series Z/2 --max-degree 1000000":
+        "2e22ac77befa200c5426e393e627b97e492357e26c178f60125ce3498bf5eee5",
+    "describe 'wr(101, Z/2)' --max-degree 300":
+        "8589d9028e3d01cb3b34b3c145177dcbd0b778f1886eff28abfda5747c51e028",
+    "describe 'wr(7, GL(2))' --max-degree 120":
+        "28e1b672ea1acdecda6ece09a2c5b977802d2a7f24d6f8e73666aead6632ab25",
+    f"describe '{WREATH_900}' --max-degree 0":
+        "e679941d7d1d0c05c4d308c531e32e31ca4924151c01493e64830c0ffdea04eb",
+    "describe 'wr(2, wr(3, Z/3))' --prime 2 --max-degree 12 --format json":
+        "7981e0f623782a0cf458852a0b83b52b6001a7aed8565897cff91b739a3b741c",
+    "describe 'wr(2, Z/2) x wr(3, Z/3)' --mod 3 --max-degree 12":
+        "424a7526e08e9898f624c5a0c8dd2592227d0e034497f043cda7613292ecfc0f",
+    "describe S_4 --mod 3 --max-degree 8 --format json":
+        "7a85ba79b8da02c325fb5b7dc4900fa32345152abfc91b7c6cda996ecfee31c1",
+    "describe S_3 --max-degree 12":
+        "bc1ef80f21eb3c9721967a45bedb47694983d80334b71628c446f373cb44dc47",
+    "describe S_7 --prime 5 --max-degree 40":
+        "c9dba98d8d802182852235f29cd35fd497a6cbad49ea68399510011ee8bddd81",
+    "describe S_7 --prime 7 --max-degree 5 --format json":
+        "14b5509e6d6694df464592df70a451e503978ed8742e3b8388f192a3b69a9b99",
+    "series S_9 --mod 5 --max-degree 40":
+        "3e07c4620afe677c53b639bef69644f4b81b81f9be2605997f97f273e9f242ae",
+    "describe S_3 --mod 2 --max-degree 10":
+        "a5bd9866f96406b4e703ddbc2435475879d7b69c23403cfa19dcdb732efb4e4a",
+    "sylow 12 --prime 2 --max-degree 6":
+        "3789d43da9082d8c61001651fdd42f9db15db8531c3dba0b28c9344fb5d47811",
+}
+END_TO_END += [(command, 0, digest, b"", 10) for command, digest in PINS.items()]
+
+
+def _matches(expected, data: bytes) -> bool:
+    if isinstance(expected, str):
+        return hashlib.sha256(data).hexdigest() == expected
+    return expected is None or (data == expected if isinstance(expected, bytes) else expected(data))
+
+
+@pytest.mark.parametrize(
+    "command, code, out, err, seconds",
+    END_TO_END,
+    ids=[c if len(c) < 80 else f"{c[:60]}...({len(c)})" for c, *_ in END_TO_END],
+)
+def test_end_to_end(command, code, out, err, seconds):
+    child, took = _timed_run(shlex.split(command))
+    assert child.returncode == code, child.stderr[-600:]
+    assert b"Traceback" not in child.stderr
+    assert _matches(out, child.stdout), child.stdout[-300:]
+    assert _matches(err, child.stderr), child.stderr[-600:]
+    assert took < seconds

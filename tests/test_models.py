@@ -1089,6 +1089,17 @@ class TestFastPaths:
         assert table.rows == reference.rows and table.localization is reference.localization
         assert chow_model.cache_info() == (0, 0, 0)  # the S_n route keeps no memo entry
 
+    @pytest.mark.parametrize(
+        "group, bound, error",
+        [("Z/2", -1, ValueError), ("S_4", 3, UnsupportedError), ("wr(2, Z/2)", -1, ValueError)],
+    )
+    def test_a_refused_request_counts_nothing(self, group, bound, error):
+        # the misses are the builds: a build that raises stores and counts nothing
+        chow_model.cache_clear()
+        with pytest.raises(error):
+            chow_model(parse_group_expr(group), C, bound)
+        assert chow_model.cache_info() == (0, 0, 0)
+
     def test_a_hit_builds_one_table(self, monkeypatch):
         g = parse_group_expr("wr(2, Z/2) x wr(3, Z/3)")
         chow_model.cache_clear()

@@ -15,8 +15,10 @@ from chowbg.cli import render_row_value, table_from_json_obj, table_to_json_obj
 from chowbg.errors import UnsupportedError
 from chowbg.graded import tensor, to_table
 from chowbg.fields import parse_field
-from chowbg.models import chow_model
+from chowbg.models import chow_model, chow_symmetric_sylow_bound
 from chowbg.tables import (
+    EXACT,
+    UPPER_BOUND,
     ChowTable,
     DegreeRow,
     cyclic_power_table,
@@ -414,3 +416,30 @@ class TestStoredConstructor:
         assert rebuilt == t and hash(rebuilt) == hash(t) and rebuilt.rows == t.rows
         for twin in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
             assert twin == t and hash(twin) == hash(t) and twin is not t and twin._rows is None
+
+
+
+# tables.cut applies the view its localization names, so each cut of a view,
+# truncation included, relies on these laws; a Sylow bound is an upper bound
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(group_exprs(), st.tuples(st.integers(0, 30), st.sampled_from([2, 3, 5]))),
+    st.integers(min_value=0, max_value=12),
+    st.data(),
+    st.sampled_from([2, 3, 5]),
+)
+def test_views_are_idempotent_and_commute_with_truncation(source, bound, data, p):
+    sylow = isinstance(source, tuple)  # (n, q): the q-Sylow bound of S_n
+    try:
+        if sylow:
+            t = chow_symmetric_sylow_bound(*source, bound)
+        else:
+            t = chow_model(source, parse_field("C"), bound)
+    except UnsupportedError:
+        assume(False)
+    b = data.draw(st.integers(min_value=0, max_value=bound))
+    assert t.truncated(b).provenance == t.provenance == ((EXACT, UPPER_BOUND) if sylow else (EXACT,))
+    for view in (localize_table, mod_p_table):
+        v = view(t, p)
+        assert view(v, p) == v and view(t.truncated(b), p) == v.truncated(b)
+        assert v.provenance == v.truncated(b).provenance == t.provenance
