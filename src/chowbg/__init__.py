@@ -12,12 +12,7 @@ from importlib.util import find_spec, module_from_spec
 from threading import RLock
 from types import ModuleType
 
-from .errors import (
-    FieldParseError,
-    GradingError,
-    GroupParseError,
-    UnsupportedError,
-)
+from .errors import FieldParseError, GradingError, GroupParseError, UnsupportedError
 from .fields import (
     FieldDescriptor,
     GaloisFixedSpec,
@@ -27,13 +22,7 @@ from .fields import (
     galois_fixed_exponent,
     parse_field,
 )
-from .groups import (
-    GroupExpr,
-    format_group,
-    generator_bound,
-    parse_group_expr,
-    sylow_group,
-)
+from .groups import GroupExpr, format_group, generator_bound, parse_group_expr, sylow_group
 from .models import (
     chow_integral_symmetric,
     chow_model,
@@ -45,11 +34,7 @@ from .models import (
     localize_table,
     mod_p_table,
 )
-from .presentations import (
-    RingPresentation,
-    additive_table_from_presentation,
-    catalog_presentation,
-)
+from .presentations import RingPresentation, additive_table_from_presentation, catalog_presentation
 from .tables import ChowTable, DegreeRow, Localization
 
 # one lock for both, re-entrant: running cyclic loads graded

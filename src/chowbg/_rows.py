@@ -68,7 +68,8 @@ def from_rows(rows, bound: int, group, field, localization, provenance) -> ChowT
             l, a = torsion_sort_key(q)
             for s in _levels(levels, l, a, free)[:a]:
                 s[d] += m
-    table = _from_series(free, levels, bound, group, field, localization, provenance)
+    pairs = sorted(levels.items())
+    table = _from_series(free, pairs, bound, group, field, localization, provenance)
     _set_rows(table, rows)
     return table
 

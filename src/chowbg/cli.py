@@ -21,12 +21,7 @@ from ._intmath import is_prime
 from .errors import FieldParseError, GroupParseError, UnsupportedError, echo
 from .fields import galois_fixed_exponent, parse_field
 from .groups import format_group, generator_bound, parse_group_expr
-from .models import (
-    chow_model,
-    chow_model_localized,
-    chow_model_mod_p,
-    chow_symmetric_sylow_bound,
-)
+from .models import chow_model, chow_model_localized, chow_model_mod_p, chow_symmetric_sylow_bound
 from .presentations import catalog_presentation
 from .tables import ChowTable, Localization, torsion_counts
 

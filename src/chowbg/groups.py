@@ -151,9 +151,10 @@ class Wreath(_Node):
     __slots__ = ("p", "inner")
 
     def __new__(cls, p: int, inner: GroupExpr):
-        if not is_prime(p):
+        node = _interned.get((cls, p, inner))  # a live node's p was checked when it was made
+        if node is None and not is_prime(p):
             raise ValueError("wreath degree must be prime")
-        return super().__new__(cls, p, inner)
+        return super().__new__(cls, p, inner) if node is None else node
 
 
 class Product(_Node):

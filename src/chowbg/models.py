@@ -4,8 +4,9 @@ Every group but a wreath product is a list of Kunneth factors, and
 ``chow_model`` multiplies them with one ``tables.polynomial_table`` call:
 
 * the point is the empty list;
-* a classical group (Gm included) is the ``(degree, m)`` generator list of
-  its catalog presentation, one ring ``Z[x]/(m x)`` per Chern class;
+* a classical group (Gm included) is the ``(degree, m)`` list of its catalog
+  rule, ``presentations.catalog_classes``, one ring ``Z[x]/(m x)`` per Chern
+  class, read without building the ``RingPresentation`` the rule also makes;
 * a finite abelian group with enough roots of unity in the field is the
   symmetric algebra on its character group, one ``(1, m)`` generator per
   cyclic factor;
@@ -27,16 +28,16 @@ Anything outside this territory raises UnsupportedError, never a guess.
 
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
-(group, field), wreath products included, ``_memo`` serves a bound it reaches
-by one locked read, and each public function builds at most one table from
-it: ``chow_model`` a truncation, by ``ChowTable.truncated``, and the views and
-the Sylow bound through ``tables.cut``.  S_n tables come only from these
-general entry points: ``chow_integral_symmetric`` and ``chow_symmetric_local``
-check n (and p) and call ``chow_model`` and ``chow_model_localized``; the two
-views share one body, ``_view``, which cuts S_n's p-local ring from its closed
-form without the memo.  A Sylow bound builds its group once per memo lifetime
-and key (n // p, p).  A wreath table a build needs waits on an explicit stack,
-so a tower costs no Python frames.  Only a reader of ``rows`` builds rows.
+(group, field), wreath products included.  ``_memo`` serves a bound it reaches
+by one locked read; ``_build`` makes a leaf in one call, and a wreath waits
+for its inner table, a product for a wreath term's, on one explicit stack, so
+a tower costs no Python frames.  Each public function builds at most one table
+from the stored one: ``chow_model`` a truncation, by ``ChowTable.truncated``,
+the views and the Sylow bound a ``tables.cut``.  S_n tables come only from
+these general entry points, and the two views share one body, ``_view``, which
+cuts S_n's p-local ring from its closed form without the memo.  A Sylow bound
+builds its group once per memo lifetime and key (n // p, p).  Only a reader of
+``rows`` builds rows.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .groups import (
     Gm,
     GroupExpr,
     O,
+    Product,
     Sp,
     Symmetric,
     Trivial,
@@ -72,7 +74,7 @@ from .groups import (
     product_terms,
     sylow_group,
 )
-from .presentations import catalog_presentation, presentation_generators
+from .presentations import catalog_generators
 from .tables import (
     EXACT,
     EXTRAPOLATED_FIELD,
@@ -109,46 +111,75 @@ def chow_model(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     return _memo(g, k, bound).truncated(bound)
 
 
-def _memo(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """The stored table of (g, k), built if its bound is below ``bound``."""
-    builds = []  # (group, build) pairs waiting for a table, innermost last
+def _memo(g: GroupExpr, k: FieldDescriptor, bound: int, build: bool = True) -> ChowTable | None:
+    """The stored table of (g, k) if it reaches ``bound``, counted as a hit, by
+    one locked read; else the table built and stored, or None without ``build``."""
+    with _lock:
+        table = _widest.get((g, k))
+        if table is not None and 0 <= bound <= table.bound:
+            _stats[0] += 1
+            return table
+    return _build(g, k, bound) if build else None
+
+
+def _build(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
+    """Build and store the table of (g, k) through ``bound`` that the memo lacks, after
+    each wreath table it needs and lacks, in recursion order on one explicit stack: a
+    wreath waits there for its inner table as itself, a product for a wreath term's."""
+    waiting: list = []  # wreath groups and product builds, innermost last
     while True:
-        with _lock:
-            table = _widest.get((g, k))
-            hit = table is not None and 0 <= bound <= table.bound
-            _stats[0] += hit
-        if not hit:
+        if isinstance(g, Wreath):
+            waiting.append(g)
+            g = g.inner
+            table = _memo(g, k, bound, False)
+            if table is None:
+                continue
+        elif isinstance(g, Product):
+            waiting.append(_product(g, k, bound))
             table = None
-            builds.append((g, _build(g, k, bound)))  # it runs when sent a value
-        while builds:
-            group, build = builds[-1]
-            try:
-                g = build.send(table)  # the next group whose table it needs
+        else:  # a leaf: one plain build
+            table = _kunneth(g, k, bound, *_model(g, k, bound))
+        while waiting:  # hand the table to what waits for it
+            build = waiting[-1]
+            if type(build) is Wreath:
+                table = _store(build, k, bound, chow_wreath(build.p, table.truncated(bound)))
+            elif type(table := build.send(table)) is Wreath:  # the next term it waits on
+                g = table
                 break
-            except StopIteration as done:
-                table = done.value
-                builds.pop()
-                with _lock:
-                    _stats[1] += 1
-                    stored = _widest.get((group, k))
-                    if stored is None or bound > stored.bound:
-                        _widest[(group, k)] = table
+            waiting.pop()
         else:
             return table
 
 
-def _build(g: GroupExpr, k: FieldDescriptor, bound: int):
-    """A generator that yields each wreath group whose table the table of
-    (g, k) through ``bound`` needs, is sent that table, and returns its own."""
-    if isinstance(g, Wreath):
-        return chow_wreath(g.p, (yield g.inner).truncated(bound))
+def _product(g: GroupExpr, k: FieldDescriptor, bound: int):
+    """A product's build: yields each wreath term whose table is not stored, is
+    sent that table, and yields its own table last."""
     factors, extrapolated = [], False
     for t in product_terms(g):
-        generators, x = _model(t, k, bound, (yield t) if isinstance(t, Wreath) else None)
+        if isinstance(t, Wreath):  # one table factor
+            generators = [_memo(t, k, bound, False) or (yield t)]
+            x = EXTRAPOLATED_FIELD in generators[0].provenance
+        else:
+            generators, x = _model(t, k, bound)
         factors += generators
         extrapolated |= x
+    yield _kunneth(g, k, bound, factors, extrapolated)
+
+
+def _kunneth(g: GroupExpr, k: FieldDescriptor, bound: int, factors, extrapolated) -> ChowTable:
+    """The stored table of (g, k) through ``bound``: the Kunneth product of its factors."""
     provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-    return polynomial_table(factors, bound, g, k, INTEGRAL, provenance)
+    return _store(g, k, bound, polynomial_table(factors, bound, g, k, INTEGRAL, provenance))
+
+
+def _store(g: GroupExpr, k: FieldDescriptor, bound: int, table: ChowTable) -> ChowTable:
+    """Count the build of ``table`` and keep it unless a wider table of (g, k) is stored."""
+    with _lock:
+        _stats[1] += 1
+        stored = _widest.get((g, k))
+        if stored is None or bound > stored.bound:
+            _widest[(g, k)] = table
+    return table
 
 
 def _cache_clear() -> None:
@@ -162,26 +193,21 @@ chow_model.cache_info = lambda: CacheInfo(_stats[0], _stats[1], len(_widest))
 chow_model.cache_clear = _cache_clear
 
 
-def _model(
-    g: GroupExpr, k: FieldDescriptor, bound: int, table: ChowTable | None
-) -> tuple[list, bool]:
-    """The Kunneth factors of a product term over k for a table through
-    ``bound``, generators or a wreath's stored ``table``, and whether the
-    field rule behind any is extrapolated.  A classical group lists only its
-    Chern classes of degree <= bound, so its rank costs nothing."""
+def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
+    """The Kunneth generators over k of a product term, not a wreath product, for
+    a table through ``bound``, and whether the field rule behind any is extrapolated;
+    a classical group lists only its Chern classes of degree <= bound."""
     match g:
         case Trivial():
             return [], False
         case Gm() | GL() | O() | SO() | Sp() | G2():
             if k.characteristic == 2 and isinstance(g, (O, SO)):
                 require_char_ne(k, 2, f"CH^*(B{type(g).__name__}({echo_int(g.n)}))")
-            return presentation_generators(catalog_presentation(g, bound)), False
+            return catalog_generators(g, bound), False
         case CyclicZ() | FiniteAbelian():
             return _abelian_generators(g, k)
         case Symmetric(n):
             return _symmetric_generators(n, k, (p for p in range(2, n + 1) if is_prime(p))), False
-        case Wreath():
-            return [table], EXTRAPOLATED_FIELD in table.provenance
     raise TypeError(f"not a group expression: {g!r}")
 
 
@@ -217,7 +243,7 @@ def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
         raise UnsupportedError("wreath construction needs an exact inner table")
     if inner.localization.kind != "integral":
         raise UnsupportedError("wreath construction needs an integral inner table")
-    if inner.field is not None:
+    if inner.field is not None and not contains_mu(inner.field, p):  # the text is built to refuse
         require_mu(inner.field, p, f"wr({p}, -)")
     group = Wreath(p, inner.group) if inner.group is not None else None
     return cyclic_power_table(inner, p, group, inner.field, INTEGRAL, inner.provenance)

@@ -1,10 +1,9 @@
 """Ring presentations for the classical-group catalog.
 
-Every exact presentation in the catalog is a polynomial ring on Chern
-classes modulo relations of the single shape ``m * generator = 0``, so it
-is a list of ``(degree, m)`` generators, one ring ``Z[x]/(m x)`` per
-Chern class (m = 0 when no relation names it): the Kunneth factors that
-``tables.polynomial_table`` multiplies into the additive table.
+Each group kind has one catalog rule, ``catalog_classes``: a polynomial ring on
+Chern classes modulo relations ``m * c = 0``, so a list of ``(degree, m)``
+generators, one ring ``Z[x]/(m x)`` per class, which ``tables.polynomial_table``
+multiplies; ``catalog_presentation`` names the classes.
 """
 
 from __future__ import annotations
@@ -45,48 +44,53 @@ class RingPresentation(Record):
         super().__init__(group, generators, torsion_relations, completeness)
 
 
-def _chern(indices) -> tuple[tuple[str, int], ...]:
-    return tuple((f"c{i}", i) for i in indices)
-
-
-def catalog_presentation(g: GroupExpr, through: int | None = None) -> RingPresentation:
-    """The established generators-and-relations description of CH^*(BG).
-
-    GL(n) and Gm are polynomial rings on the Chern classes of the standard
-    representation; Sp(2n) on the even ones.  O(n) and SO(2n+1) add the
-    self-duality relations 2*c_i = 0 for odd i.  For G2 only the generators
-    are known (c1..c7 of the 7-dimensional representation).
-
-    With ``through``, only the generators of degree <= through and their
-    relations are listed: the same ring through that degree, and the
-    one a table through that degree is built from, so its size does not
-    grow with the rank.
-    """
-
-    def indices(first: int, last: int, step: int = 1) -> range:
-        return range(first, (last if through is None else min(last, through)) + 1, step)
-
+def catalog_classes(g: GroupExpr, through: int | None = None) -> tuple[list[tuple[int, int]], str]:
+    """The catalog rule of G, the one description of its ring: the Chern classes c_i
+    generating CH^*(BG) as ``(i, m)`` pairs, c_i of degree i with the relation m c_i = 0
+    (m = 0: none), which are the generators ``tables.polynomial_table`` takes, and the
+    completeness of that description; with ``through``, only those of degree <= through.
+    GL(n) and Gm are polynomial rings on the Chern classes of the standard representation;
+    Sp(2n) on the even ones.  O(n) and SO(2n+1) add the self-duality relations 2*c_i = 0
+    for odd i.  For G2 only the generators are known (c1..c7 of the 7-dim representation)."""
+    completeness, dual = EXACT_PRESENTATION, False
     match g:
         case Gm():
-            return RingPresentation(g, _chern(indices(1, 1)), (), EXACT_PRESENTATION)
+            first, last, step = 1, 1, 1
         case GL(n):
-            return RingPresentation(g, _chern(indices(1, n)), (), EXACT_PRESENTATION)
+            first, last, step = 1, n, 1
         case O(n):
-            rels = tuple((2, f"c{i}") for i in indices(1, n, 2))
-            return RingPresentation(g, _chern(indices(1, n)), rels, EXACT_PRESENTATION)
+            first, last, step, dual = 1, n, 1, True
         case Sp(n):
-            return RingPresentation(g, _chern(indices(2, n, 2)), (), EXACT_PRESENTATION)
+            first, last, step = 2, n, 2
         case SO(n) if n % 2 == 1:
-            rels = tuple((2, f"c{i}") for i in indices(3, n, 2))
-            return RingPresentation(g, _chern(indices(2, n)), rels, EXACT_PRESENTATION)
+            first, last, step, dual = 2, n, 1, True
         case SO(n):
             raise UnsupportedError(
                 f"CH^*(BSO({n})) for even rank is not generated by Chern classes of the "
                 "standard representation and has no complete description in this catalog"
             )
         case G2():
-            return RingPresentation(g, _chern(indices(1, 7)), (), GENERATORS_ONLY)
-    raise UnsupportedError(f"no catalog presentation for {format_group(g)}")
+            first, last, step, completeness = 1, 7, 1, GENERATORS_ONLY
+        case _:
+            raise UnsupportedError(f"no catalog presentation for {format_group(g)}")
+    top = last if through is None else min(last, through)
+    return [(i, 2 if dual and i % 2 else 0) for i in range(first, top + 1, step)], completeness
+
+
+def catalog_presentation(g: GroupExpr, through: int | None = None) -> RingPresentation:
+    """The established generators-and-relations description of CH^*(BG): its
+    catalog rule (``catalog_classes``) with the classes named c_i."""
+    classes, completeness = catalog_classes(g, through)
+    names = tuple((f"c{i}", i) for i, _ in classes)
+    return RingPresentation(g, names, tuple((m, f"c{i}") for i, m in classes if m), completeness)
+
+
+def catalog_generators(g: GroupExpr, through: int) -> list[tuple[int, int]]:
+    """``presentation_generators(catalog_presentation(g, through))``, built only to refuse."""
+    classes, completeness = catalog_classes(g, through)
+    if completeness == EXACT_PRESENTATION:
+        return classes
+    return presentation_generators(catalog_presentation(g, through))
 
 
 def presentation_generators(pres: RingPresentation) -> list[tuple[int, int]]:

@@ -21,12 +21,9 @@ pairs as ``row.counts``; no answer or output reads it, so the view and
 ``ChowTable.from_rows``, the checked reader of rows, run in ``_rows``.
 
 The kernels ``polynomial_table`` (the Kunneth product) and
-``cyclic_power_table`` (the wreath step), which build their table with its
-metadata, and ``cut``, behind the truncation and the views, work on the
-series, so their cost grows with the distinct (prime, exponent) levels and
-the bound, not with the pairs of classes.  The unit series (1, 0, ..., 0),
-the ``free`` of every finite group, multiplies and Polya-powers to a copy;
-a Polya power of another series packs it once (see ``_polya``).
+``cyclic_power_table`` (the wreath step), and ``cut``, behind the truncation
+and the views, work on the series, so their cost grows with the distinct
+(prime, exponent) levels and the bound, not with the pairs of classes.
 """
 
 from __future__ import annotations
@@ -157,20 +154,6 @@ _set_bound, _set_free, _set_levels, _set_group = ChowTable._setters[:4]
 _set_field, _set_localization, _set_provenance, _set_rows = ChowTable._setters[4:]
 
 
-def _stored_levels(free: tuple, levels: list) -> tuple:
-    """``levels``, (prime, list of level tuples) pairs by increasing prime, in
-    the stored form: the top levels that equal ``free`` (no summand of that
-    exponent) and then primes without levels dropped, so that equal tables
-    store equal series."""
-    out = []
-    for l, lv in levels:
-        while lv and lv[-1] == free:
-            lv.pop()
-        if lv:
-            out.append((l, tuple(lv)))
-    return tuple(out)
-
-
 def torsion_counts(table: ChowTable) -> list[tuple[tuple[int, int], ...]]:
     """The torsion of each degree 0..bound as canonical ``(order,
     multiplicity)`` pairs, read off the series: the count of Z/l^a in degree
@@ -227,16 +210,23 @@ def cut(bound, free, levels, group, field, localization, provenance) -> ChowTabl
         else:
             levels = ((p, kept),) if kept else ()
     if len(free) > bound + 1:
-        free = free[: bound + 1]
-        levels = _stored_levels(free, [(l, [s[: bound + 1] for s in lv]) for l, lv in levels])
+        return _from_series(free, levels, bound, group, field, localization, provenance)
     return ChowTable(bound, free, levels, group, field, localization, provenance)
 
 
-def _from_series(free: list[int], levels: dict, bound: int, *metadata) -> ChowTable:
-    """The table of kernel series with the given metadata (none: integral, exact)."""
-    free = tuple(free)
-    levels = _stored_levels(free, sorted((l, [tuple(s) for s in lv]) for l, lv in levels.items()))
-    return ChowTable(bound, free, levels, *metadata)
+def _from_series(free, levels, bound: int, *metadata) -> ChowTable:
+    """The table (metadata none: integral, exact) of series reaching ``bound`` and their
+    (prime, levels) pairs by increasing prime, in one pass to the stored form: every series
+    cut after ``bound``, the top levels equal to ``free`` and then primes without levels dropped."""
+    n = bound + 1
+    free, out = tuple(free[:n]), []
+    for l, lv in levels:
+        lv = [tuple(s[:n]) for s in lv]
+        while lv and lv[-1] == free:
+            lv.pop()
+        if lv:
+            out.append((l, tuple(lv)))
+    return ChowTable(bound, free, tuple(out), *metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +282,7 @@ def polynomial_table(factors, bound: int, *metadata) -> ChowTable:
             for l, e in factorint(m):
                 for s in _levels(levels, l, e, free)[:e]:
                     _stride_sum(s, degree)
-    return _from_series(free, levels, bound, *metadata)
+    return _from_series(free, sorted(levels.items()), bound, *metadata)
 
 
 def cyclic_power_table(table: ChowTable, p: int, *metadata) -> ChowTable:
@@ -324,7 +314,7 @@ def cyclic_power_table(table: ChowTable, p: int, *metadata) -> ChowTable:
     steps[1::p] = (at_p[0] if at_p else free)[: (bound - 1) // p + 1]
     alpha = _levels(out, p, 1, out_free)[0]
     alpha[:] = map(add, alpha, accumulate(steps))
-    return _from_series(out_free, out, bound, *metadata)
+    return _from_series(out_free, sorted(out.items()), bound, *metadata)
 
 
 def _levels(levels: dict, l: int, a: int, free: list[int]) -> list[list[int]]:

@@ -748,6 +748,16 @@ class TestDeepTrees:
         first = chow_model(parse_group_expr(text), C, 1)
         assert chow_model(parse_group_expr(text), C, 1) is first
 
+    def test_deep_wreath_product_alternation_at_the_default_recursion_limit(self):
+        # each level waits on the stack twice, as a wreath and as a product whose
+        # wreath term is not stored: 1,999 such builds and the leaf Z/3 x Z/2 = Z/6
+        g = parse_group_expr("wr(2, Z/3 x " * 1000 + "Z/2" + ")" * 1000)
+        chow_model.cache_clear()
+        limit = sys.getrecursionlimit()
+        table = chow_model(g, C, 2)
+        assert sys.getrecursionlimit() == limit and table.group is g
+        assert chow_model.cache_info() == (0, 2000, 2000)
+
 
 def abelian_invariant_factors_elementary(g):
     # invariant factors, split into prime powers to match table torsion
@@ -971,6 +981,11 @@ def _scripted_tallies(g, bound, stored):
     return hits, misses
 
 
+ROWS = "table must have one row per degree 0..bound"
+SYLOW_2 = (
+    "the 2-Sylow subgroup of S_%d is not cyclic; the stable-element computation beyond "
+    "prime-order Sylow subgroups is not available"
+)
 # F_7 holds the roots of unity of order 2, 3 and 6 only: over it Z/5 takes the
 # cyclotomic route, and Z/4 or a wreath wr(5, -) is refused
 FAST_FIELDS = [C, parse_field("F_7")]
@@ -1090,15 +1105,27 @@ class TestFastPaths:
         assert chow_model.cache_info() == (0, 0, 0)  # the S_n route keeps no memo entry
 
     @pytest.mark.parametrize(
-        "group, bound, error",
-        [("Z/2", -1, ValueError), ("S_4", 3, UnsupportedError), ("wr(2, Z/2)", -1, ValueError)],
-    )
-    def test_a_refused_request_counts_nothing(self, group, bound, error):
+        "group, field, bound, error, message, counts",
+        [
+            pytest.param("Z/2", C, -1, ValueError, ROWS, (0, 0, 0), id="Z/2--1-ValueError"),
+            pytest.param("S_4", C, 3, UnsupportedError, SYLOW_2 % 4, (0, 0, 0), id="S_4-3-UnsupportedError"),
+            pytest.param("wr(2, Z/2)", C, -1, ValueError, ROWS, (0, 0, 0), id="wr(2, Z/2)--1-ValueError"),
+            # the terms of a product are met in order, a wreath term's table built in its
+            # place: what finished before a refusal stays stored and counted
+            pytest.param("S_5 x wr(3, Z/3)", Q, 4, UnsupportedError, SYLOW_2 % 5, (0, 0, 0), id="S_5-first/Q"),
+            pytest.param("wr(3, Z/3) x S_5", Q, 4, UnsupportedError, f"wr(3, -) {MU} 3 in the base field", (0, 1, 1), id="wreath-first/Q"),
+            pytest.param("wr(2, Z/2) x S_5", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 2, 2), id="wreath-first/C"),
+            pytest.param("S_5 x wr(2, Z/2)", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 0, 0), id="S_5-first/C"),
+            pytest.param("wr(2, Z/2 x S_5)", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 0, 0), id="S_5-inside/C"),
+        ],
+    )  # fmt: skip
+    def test_a_refused_request_counts_nothing(self, group, field, bound, error, message, counts):
         # the misses are the builds: a build that raises stores and counts nothing
         chow_model.cache_clear()
-        with pytest.raises(error):
-            chow_model(parse_group_expr(group), C, bound)
-        assert chow_model.cache_info() == (0, 0, 0)
+        with pytest.raises(error) as info:
+            chow_model(parse_group_expr(group), field, bound)
+        assert type(info.value) is error and str(info.value) == message
+        assert chow_model.cache_info() == counts
 
     def test_a_hit_builds_one_table(self, monkeypatch):
         g = parse_group_expr("wr(2, Z/2) x wr(3, Z/3)")

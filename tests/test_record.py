@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import chowbg
+from chowbg._intmath import is_prime
 from chowbg._record import Record
 from chowbg.errors import GradingError
 from chowbg.fields import FieldDescriptor, galois_fixed_exponent, parse_field
@@ -153,6 +154,25 @@ def test_a_live_node_is_found_without_the_lock(monkeypatch):
     for p in (0, 1, 4, 21):
         with pytest.raises(ValueError, match="wreath degree must be prime"):
             Wreath(p, inner)
+
+
+def test_a_live_wreath_is_found_without_a_primality_check(monkeypatch):
+    from chowbg import groups
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return is_prime(p)
+
+    inner = Product(GL(1), O(1))
+    live = Wreath(3, inner)
+    monkeypatch.setattr(groups, "is_prime", counting)
+    assert Wreath(3, inner) is live and calls == []
+    assert Wreath(5, inner).p == 5 and calls == [5]  # a new node is checked once
+    with pytest.raises(ValueError, match="wreath degree must be prime"):
+        Wreath(21, inner)
+    assert calls == [5, 21]
 
 
 def test_tree_nodes_are_interned_across_threads():
