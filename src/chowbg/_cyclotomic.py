@@ -13,14 +13,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from ._intmath import factorint, is_prime, require_prime
-from .fields import (
-    ALGEBRAICALLY_CLOSED,
-    FIELD_RULE_ESTABLISHED,
-    FIELD_RULE_EXTRAPOLATED,
-    PRIME_FIELD,
-    FieldDescriptor,
-    contains_mu,
-)
+from .fields import FIELD_RULE_ESTABLISHED, FIELD_RULE_EXTRAPOLATED, FieldDescriptor, contains_mu
 from .groups import CyclicZ
 from .tables import ChowTable, DegreeRow
 
@@ -59,13 +52,9 @@ def cyclotomic_order(k: FieldDescriptor, p: int) -> int:
 
 def invariance_rule_status(k: FieldDescriptor, p: int) -> str:
     """Whether the degree-filtering rule for B(Z/p) over k is an established
-    computation (prime fields, their mu_p extensions, finite fields, closed
-    fields) or an extrapolation to a descriptor outside that list."""
-    if k.kind == ALGEBRAICALLY_CLOSED or k.characteristic != 0:
-        return FIELD_RULE_ESTABLISHED
-    if k.kind == PRIME_FIELD:
-        return FIELD_RULE_ESTABLISHED
-    if any(m % p == 0 for m in k.adjoined):
+    computation (closed fields, finite fields, Q and its mu_p extensions, Q(mu_1)
+    and Q(mu_2) being Q) or an extrapolation to a descriptor outside that list."""
+    if k.characteristic or all(m <= 2 for m in k.adjoined) or any(m % p == 0 for m in k.adjoined):
         return FIELD_RULE_ESTABLISHED
     return FIELD_RULE_EXTRAPOLATED
 

@@ -7,9 +7,9 @@ Every group but a wreath product is a list of Kunneth factors, and
 * a classical group (Gm included) is the ``(degree, m)`` list of its catalog
   rule, ``presentations.catalog_classes``, one ring ``Z[x]/(m x)`` per Chern
   class, read without building the ``RingPresentation`` the rule also makes;
-* a finite abelian group with enough roots of unity in the field is the
-  symmetric algebra on its character group, one ``(1, m)`` generator per
-  cyclic factor;
+* a finite abelian group is decided on its exponent e, which every invariant
+  factor divides: with mu_e in the field it is the symmetric algebra on its
+  character group, one ``(1, m)`` generator per cyclic factor;
 * a cyclic group of prime order p over a field lacking mu_p is ``(t, p)``,
   the ring ``Z[x^t]/(p x^t)`` of invariants, where t is the order of the
   cyclotomic-character image (``fields.apply_cyclotomic_invariants`` is
@@ -22,8 +22,8 @@ Every group but a wreath product is a list of Kunneth factors, and
   and memoized like any table; as a product term it is one table factor;
 * a product concatenates the lists of its terms (the Kunneth rule).
 
-Every rule assumes a characteristic prime to the orders it involves, checked
-by ``fields.require_char_ne``, and the wreath rule mu_p in k, by ``require_mu``.
+Every rule assumes char k prime to the orders it involves, the wreath rule mu_p
+in k too; ``fields.require_char_ne``/``require_mu`` word each refusal, after a test.
 Anything outside this territory raises UnsupportedError, never a guess.
 
 Tables are graded: the table through degree b is the first b + 1 degrees of
@@ -212,19 +212,18 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
 
 
 def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
-    """``_model`` of a finite abelian group: ``(1, m)`` per cyclic factor, or
-    ``(t, p)`` for a single Z/p over a field without mu_p."""
+    """``_model`` of a finite abelian group, decided on its exponent, the first factor:
+    ``(1, m)`` per cyclic factor, or ``(t, p)`` for a single Z/p over a field without mu_p."""
     factors = (g.n,) if isinstance(g, CyclicZ) else g.factors
-    for m in factors:  # the text of a check that passes is not built
-        if k.characteristic and m % k.characteristic == 0:
-            require_char_ne(k, m, f"B(Z/{echo_int(m)})")
-    if all(contains_mu(k, m) for m in factors):
+    e = factors[0]
+    if k.characteristic and e % k.characteristic == 0:  # the text is built only to refuse
+        require_char_ne(k, e, f"B(Z/{echo_int(e)})")
+    if contains_mu(k, e):
         return [(1, m) for m in factors], False
     # general-field path: only a single prime-order cyclic group is established
-    if len(factors) == 1 and is_prime(factors[0]):
-        p = factors[0]
-        extrapolated = invariance_rule_status(k, p) == FIELD_RULE_EXTRAPOLATED
-        return [(cyclotomic_order(k, p), p)], extrapolated
+    if len(factors) == 1 and is_prime(e):
+        extrapolated = invariance_rule_status(k, e) == FIELD_RULE_EXTRAPOLATED
+        return [(cyclotomic_order(k, e), e)], extrapolated
     raise UnsupportedError(
         f"{k.name or 'the base field'} lacks the roots of unity needed for "
         f"{' x '.join(f'Z/{echo_int(m)}' for m in factors)}; only a single Z/p is established "

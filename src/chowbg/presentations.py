@@ -77,20 +77,20 @@ def catalog_classes(g: GroupExpr, through: int | None = None) -> tuple[list[tupl
     return [(i, 2 if dual and i % 2 else 0) for i in range(first, top + 1, step)], completeness
 
 
-def catalog_presentation(g: GroupExpr, through: int | None = None) -> RingPresentation:
+def catalog_presentation(g: GroupExpr) -> RingPresentation:
     """The established generators-and-relations description of CH^*(BG): its
     catalog rule (``catalog_classes``) with the classes named c_i."""
-    classes, completeness = catalog_classes(g, through)
+    classes, completeness = catalog_classes(g)
     names = tuple((f"c{i}", i) for i, _ in classes)
     return RingPresentation(g, names, tuple((m, f"c{i}") for i, m in classes if m), completeness)
 
 
 def catalog_generators(g: GroupExpr, through: int) -> list[tuple[int, int]]:
-    """``presentation_generators(catalog_presentation(g, through))``, built only to refuse."""
+    """The catalog classes of degree <= through; the presentation is built only to refuse."""
     classes, completeness = catalog_classes(g, through)
     if completeness == EXACT_PRESENTATION:
         return classes
-    return presentation_generators(catalog_presentation(g, through))
+    return presentation_generators(catalog_presentation(g))
 
 
 def presentation_generators(pres: RingPresentation) -> list[tuple[int, int]]:

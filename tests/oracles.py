@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from functools import reduce
 from itertools import count
 from itertools import product as cartesian
@@ -364,6 +365,55 @@ def kunneth_factors(g):
         case FiniteAbelian(factors):
             return [CyclicZ(m) for m in factors]
     return [g]
+
+
+def integral_cohomology(g: GroupExpr, top: int) -> list[tuple[int, Counter]]:
+    """H^n(BG; Z) for n = 0..top, additively, for a product of finite cyclic
+    groups with GL, Gm and Sp factors: per degree the free rank and the
+    {prime power: multiplicity} of the torsion.  It uses no table code.
+
+    H^*(BZ/m) is Z in degree 0 and Z/m in each even positive degree.  GL(n),
+    Gm = GL(1) and Sp(n) have torsion-free even cohomology, polynomial on the
+    Chern classes c_i of degree 2i (i = 1..n, only even i for Sp).  A product
+    follows Kunneth's theorem with its Tor term,
+    H^n(X x Y) = (+)_{i+j=n} H^i (x) H^j  (+)  (+)_{i+j=n+1} Tor(H^i, H^j),
+    where Z/a (x) Z/b = Tor(Z/a, Z/b) = Z/gcd(a, b).  Each step is exact one
+    degree below its inputs, so every factor is taken to top + its count."""
+    reach = top + len(kunneth_factors(g))
+    point = [(1, [])] + [(0, [])] * reach
+    spaces = []
+    for t in kunneth_factors(g):
+        if isinstance(t, CyclicZ):
+            h = [(1, [])] + [(0, [] if d % 2 else [t.n]) for d in range(1, reach + 1)]
+        elif isinstance(t, (Gm, GL, Sp)):
+            n = 1 if isinstance(t, Gm) else t.n
+            chern = range(2, n + 1, 2) if isinstance(t, Sp) else range(1, n + 1)
+            ranks = poincare_coefficients(chern, reach // 2)
+            h = [(0 if d % 2 else ranks[d // 2], []) for d in range(reach + 1)]
+        elif isinstance(t, Trivial):
+            h = point
+        else:
+            raise ValueError(f"no cohomology oracle for {format_group(t)}")
+        spaces.append(h)
+    h = reduce(lambda x, y: _kunneth_cohomology(x, y, reach), spaces, point)
+    return [
+        (rank, Counter(q**e for m in orders for q, e in trial_factorint(m)))
+        for rank, orders in h[: top + 1]
+    ]
+
+
+def _kunneth_cohomology(x, y, reach: int):
+    """Kunneth's theorem through degree ``reach`` on (rank, [orders]) per degree."""
+    out = [[0, []] for _ in range(reach + 1)]
+    for i, (r, a) in enumerate(x):
+        for j, (s, b) in enumerate(y):
+            both = [gcd(u, v) for u in a for v in b]
+            if i + j <= reach:  # H^i (x) H^j
+                out[i + j][0] += r * s
+                out[i + j][1] += a * s + b * r + both
+            if 0 < i + j <= reach + 1:  # Tor(H^i, H^j) in degree i + j - 1
+                out[i + j - 1][1] += both
+    return [(rank, [m for m in orders if m > 1]) for rank, orders in out]
 
 
 def relabelled(table, **metadata):

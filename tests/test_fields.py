@@ -16,7 +16,12 @@ from chowbg.fields import (
 from chowbg.groups import CyclicZ
 from chowbg.models import chow_model
 from chowbg.tables import polynomial_table
-from oracles import cyclotomic_order_by_search, galois_exponent_by_search, regex_field_parts
+from oracles import (
+    cyclotomic_order_by_search,
+    galois_exponent_by_search,
+    regex_field_parts,
+    relabelled,
+)
 
 
 class TestParseField:
@@ -184,3 +189,11 @@ class TestInvariantFiltering:
         assert invariance_rule_status(parse_field("F_2"), 5) == FIELD_RULE_ESTABLISHED
         assert invariance_rule_status(parse_field("Q(mu_5)"), 5) == FIELD_RULE_ESTABLISHED
         assert invariance_rule_status(parse_field("Q(mu_3)"), 5) == FIELD_RULE_EXTRAPOLATED
+
+    @pytest.mark.parametrize("name", ["Q(mu_1)", "Q(mu_2)"])
+    def test_q_with_mu_1_or_mu_2_is_q(self, name):
+        # Q(mu_1) = Q(mu_2) = Q: the rule is established there, and the table is Q's
+        k, q = parse_field(name), parse_field("Q")
+        assert invariance_rule_status(k, 5) == FIELD_RULE_ESTABLISHED
+        table = chow_model(CyclicZ(5), k, 8)
+        assert table.field == k and relabelled(table, field=q) == chow_model(CyclicZ(5), q, 8)
