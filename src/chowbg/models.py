@@ -28,16 +28,16 @@ Anything outside this territory raises UnsupportedError, never a guess.
 
 Tables are graded: the table through degree b is the first b + 1 degrees of
 the table through any larger degree.  So the memo keeps one widest table per
-(group, field), wreath products included.  ``_memo`` serves a bound it reaches
-by one locked read; ``_build`` makes a leaf in one call, and a wreath waits
-for its inner table, a product for a wreath term's, on one explicit stack, so
-a tower costs no Python frames.  Each public function builds at most one table
-from the stored one: ``chow_model`` a truncation, by ``ChowTable.truncated``,
-the views and the Sylow bound a ``tables.cut``.  S_n tables come only from
-these general entry points, and the two views share one body, ``_view``, which
-cuts S_n's p-local ring from its closed form without the memo.  A Sylow bound
-builds its group once per memo lifetime and key (n // p, p).  Only a reader of
-``rows`` builds rows.
+(group, field).  ``_memo`` serves a bound it reaches by one locked read.  Each
+build is a ``_steps`` generator that yields the groups it waits on (a wreath's
+inner group, a product's wreath terms), then its table; ``_build`` runs them
+on one stack, so depth costs no Python frames.  Each public function builds at
+most one table from the stored one: ``chow_model`` a truncation, by
+``ChowTable.truncated``, the views and the Sylow bound a ``tables.cut``.  S_n
+tables come only from these general entry points, and the two views share one
+body, ``_view``, which cuts S_n's p-local ring from its closed form without
+the memo.  A Sylow bound builds its group once per memo lifetime and key
+(n // p, p).  Only a reader of ``rows`` builds rows.
 """
 
 from __future__ import annotations
@@ -123,53 +123,39 @@ def _memo(g: GroupExpr, k: FieldDescriptor, bound: int, build: bool = True) -> C
 
 
 def _build(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
-    """Build and store the table of (g, k) through ``bound`` that the memo lacks, after
-    each wreath table it needs and lacks, in recursion order on one explicit stack: a
-    wreath waits there for its inner table as itself, a product for a wreath term's."""
-    waiting: list = []  # wreath groups and product builds, innermost last
-    while True:
-        if isinstance(g, Wreath):
-            waiting.append(g)
-            g = g.inner
-            table = _memo(g, k, bound, False)
-            if table is None:
-                continue
-        elif isinstance(g, Product):
-            waiting.append(_product(g, k, bound))
-            table = None
-        else:  # a leaf: one plain build
-            table = _kunneth(g, k, bound, *_model(g, k, bound))
-        while waiting:  # hand the table to what waits for it
-            build = waiting[-1]
-            if type(build) is Wreath:
-                table = _store(build, k, bound, chow_wreath(build.p, table.truncated(bound)))
-            elif type(table := build.send(table)) is Wreath:  # the next term it waits on
-                g = table
-                break
-            waiting.pop()
-        else:
-            return table
+    """Build and store the table of (g, k) through ``bound``, and each table it waits on
+    that the memo lacks, in recursion order: one ``_steps`` generator each, on one stack."""
+    builds, step = [_steps(g, k, bound)], None
+    while builds:
+        step = builds[-1].send(step)  # None starts a build; a table resumes one
+        if type(step) is ChowTable:  # a finished build's table, sent to the build below
+            builds.pop()
+        else:  # a group it waits on, built first
+            builds.append(_steps(step, k, bound))
+            step = None
+    return step
 
 
-def _product(g: GroupExpr, k: FieldDescriptor, bound: int):
-    """A product's build: yields each wreath term whose table is not stored, is
-    sent that table, and yields its own table last."""
-    factors, extrapolated = [], False
-    for t in product_terms(g):
-        if isinstance(t, Wreath):  # one table factor
-            generators = [_memo(t, k, bound, False) or (yield t)]
-            x = EXTRAPOLATED_FIELD in generators[0].provenance
-        else:
-            generators, x = _model(t, k, bound)
-        factors += generators
-        extrapolated |= x
-    yield _kunneth(g, k, bound, factors, extrapolated)
-
-
-def _kunneth(g: GroupExpr, k: FieldDescriptor, bound: int, factors, extrapolated) -> ChowTable:
-    """The stored table of (g, k) through ``bound``: the Kunneth product of its factors."""
-    provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
-    return _store(g, k, bound, polynomial_table(factors, bound, g, k, INTEGRAL, provenance))
+def _steps(g: GroupExpr, k: FieldDescriptor, bound: int):
+    """The build of (g, k) through ``bound``: yields each group whose table it waits on and
+    the memo lacks, is sent that table, and yields its own stored table last.  A wreath
+    waits on its inner group, a product on its wreath terms, each one Kunneth factor."""
+    if isinstance(g, Wreath):
+        inner = _memo(g.inner, k, bound, False) or (yield g.inner)
+        table = chow_wreath(g.p, inner.truncated(bound))
+    else:
+        factors, extrapolated = [], False
+        for t in product_terms(g) if isinstance(g, Product) else (g,):
+            if isinstance(t, Wreath):
+                generators = [_memo(t, k, bound, False) or (yield t)]
+                x = EXTRAPOLATED_FIELD in generators[0].provenance
+            else:
+                generators, x = _model(t, k, bound)
+            factors += generators
+            extrapolated |= x
+        provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
+        table = polynomial_table(factors, bound, g, k, INTEGRAL, provenance)
+    yield _store(g, k, bound, table)
 
 
 def _store(g: GroupExpr, k: FieldDescriptor, bound: int, table: ChowTable) -> ChowTable:

@@ -1,12 +1,10 @@
-"""Ring presentations for the classical-group catalog.
-
-Each group kind has one catalog rule, ``catalog_classes``: a polynomial ring on
-Chern classes modulo relations ``m * c = 0``, so a list of ``(degree, m)``
-generators, one ring ``Z[x]/(m x)`` per class, which ``tables.polynomial_table``
-multiplies; ``catalog_presentation`` names the classes.
-"""
+"""Ring presentations for the classical-group catalog: one rule per group kind,
+``catalog_classes``, lazy ``(degree, m)`` Chern-class generators with ``m * c = 0``,
+which ``tables.polynomial_table`` multiplies and ``catalog_presentation`` names."""
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from ._record import Record
 from .errors import UnsupportedError
@@ -44,14 +42,13 @@ class RingPresentation(Record):
         super().__init__(group, generators, torsion_relations, completeness)
 
 
-def catalog_classes(g: GroupExpr, through: int | None = None) -> tuple[list[tuple[int, int]], str]:
-    """The catalog rule of G, the one description of its ring: the Chern classes c_i
-    generating CH^*(BG) as ``(i, m)`` pairs, c_i of degree i with the relation m c_i = 0
-    (m = 0: none), which are the generators ``tables.polynomial_table`` takes, and the
-    completeness of that description; with ``through``, only those of degree <= through.
-    GL(n) and Gm are polynomial rings on the Chern classes of the standard representation;
-    Sp(2n) on the even ones.  O(n) and SO(2n+1) add the self-duality relations 2*c_i = 0
-    for odd i.  For G2 only the generators are known (c1..c7 of the 7-dim representation)."""
+def catalog_classes(g: GroupExpr, through: int | None = None) -> tuple[Iterator[tuple[int, int]], str]:
+    """The catalog rule of G: the Chern classes c_i generating CH^*(BG), lazily, as
+    ``(i, m)`` pairs (c_i of degree i, m c_i = 0, m = 0 for none), the generators
+    ``tables.polynomial_table`` takes, and the completeness; with ``through``, only those
+    of degree <= through.  GL(n) and Gm are polynomial on the Chern classes of the standard
+    representation, Sp(2n) on the even ones; O(n) and SO(2n+1) add 2 c_i = 0 for odd i
+    (self-duality); for G2 only the generators are known (c1..c7 of the 7-dim representation)."""
     completeness, dual = EXACT_PRESENTATION, False
     match g:
         case Gm():
@@ -74,22 +71,25 @@ def catalog_classes(g: GroupExpr, through: int | None = None) -> tuple[list[tupl
         case _:
             raise UnsupportedError(f"no catalog presentation for {format_group(g)}")
     top = last if through is None else min(last, through)
-    return [(i, 2 if dual and i % 2 else 0) for i in range(first, top + 1, step)], completeness
+    return ((i, 2 if dual and i % 2 else 0) for i in range(first, top + 1, step)), completeness
 
 
 def catalog_presentation(g: GroupExpr) -> RingPresentation:
-    """The established generators-and-relations description of CH^*(BG): its
-    catalog rule (``catalog_classes``) with the classes named c_i."""
+    """The catalog presentation of CH^*(BG) in one pass; a relation reuses its class's name c_i."""
     classes, completeness = catalog_classes(g)
-    names = tuple((f"c{i}", i) for i, _ in classes)
-    return RingPresentation(g, names, tuple((m, f"c{i}") for i, m in classes if m), completeness)
+    names, relations = [], []
+    for i, m in classes:
+        names.append((name := f"c{i}", i))
+        if m:
+            relations.append((m, name))
+    return RingPresentation(g, tuple(names), tuple(relations), completeness)
 
 
 def catalog_generators(g: GroupExpr, through: int) -> list[tuple[int, int]]:
     """The catalog classes of degree <= through; the presentation is built only to refuse."""
     classes, completeness = catalog_classes(g, through)
     if completeness == EXACT_PRESENTATION:
-        return classes
+        return list(classes)
     return presentation_generators(catalog_presentation(g))
 
 

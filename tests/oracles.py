@@ -402,6 +402,31 @@ def integral_cohomology(g: GroupExpr, top: int) -> list[tuple[int, Counter]]:
     ]
 
 
+def orthogonal_cohomology(g: GroupExpr, top: int) -> list[tuple[int, int]]:
+    """(r_k, t_k) for k = 0..top: the free rank and the number of Z/2 summands of
+    H^k(BG; Z), for G = O(n) or SO(m) with m odd, from three standard facts and
+    no table code.  H^*(BO(n); F_2) = F_2[w_1, ..., w_n] and H^*(BSO(m); F_2) =
+    F_2[w_2, ..., w_m], w_i of degree i; rationally both are polynomial on the
+    Pontryagin classes p_i of degree 4i, i <= n // 2 (m // 2); and all torsion
+    of H^*(BO(n); Z) and H^*(BSO(m); Z) has order 2 (E. H. Brown, "The
+    cohomology of BSO_n and BO_n with integer coefficients", Proc. AMS 85, 1982).
+    So by universal coefficients dim H^k(F_2) = r_k + t_k + t_{k+1}, which gives
+    t_{k+1} = dim_k - r_k - t_k from t_0 = 0."""
+    if isinstance(g, O):
+        first = 1
+    elif isinstance(g, SO) and g.n % 2:
+        first = 2
+    else:
+        raise ValueError(f"no orthogonal cohomology oracle for {format_group(g)}")
+    dims = poincare_coefficients(range(first, g.n + 1), top)
+    pontryagin = poincare_coefficients(range(1, g.n // 2 + 1), top // 4)
+    ranks = [0 if k % 4 else pontryagin[k // 4] for k in range(top + 1)]
+    torsion = [0]
+    for k in range(top):
+        torsion.append(dims[k] - ranks[k] - torsion[k])
+    return list(zip(ranks, torsion))
+
+
 def _kunneth_cohomology(x, y, reach: int):
     """Kunneth's theorem through degree ``reach`` on (rank, [orders]) per degree."""
     out = [[0, []] for _ in range(reach + 1)]

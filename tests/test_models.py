@@ -53,6 +53,7 @@ from oracles import (
     integral_cohomology,
     kunneth_factors,
     labelled_kunneth_table,
+    orthogonal_cohomology,
     pairwise_kunneth_table,
     relabelled,
     sylow_group_by_towers,
@@ -770,7 +771,11 @@ class TestCycleMap:
     cohomology of ``oracles.integral_cohomology``, for products of finite
     cyclic groups with GL, Gm and Sp factors.  With at most two invariant
     factors every Tor term lands in an odd degree, so CH^i has the orders and
-    the free rank of H^{2i}; a third one puts a Tor term in H^4."""
+    the free rank of H^{2i}; a third one puts a Tor term in H^4.  For O(n) and
+    SO(2n+1), against ``oracles.orthogonal_cohomology``: the free rank of CH^i
+    is that of H^{2i}, and all torsion has order 2.  That CH^i has at most the
+    Z/2 count of H^{2i} would need the cycle map to be injective for these
+    groups, with a quoted source, so it is not checked."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -790,6 +795,27 @@ class TestCycleMap:
         ch2, (rank, h4) = chow_model(g, C, 2).row(2), integral_cohomology(g, 4)[4]
         assert (ch2.free_rank, rank) == (0, 0) and Counter(ch2.torsion) == Counter({p: 6})
         assert h4 == Counter({p: 7})  # the one more is Tor(H^3(B(Z/p)^2), H^2(BZ/p))
+
+    @pytest.mark.parametrize("text", [*(f"O({n})" for n in range(1, 7)), "SO(1)", "SO(3)", "SO(5)", "SO(7)"])
+    def test_orthogonal_chow_groups_have_the_rational_ranks_and_order_two(self, text):
+        # the paper's O(n) and SO(2n+1): CH^i has the free rank r_{2i} of H^{2i}, and every
+        # class of 2 c_odd = 0 has order 2, as all torsion of H^*(BG; Z) does
+        g = parse_group_expr(text)
+        h = orthogonal_cohomology(g, 20)
+        assert all(t >= 0 for _, t in h)
+        rows = chow_model(g, C, 10).rows
+        assert [row.free_rank for row in rows] == [r for r, _ in h[::2]]
+        assert all(set(row.torsion) <= {2} for row in rows)
+
+    def test_the_orthogonal_oracle_and_its_rank_check(self):
+        # H^*(BO(1); Z) = Z[x]/(2x), deg x = 2; H^*(BSO(3); Z) has Z/2 in degrees 3 and 6
+        # (W_3 and its square) and Z in degree 4 (p_1)
+        assert orthogonal_cohomology(O(1), 6) == [(1, 0), (0, 0), (0, 1), (0, 0), (0, 1), (0, 0), (0, 1)]
+        assert orthogonal_cohomology(SO(3), 6) == [(1, 0), (0, 0), (0, 0), (0, 1), (1, 0), (0, 0), (0, 1)]
+        # the 2-torsion moved onto the even classes of O(4) fails the rank check
+        moved = polynomial_table([(i, 0 if i % 2 else 2) for i in range(1, 5)], 10)
+        ranks = [r for r, _ in orthogonal_cohomology(O(4), 20)[::2]]
+        assert [row.free_rank for row in moved.rows] != ranks
 
 
 class TestDeepTrees:
@@ -1020,11 +1046,12 @@ def _assert_same_rows(table, reference):
     assert [hash(r) for r in table.rows] == [hash(r) for r in reference.rows]
 
 
-def _scripted_tallies(g, bound, stored):
+def _scripted_tallies(g, bound, stored, order=None):
     """The (hits, misses) of one memo lookup of g through ``bound`` >= 0,
     given the bound ``stored`` holds for each group, which it updates as the
     memo does: a miss builds g, and that build looks up the inner group of a
-    wreath, or each wreath term of a product, in order."""
+    wreath, or each wreath term of a product, in order.  Each group it marks
+    stored is appended to ``order``, if given: the memo's order of stores."""
     if stored.get(g, -1) >= bound:
         return 1, 0
     hits, misses = 0, 1
@@ -1033,9 +1060,11 @@ def _scripted_tallies(g, bound, stored):
     else:
         needs = [t for t in product_terms(g) if isinstance(t, Wreath)]
     for t in needs:
-        h, m = _scripted_tallies(t, bound, stored)
+        h, m = _scripted_tallies(t, bound, stored, order)
         hits, misses = hits + h, misses + m
     stored[g] = bound
+    if order is not None:
+        order.append(g)
     return hits, misses
 
 
@@ -1077,18 +1106,26 @@ class TestFastPaths:
                 chow_model(g, k, bound + 3 * (state == "larger-bound"))
             except UnsupportedError:
                 pass
-        before = chow_model.cache_info()
+        before, stores = chow_model.cache_info(), []  # the group of each store, in order
+
+        def recording(g, *rest, store=models._store):
+            stores.append(g)
+            return store(g, *rest)
+
         try:
-            table = fast(g, k, bound, p)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(models, "_store", recording)
+                table = fast(g, k, bound, p)
         except UnsupportedError as error:
             refusal = (UnsupportedError, str(error))
             assert _outcome(lambda: table_view(chow_model(g, k, bound), p)) == refusal
             return
         after = chow_model.cache_info()
-        stored = {}
-        expected = (1, 0) if state != "cold" else _scripted_tallies(g, bound, stored)
+        stored, order = {}, []
+        expected = (1, 0) if state != "cold" else _scripted_tallies(g, bound, stored, order)
         assert (after.hits - before.hits, after.misses - before.misses) == expected
         assert after.currsize == (len(stored) if state == "cold" else before.currsize)
+        assert stores == order  # the builds finish in the scripted order
         full = chow_model(g, k, bound)
         for reference in (table_view(full, p), reference_view(full, p)):
             assert table == reference and hash(table) == hash(reference)
@@ -1099,7 +1136,9 @@ class TestFastPaths:
         stored = {}
         # misses: the product, wr(2, wr(2, Z/2)), wr(2, Z/2), Z/2; the second
         # wreath term is the stored wr(2, Z/2)
-        assert _scripted_tallies(g, 6, stored) == (1, 4) and len(stored) == 4
+        order = []
+        assert _scripted_tallies(g, 6, stored, order) == (1, 4) and len(stored) == 4
+        assert order == [parse_group_expr(t) for t in ("Z/2", "wr(2, Z/2)", "wr(2, wr(2, Z/2))")] + [g]
         assert _scripted_tallies(g, 5, stored) == (1, 0)
         assert _scripted_tallies(g, 7, stored) == (1, 4)
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chowbg._intmath import factorint
 from chowbg.errors import UnsupportedError
-from chowbg.groups import Trivial, parse_group_expr
+from chowbg.groups import GL, Trivial, parse_group_expr
 from chowbg.presentations import (
     EXACT_PRESENTATION,
     GENERATORS_ONLY,
@@ -60,6 +62,22 @@ class TestCatalog:
             related = {name for _, name in p.torsion_relations}
             for name, degree in p.generators:
                 assert (degree % 2 == 1) == (name in related)
+
+    def test_a_full_presentation_is_built_in_one_pass(self):
+        # the classes are read lazily and each relation reuses its generator's name: for
+        # GL(10^5) one pass peaks at 21.1 MiB, and a list of all the classes held beside
+        # the presentation takes it to 26.5 MiB (CPython 3.11)
+        catalog_presentation(GL(3))
+        tracemalloc.start()
+        try:
+            p = catalog_presentation(GL(10**5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p.generators) == 10**5 and peak < 24 * 2**20
+        o = pres("O(9)")
+        names = {name: name for name, _ in o.generators}
+        assert all(name is names[name] for _, name in o.torsion_relations)
 
 
 class TestValidation:
