@@ -1,11 +1,16 @@
-"""Cyclotomic arithmetic for ``fields``, compiled on first use.
+"""The cyclotomic rule and its arithmetic, compiled on first use.
 
 Over a field that contains the roots of unity a table needs, C and Qbar
-among them, ``fields.contains_mu`` answers without any of this; it runs for
-a ``Z/p`` over a field without mu_p and for ``contains_mu`` over a finite
-field.  ``apply_cyclotomic_invariants``, the row-level reference for the
-``(t, p)`` generator, is here too.  ``fields`` keeps each public name as a
-delegate to the function of the same name here.
+among them, ``fields.contains_mu`` answers without any of this.  This module
+decides every finite abelian term over a field k without mu_e, e its
+exponent (``abelian_generators``): only a single Z/p is established there,
+as the ring ``Z[x^t]/(p x^t)`` of invariants, t the order of the image of
+the mod-p cyclotomic character.  ``require_alone`` refuses a product or a
+wreath product in which such a Z/p meets other p-torsion.  ``models`` calls
+both, and ``contains_mu`` over a finite field runs ``extension_degree``.
+``apply_cyclotomic_invariants``, the row-level reference for the ``(t, p)``
+generator, is here too.  ``fields`` keeps each public name as a delegate to
+the function of the same name here.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from ._intmath import factorint, is_prime, require_prime
+from .errors import UnsupportedError, echo, echo_int
 from .fields import FIELD_RULE_ESTABLISHED, FIELD_RULE_EXTRAPOLATED, FieldDescriptor, contains_mu
-from .groups import CyclicZ
+from .groups import CyclicZ, GroupExpr, Product, Symmetric, Wreath, format_group
 from .tables import ChowTable, DegreeRow
 
 
@@ -57,6 +63,57 @@ def invariance_rule_status(k: FieldDescriptor, p: int) -> str:
     if k.characteristic or all(m <= 2 for m in k.adjoined) or any(m % p == 0 for m in k.adjoined):
         return FIELD_RULE_ESTABLISHED
     return FIELD_RULE_EXTRAPOLATED
+
+
+def abelian_generators(factors: tuple[int, ...], k: FieldDescriptor) -> tuple[list, bool]:
+    """The Kunneth generators of the finite abelian group with invariant factors
+    ``factors`` over k, tame for its exponent e = factors[0] and without mu_e, and
+    whether the field rule is extrapolated: ``[(t, p)]`` for a single Z/p; any other
+    group is refused."""
+    e = factors[0]
+    if len(factors) == 1 and is_prime(e):
+        extrapolated = invariance_rule_status(k, e) == FIELD_RULE_EXTRAPOLATED
+        return [(cyclotomic_order(k, e), e)], extrapolated
+    raise UnsupportedError(
+        f"{k.name or 'the base field'} lacks the roots of unity needed for "
+        f"{' x '.join(f'Z/{echo_int(m)}' for m in factors)}; only a single Z/p is established "
+        "over such fields"
+    )
+
+
+def require_alone(g: GroupExpr, k: FieldDescriptor) -> None:
+    """Refuse g over k when a Z/p of g takes the ``(t, p)`` route (p odd, tame, mu_p
+    not in k) and g holds another source of p-torsion: a second such Z/p or an S_3
+    for p = 3, each counted as often as the wreath products above it copy it.
+
+    No other source can stay in an answered request: any other abelian term with
+    p | e needs mu_e, which contains mu_p; S_n with n >= 4 is refused; wr(q, -) adds
+    q-torsion with mu_q in k; a classical group adds 2-torsion.  A wr(q, -) with mu_q
+    not in k is not entered: its own guard refuses it.  Walks on an explicit stack."""
+    sources: dict[int, int] = {}  # p -> p-torsion sources, copies counted
+    routed = set()  # the p of each (t, p) term
+    stack = [(g, 1)]
+    while stack:
+        t, copies = stack.pop()
+        if type(t) is Product:
+            stack += ((t.right, copies), (t.left, copies))
+        elif type(t) is Wreath:
+            if contains_mu(k, t.p):
+                stack.append((t.inner, copies * t.p))
+        elif type(t) is CyclicZ:
+            p = t.n
+            if p > 2 and p != k.characteristic and not contains_mu(k, p) and is_prime(p):
+                routed.add(p)
+                sources[p] = sources.get(p, 0) + copies
+        elif type(t) is Symmetric and t.n == 3:
+            sources[3] = sources.get(3, 0) + copies
+    for p in sorted(routed):
+        if sources[p] > 1:
+            raise UnsupportedError(
+                f"{k.name or 'the base field'} lacks the roots of unity of order {echo_int(p)}, and "
+                f"Z/{echo_int(p)} meets other {echo_int(p)}-torsion in {echo(format_group(g))}; only "
+                "a single Z/p is established over such fields"
+            )
 
 
 def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:

@@ -10,10 +10,10 @@ Every group but a wreath product is a list of Kunneth factors, and
 * a finite abelian group is decided on its exponent e, which every invariant
   factor divides: with mu_e in the field it is the symmetric algebra on its
   character group, one ``(1, m)`` generator per cyclic factor;
-* a cyclic group of prime order p over a field lacking mu_p is ``(t, p)``,
-  the ring ``Z[x^t]/(p x^t)`` of invariants, where t is the order of the
-  cyclotomic-character image (``fields.apply_cyclotomic_invariants`` is
-  the reference for this filter);
+* over a field lacking mu_e, ``_cyclotomic`` decides it: a Z/p is ``(t, p)``,
+  the ring ``Z[x^t]/(p x^t)`` of invariants, t the order of the cyclotomic-
+  character image, any other is refused, and ``_build`` first refuses a
+  product or wreath product in which such a Z/p meets other p-torsion;
 * a symmetric group S_n has one generator per prime p <= n, of degree
   p - 1 and order p: the p-local ring ``Z[x]/(p x)``, while the p-Sylow
   subgroup is cyclic (n < 2p);
@@ -47,16 +47,7 @@ from threading import Lock
 
 from ._intmath import is_prime, require_prime
 from .errors import UnsupportedError, echo_int
-from .fields import (
-    COMPLEX,
-    FIELD_RULE_EXTRAPOLATED,
-    FieldDescriptor,
-    contains_mu,
-    cyclotomic_order,
-    invariance_rule_status,
-    require_char_ne,
-    require_mu,
-)
+from .fields import ALGEBRAICALLY_CLOSED, COMPLEX, FieldDescriptor, contains_mu, require_char_ne, require_mu
 from .groups import (
     G2,
     GL,
@@ -124,7 +115,12 @@ def _memo(g: GroupExpr, k: FieldDescriptor, bound: int, build: bool = True) -> C
 
 def _build(g: GroupExpr, k: FieldDescriptor, bound: int) -> ChowTable:
     """Build and store the table of (g, k) through ``bound``, and each table it waits on
-    that the memo lacks, in recursion order: one ``_steps`` generator each, on one stack."""
+    that the memo lacks, in recursion order: one ``_steps`` generator each, on one stack.
+    A product or wreath product over a field that is not closed is checked whole first."""
+    if k.kind != ALGEBRAICALLY_CLOSED and type(g) in (Product, Wreath):
+        from . import _cyclotomic
+
+        _cyclotomic.require_alone(g, k)
     builds, step = [_steps(g, k, bound)], None
     while builds:
         step = builds[-1].send(step)  # None starts a build; a table resumes one
@@ -198,23 +194,17 @@ def _model(g: GroupExpr, k: FieldDescriptor, bound: int) -> tuple[list, bool]:
 
 
 def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
-    """``_model`` of a finite abelian group, decided on its exponent, the first factor:
-    ``(1, m)`` per cyclic factor, or ``(t, p)`` for a single Z/p over a field without mu_p."""
+    """``_model`` of a finite abelian group, decided on its exponent e, the first factor:
+    tame for e, ``(1, m)`` per cyclic factor with mu_e in k, else ``_cyclotomic``'s rule."""
     factors = (g.n,) if isinstance(g, CyclicZ) else g.factors
     e = factors[0]
     if k.characteristic and e % k.characteristic == 0:  # the text is built only to refuse
         require_char_ne(k, e, f"B(Z/{echo_int(e)})")
     if contains_mu(k, e):
         return [(1, m) for m in factors], False
-    # general-field path: only a single prime-order cyclic group is established
-    if len(factors) == 1 and is_prime(e):
-        extrapolated = invariance_rule_status(k, e) == FIELD_RULE_EXTRAPOLATED
-        return [(cyclotomic_order(k, e), e)], extrapolated
-    raise UnsupportedError(
-        f"{k.name or 'the base field'} lacks the roots of unity needed for "
-        f"{' x '.join(f'Z/{echo_int(m)}' for m in factors)}; only a single Z/p is established "
-        "over such fields"
-    )
+    from . import _cyclotomic  # the cyclotomic rule: (t, p) for a single Z/p, else refused
+
+    return _cyclotomic.abelian_generators(factors, k)
 
 
 # ---------------------------------------------------------------------------

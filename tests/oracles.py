@@ -855,6 +855,61 @@ def _valuation(m: int, p: int) -> int:
     return v
 
 
+# ---------------------------------------------------------------------------
+# the company of a cyclotomic Z/p: the p-torsion sources of a group over a
+# field without mu_p, counted by recursion on the tree
+
+
+def holds_roots_by_search(k, p):
+    """Whether k holds the p-th roots of unity, p an odd prime other than
+    char k: C and Qbar do; Q(mu_a) does iff p | a; F_l(mu_a) is the field
+    with l**r elements, r the least with a | l**r - 1, and does iff
+    p | l**r - 1."""
+    if k.kind == "algebraically_closed":
+        return True
+    if k.characteristic == 0:
+        return any(a % p == 0 for a in k.adjoined)
+    l = k.characteristic
+    r = next(r for r in count(1) if all((l**r - 1) % a == 0 for a in k.adjoined))
+    return (l**r - 1) % p == 0
+
+
+def cyclotomic_company(g, k):
+    """(sources, routed) for g over k: ``sources`` counts, per prime p, the
+    p-torsion sources of g, each invariant factor that p divides, each of
+    the n // p disjoint p-cycles of an S_n and each wreath degree q = p, a
+    wreath wr(q, H) holding q copies of the sources of H; classical groups
+    hold only 2-torsion.  ``routed`` is the set of odd primes p other than
+    char k with a Z/p term of g and mu_p not in k: the primes whose Z/p
+    takes the cyclotomic (t, p) route."""
+    sources, routed = Counter(), set()
+
+    def walk(t, copies):
+        match t:
+            case CyclicZ() | FiniteAbelian():
+                factors = (t.n,) if isinstance(t, CyclicZ) else t.factors
+                n = factors[0]
+                if len(factors) == 1 and n > 2 and n != k.characteristic and trial_is_prime(n):
+                    if not holds_roots_by_search(k, n):
+                        routed.add(n)
+                for m in factors:
+                    for p, _ in trial_factorint(m):
+                        sources[p] += copies
+            case Symmetric(n):
+                for p in range(2, n + 1):
+                    if trial_is_prime(p):
+                        sources[p] += copies * (n // p)
+            case Wreath(q, inner):
+                sources[q] += copies
+                walk(inner, copies * q)
+            case Product(left, right):
+                walk(left, copies)
+                walk(right, copies)
+
+    walk(g, 1)
+    return sources, routed
+
+
 def json_dump_reference(obj, out):
     """The CLI's JSON output as the json module writes it: the bytes
     chowbg.cli._emit_json must reproduce."""

@@ -315,12 +315,12 @@ def test_only_help_and_usage_errors_load_argparse(argv, loaded):
 # modules (help and usage errors also compile _usage, the argparse builder).
 # The bounds are upper bounds, so a verb may come to compile less.
 COMPILED_SURFACE = {
-    "describe": (10, 1634),
-    "series": (10, 1634),
-    "presentation": (10, 1634),
-    "galois-exponent": (10, 1634),
-    "bound": (10, 1634),
-    "sylow": (10, 1634),
+    "describe": (10, 1622),
+    "series": (10, 1622),
+    "presentation": (10, 1622),
+    "galois-exponent": (10, 1622),
+    "bound": (10, 1622),
+    "sylow": (10, 1622),
 }
 # The modules compiled only where their code first runs: big-integer
 # primality and factoring, the cyclotomic arithmetic of fields without all
@@ -378,6 +378,23 @@ def _compiled_by(argv, tmp_path) -> dict[str, int]:
 )
 def test_a_table_request_compiles_only_its_writer(fmt, loaded, tmp_path):
     compiled = _compiled_by(["describe", "O(8)", "--max-degree", "33", "--format", fmt], tmp_path)
+    assert set(compiled) & ON_DEMAND == loaded, compiled
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["describe", "GL(3)", "--field", "Q"], set()),
+        (["describe", "O(4)", "--field", "F_5", "--mod", "2"], set()),
+        (["describe", "wr(2, Z/3) x GL(2)", "--field", "Qbar"], set()),
+        (["describe", "Z/5", "--field", "Q"], {"_cyclotomic.py"}),
+    ],
+    ids=["classical/Q", "classical/F_5", "product/Qbar", "Z/5/Q"],
+)
+def test_only_a_field_without_its_roots_of_unity_compiles_the_cyclotomic_rule(argv, loaded, tmp_path):
+    # a single classical term meets no cyclotomic rule, and over a closed field
+    # no product is checked for a cyclotomic Z/p's company
+    compiled = _compiled_by(argv, tmp_path)
     assert set(compiled) & ON_DEMAND == loaded, compiled
 
 
@@ -529,6 +546,11 @@ END_TO_END = [
         3, b"", lambda err: b"roots of unity of order 3" in err and b"-th" not in err, 60,
     ),
     ("describe 'Z/3 x GL(1) x Z/3' --field Q", 3, None, None, 60),
+    (
+        "describe 'Z/3 x wr(2, S_3)' --field F_5",
+        3, b"", b"unsupported: F_5 lacks the roots of unity of order 3, and Z/3 meets other "
+        b"3-torsion in Z/3 x wr(2, S_3); only a single Z/p is established over such fields\n", 60,
+    ),
     (f"galois-exponent --prime {_P15} --degree 4", 0, None, b"", 5),
     (f"describe Z/{_P15} --max-degree 2", 0, None, b"", 5),
     (f"describe S_3 --prime {_P15}", 0, None, b"", 5),
@@ -616,6 +638,32 @@ PINS = {
         "a5bd9866f96406b4e703ddbc2435475879d7b69c23403cfa19dcdb732efb4e4a",
     "sylow 12 --prime 2 --max-degree 6":
         "3789d43da9082d8c61001651fdd42f9db15db8531c3dba0b28c9344fb5d47811",
+    # Z/3 next to other 3-torsion over fields that hold mu_3, and a cyclotomic
+    # Z/3 over Q whose company has no 3-torsion
+    "describe 'wr(2, Z/3)' --field C --max-degree 6":
+        "db248bfd79095d66c2e65518e37db051430b1efe378772ec24717031ae025d93",
+    "describe 'Z/3 x S_3' --field C --max-degree 6":
+        "9d1b6b5d71a166f7eb3dd99a57c65a0fd20e1d6b2a5adddbd1159914ee4854da",
+    "describe 'Z/3 x wr(2, S_3)' --field C --max-degree 6":
+        "7e6c10d056288b601666d9450e86eb4423e45bae0a3542a2c5e54b7dfe9c4cc4",
+    "describe 'Z/3 x wr(2, Z/3)' --field C --max-degree 6":
+        "bb322c00abbd3c518773556efd82846d3e52dc0b8b0261ffed5d1d2629603ad7",
+    "describe 'wr(2, Z/3)' --field 'Q(mu_3)' --max-degree 6":
+        "989b29a12dc5eb1cb4a04c705b54229da930857eefd909ffa1a27f5a3b9c478c",
+    "describe 'Z/3 x S_3' --field 'Q(mu_3)' --max-degree 6":
+        "d9f55bdd42e60b24dd6bdf37c7cee7162bbe4d7436c832af23e400d37a9b6b58",
+    "describe 'Z/3 x wr(2, S_3)' --field 'Q(mu_3)' --max-degree 6":
+        "566c109d55db276b1007840b87030135015e2053f5c9e5e18574a53bd030600a",
+    "describe 'Z/3 x wr(2, Z/3)' --field 'Q(mu_3)' --max-degree 6":
+        "397a755fc9be66eede969ace9aa675506aae4966e6d629126fa5bb7c8a7f37e6",
+    "describe Z/3 --field Q --max-degree 6":
+        "2d69e7f93460ae06559e90ae71b57cb3e375ebf80a990fedb5c01237462b09b1",
+    "describe 'Z/3 x O(1)' --field Q --max-degree 6":
+        "eb6b6bdd9a9c8b8f31050a7d50f7e83df1ac7e31b219713afee85969470ca7c9",
+    "describe 'GL(2) x Z/3' --field Q --max-degree 6":
+        "ffd55c823871998c8df0e189d22809112d8b4f5a5d21c355cd8edab0b37b23d4",
+    "describe 'wr(2, Z/2) x Z/3' --field Q --max-degree 6":
+        "d756cc7e854ad3db0da1f9a21910d83a361bb59fbfa856fa6129c36d88e3c5c7",
 }
 END_TO_END += [(command, 0, digest, b"", 10) for command, digest in PINS.items()]
 

@@ -2,6 +2,7 @@ import pickle
 import re
 import sys
 from collections import Counter
+from itertools import product as sequences
 from math import lcm
 
 import pytest
@@ -47,6 +48,7 @@ from chowbg.tables import (
 )
 from oracles import (
     abelian_invariant_factors,
+    cyclotomic_company,
     from_counts_localize_table,
     from_counts_mod_p_table,
     group_order,
@@ -722,8 +724,8 @@ class TestIsomorphicSpellings:
     spellings of one group give equal rows or both an UnsupportedError over
     any field that contains the roots of unity the group needs.  Over a field
     without some mu_p the cyclotomic route of a single Z/p still tells
-    spellings apart (item 1's open defect), so those fields are not drawn; four
-    such pairs over Q are strict xfails, for the mend of item 1 to flip."""
+    coprime spellings apart (item 1's open coprime step), so those fields are
+    not drawn; four such pairs over Q are strict xfails, for that step to flip."""
 
     @settings(max_examples=150, deadline=None)
     @given(_spellings_over_fields_with_roots(), st.integers(min_value=0, max_value=6))
@@ -757,6 +759,57 @@ class TestIsomorphicSpellings:
         assert _rows_or_refusal(parse_group_expr(text), k, 3) == _rows_or_refusal(
             parse_group_expr(other), k, 3
         )
+
+
+# the terms and fields of the exhaustive scan: every sequence of 2 or 3 atoms
+# over each field, at bound 4
+COMPANY_ATOMS = (
+    "Z/2", "Z/3", "Z/5", "O(1)", "O(2)", "S_2", "S_3", "GL(1)",
+    "wr(2, 1)", "wr(2, Z/2)", "wr(2, Z/3)", "wr(2, S_3)",
+)  # fmt: skip
+COMPANY_FIELDS = ("C", "Q", "Q(mu_3)", "Q(mu_5)", "F_5", "F_7")
+
+
+class TestCyclotomicCompany:
+    """ROADMAP item 1's same-prime step.  Over a field without mu_p (p odd) a
+    Z/p takes the cyclotomic ``(t, p)`` route, established for a single Z/p
+    only; next to another p-torsion source, a second Z/p or an S_3, the
+    request is refused before any table is built."""
+
+    def test_every_ordering_agrees_and_a_cyclotomic_term_has_no_company(self):
+        chow_model.cache_clear()
+        outcomes = {}  # (field, sorted terms) -> the table's series, or the refusal type
+        for text in COMPANY_FIELDS:
+            k = parse_field(text)
+            for terms in (t for n in (2, 3) for t in sequences(COMPANY_ATOMS, repeat=n)):
+                g = parse_group_expr(" x ".join(terms))
+                try:
+                    table = chow_model(g, k, 4)
+                except UnsupportedError:
+                    outcome = UnsupportedError
+                else:
+                    outcome = (table.free, table.levels, table.provenance)
+                    sources, routed = cyclotomic_company(g, k)
+                    assert all(sources[p] == 1 for p in routed), (text, terms, sources, routed)
+                assert outcomes.setdefault((text, tuple(sorted(terms))), outcome) == outcome, (text, terms)
+        chow_model.cache_clear()
+        answered = sum(outcome is not UnsupportedError for outcome in outcomes.values())
+        # 2,372 at the parent of the same-prime step; the coprime step answers more
+        assert (len(outcomes), answered) == (2652, 2074)
+
+    @pytest.mark.parametrize(
+        "text, k, sources, routed",
+        [
+            ("wr(2, Z/3)", "Q", {2: 1, 3: 2}, {3}),
+            ("Z/3 x S_3", "Q", {2: 1, 3: 2}, {3}),
+            ("Z/3 x S_3", "Q(mu_3)", {2: 1, 3: 2}, set()),
+            ("Z/5 x wr(3, S_3)", "F_7", {2: 3, 3: 4, 5: 1}, {5}),
+            ("Z/15", "Q", {3: 1, 5: 1}, set()),
+            ("Z/3 x GL(2)", "F_3", {3: 1}, set()),
+        ],
+    )
+    def test_the_company_oracle(self, text, k, sources, routed):
+        assert cyclotomic_company(parse_group_expr(text), parse_field(k)) == (sources, routed)
 
 
 def _rows_or_refusal(g, k, bound):
@@ -1073,6 +1126,8 @@ SYLOW_2 = (
     "the 2-Sylow subgroup of S_%d is not cyclic; the stable-element computation beyond "
     "prime-order Sylow subgroups is not available"
 )
+LACKS, SINGLE = "lacks the roots of unity needed", "only a single Z/p is established over such fields"
+COMPANY = f"%s lacks the roots of unity of order 3, and Z/3 meets other 3-torsion in %s; {SINGLE}"
 # F_7 holds the roots of unity of order 2, 3 and 6 only: over it Z/5 takes the
 # cyclotomic route, and Z/4 or a wreath wr(5, -) is refused
 FAST_FIELDS = [C, parse_field("F_7")]
@@ -1214,6 +1269,13 @@ class TestFastPaths:
             pytest.param("wr(2, Z/2) x S_5", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 2, 2), id="wreath-first/C"),
             pytest.param("S_5 x wr(2, Z/2)", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 0, 0), id="S_5-first/C"),
             pytest.param("wr(2, Z/2 x S_5)", C, 4, UnsupportedError, SYLOW_2 % 5, (0, 0, 0), id="S_5-inside/C"),
+            pytest.param("Z/3 x Z/3", Q, 4, UnsupportedError, f"Q {LACKS} for Z/3 x Z/3; {SINGLE}", (0, 0, 0), id="Z/3 x Z/3/Q"),
+            # a cyclotomic Z/3 with company is refused before any table is built
+            *(
+                pytest.param(g, parse_field(k), 4, UnsupportedError, COMPANY % (k, g), (0, 0, 0), id=f"{g}/{k}")
+                for g in ("wr(2, Z/3)", "Z/3 x S_3", "Z/3 x wr(2, S_3)", "Z/3 x wr(2, Z/3)")
+                for k in ("Q", "F_5", "Q(mu_5)")
+            ),
         ],
     )  # fmt: skip
     def test_a_refused_request_counts_nothing(self, group, field, bound, error, message, counts):
