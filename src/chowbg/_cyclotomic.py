@@ -8,6 +8,9 @@ as the ring ``Z[x^t]/(p x^t)`` of invariants, t the order of the image of
 the mod-p cyclotomic character.  ``require_alone`` refuses a product or a
 wreath product in which such a Z/p meets other p-torsion.  ``models`` calls
 both, and ``contains_mu`` over a finite field runs ``extension_degree``.
+``chow_wreath``, behind ``models.chow_wreath``, checks a table of BG handed
+in from outside as ``chow_model`` checks wr(p, G), company included, before
+the wreath rule ``models._wreath`` runs on it.
 ``apply_cyclotomic_invariants``, the row-level reference for the ``(t, p)``
 generator, is here too.  ``fields`` keeps each public name as a delegate to
 the function of the same name here.
@@ -21,7 +24,8 @@ from ._intmath import factorint, is_prime, require_prime
 from .errors import UnsupportedError, echo, echo_int
 from .fields import FIELD_RULE_ESTABLISHED, FIELD_RULE_EXTRAPOLATED, FieldDescriptor, contains_mu
 from .groups import CyclicZ, GroupExpr, Product, Symmetric, Wreath, format_group
-from .tables import ChowTable, DegreeRow
+from .models import _wreath
+from .tables import EXACT, UPPER_BOUND, ChowTable, DegreeRow
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -114,6 +118,22 @@ def require_alone(g: GroupExpr, k: FieldDescriptor) -> None:
                 f"Z/{echo_int(p)} meets other {echo_int(p)}-torsion in {echo(format_group(g))}; only "
                 "a single Z/p is established over such fields"
             )
+
+
+def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
+    """``models.chow_wreath``: the table of B(wr(p, G)) from a table of BG handed in
+    from outside, refused as ``chow_model`` refuses wr(p, G).  The memo's own wreath
+    builds skip these checks: their p comes from a prime ``Wreath`` node, their inner
+    tables are exact and integral, and ``_build`` walked the request for company."""
+    require_prime(p)
+    if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
+        raise UnsupportedError("wreath construction needs an exact inner table")
+    if inner.localization.kind != "integral":
+        raise UnsupportedError("wreath construction needs an integral inner table")
+    group = Wreath(p, inner.group) if inner.group is not None else None
+    if group is not None and inner.field is not None:  # not entered without mu_p: _wreath refuses
+        require_alone(group, inner.field)
+    return _wreath(p, inner, group)
 
 
 def apply_cyclotomic_invariants(table: ChowTable, t: int) -> ChowTable:

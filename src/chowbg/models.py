@@ -18,8 +18,9 @@ Every group but a wreath product is a list of Kunneth factors, and
   p - 1 and order p: the p-local ring ``Z[x]/(p x)``, while the p-Sylow
   subgroup is cyclic (n < 2p);
 * a wreath product wr(p, G) is the codimension cyclic power
-  ``tables.cyclic_power_table`` of the table of G, built by ``chow_wreath``
-  and memoized like any table; as a product term it is one table factor;
+  ``tables.cyclic_power_table`` of the table of G, built by the rule alone,
+  ``_wreath``, and memoized like any table; as a product term it is one table
+  factor, and ``chow_wreath`` checks a table of G handed in from outside;
 * a product concatenates the lists of its terms (the Kunneth rule).
 
 Every rule assumes char k prime to the orders it involves, the wreath rule mu_p
@@ -138,17 +139,16 @@ def _steps(g: GroupExpr, k: FieldDescriptor, bound: int):
     waits on its inner group, a product on its wreath terms, each one Kunneth factor."""
     if isinstance(g, Wreath):
         inner = _memo(g.inner, k, bound, False) or (yield g.inner)
-        table = chow_wreath(g.p, inner.truncated(bound))
+        table = _wreath(g.p, inner.truncated(bound), g)
     else:
         factors, extrapolated = [], False
         for t in product_terms(g) if isinstance(g, Product) else (g,):
-            if isinstance(t, Wreath):
-                generators = [_memo(t, k, bound, False) or (yield t)]
-                x = EXTRAPOLATED_FIELD in generators[0].provenance
+            if isinstance(t, Wreath):  # exact: company refuses a cyclotomic Z/p under a wreath
+                factors.append(_memo(t, k, bound, False) or (yield t))
             else:
                 generators, x = _model(t, k, bound)
-            factors += generators
-            extrapolated |= x
+                factors += generators
+                extrapolated |= x
         provenance = (EXACT, EXTRAPOLATED_FIELD) if extrapolated else (EXACT,)
         table = polynomial_table(factors, bound, g, k, INTEGRAL, provenance)
     yield _store(g, k, bound, table)
@@ -212,15 +212,18 @@ def _abelian_generators(g: GroupExpr, k: FieldDescriptor) -> tuple[list, bool]:
 
 
 def chow_wreath(p: int, inner: ChowTable) -> ChowTable:
-    """Table of B(wr(p, G)) from the exact integral table of BG via the codim cyclic power."""
-    require_prime(p)
-    if EXACT not in inner.provenance or UPPER_BOUND in inner.provenance:
-        raise UnsupportedError("wreath construction needs an exact inner table")
-    if inner.localization.kind != "integral":
-        raise UnsupportedError("wreath construction needs an integral inner table")
+    """Table of B(wr(p, G)) from the exact integral table of BG via the codim cyclic power,
+    refused as ``chow_model`` refuses wr(p, G), by ``_cyclotomic.chow_wreath``."""
+    from . import _cyclotomic
+
+    return _cyclotomic.chow_wreath(p, inner)
+
+
+def _wreath(p: int, inner: ChowTable, group: GroupExpr | None) -> ChowTable:
+    """The wreath rule: the table of ``group`` = wr(p, G) from the exact integral table of
+    BG, mu_p in its field, a prime p; the memo's tables and nodes meet every other hypothesis."""
     if inner.field is not None and not contains_mu(inner.field, p):  # the text is built to refuse
         require_mu(inner.field, p, f"wr({p}, -)")
-    group = Wreath(p, inner.group) if inner.group is not None else None
     return cyclic_power_table(inner, p, group, inner.field, INTEGRAL, inner.provenance)
 
 

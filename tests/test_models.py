@@ -2,6 +2,7 @@ import pickle
 import re
 import sys
 from collections import Counter
+from itertools import islice
 from itertools import product as sequences
 from math import lcm
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chowbg import models
+from chowbg import _cyclotomic, models
 from chowbg._intmath import is_prime
 from chowbg.errors import UnsupportedError
 from chowbg.fields import contains_mu, parse_field, require_mu
@@ -40,6 +41,7 @@ from chowbg.models import (
 )
 from chowbg.tables import (
     EXACT,
+    EXTRAPOLATED_FIELD,
     INTEGRAL,
     UPPER_BOUND,
     ChowTable,
@@ -236,16 +238,16 @@ class TestDispatch:
 
 def _count_builds(monkeypatch):
     """Record the arguments of every ``polynomial_table`` and wreath build
-    (``chow_wreath``, which the memo calls) that ``chowbg.models`` makes, by
-    the name of the function."""
+    (``_wreath``, which the memo calls) that ``chowbg.models`` makes, the
+    wreath builds under ``chow_wreath``, the public name of the rule."""
     calls = {"polynomial_table": [], "chow_wreath": []}
-    for name, build in (("polynomial_table", polynomial_table), ("chow_wreath", chow_wreath)):
+    for key, name in (("polynomial_table", "polynomial_table"), ("chow_wreath", "_wreath")):
 
-        def counting(*args, name=name, build=build):
-            calls[name].append(args)
+        def counting(*args, key=key, build=getattr(models, name)):
+            calls[key].append(args)
             return build(*args)
 
-        monkeypatch.setattr(f"chowbg.models.{name}", counting)
+        monkeypatch.setattr(models, name, counting)
     return calls
 
 
@@ -779,6 +781,7 @@ class TestCyclotomicCompany:
     def test_every_ordering_agrees_and_a_cyclotomic_term_has_no_company(self):
         chow_model.cache_clear()
         outcomes = {}  # (field, sorted terms) -> the table's series, or the refusal type
+        checked = 0  # the memo entries already read, in the order they were stored
         for text in COMPANY_FIELDS:
             k = parse_field(text)
             for terms in (t for n in (2, 3) for t in sequences(COMPANY_ATOMS, repeat=n)):
@@ -791,6 +794,10 @@ class TestCyclotomicCompany:
                     outcome = (table.free, table.levels, table.provenance)
                     sources, routed = cyclotomic_company(g, k)
                     assert all(sources[p] == 1 for p in routed), (text, terms, sources, routed)
+                    # so no wreath table holds a cyclotomic Z/p's extrapolated field rule
+                    stored = islice(reversed(models._widest.items()), len(models._widest) - checked)
+                    assert not [h for (h, _), t in stored if type(h) is Wreath and EXTRAPOLATED_FIELD in t.provenance]
+                    checked = len(models._widest)
                 assert outcomes.setdefault((text, tuple(sorted(terms))), outcome) == outcome, (text, terms)
         chow_model.cache_clear()
         answered = sum(outcome is not UnsupportedError for outcome in outcomes.values())
@@ -810,6 +817,41 @@ class TestCyclotomicCompany:
     )
     def test_the_company_oracle(self, text, k, sources, routed):
         assert cyclotomic_company(parse_group_expr(text), parse_field(k)) == (sources, routed)
+
+    def test_an_outside_inner_table_gets_the_answer_of_chow_model(self):
+        # chow_wreath(p, T) for T the table of G checks T as chow_model checks wr(p, G)
+        chow_model.cache_clear()
+        compared = refused = 0
+        for text in ("1", *COMPANY_ATOMS, "Z/3 x S_3", "GL(2) x Z/3"):
+            g = parse_group_expr(text)
+            for field in COMPANY_FIELDS:
+                k = parse_field(field)
+                try:
+                    inner = chow_model(g, k, 4)
+                except UnsupportedError:
+                    continue
+                for p in (2, 3, 5):
+                    outside = _outcome(lambda: chow_wreath(p, inner))
+                    assert outside == _outcome(lambda: chow_model(Wreath(p, g), k, 4)), (text, field, p)
+                    compared += 1
+                    refused += outside[0] is UnsupportedError
+        chow_model.cache_clear()
+        # 13 of the refusals were answered before chow_wreath ran the company walk
+        assert (compared, refused) == (249, 106)
+
+    def test_one_company_walk_per_build_of_a_tower(self, monkeypatch):
+        # _build walks the request once; the wreath levels it builds walk nothing
+        walks, walk = [], _cyclotomic.require_alone
+        monkeypatch.setattr(_cyclotomic, "require_alone", lambda g, k: walks.append(g) or walk(g, k))
+        tower = CyclicZ(2)
+        for _ in range(1000):
+            tower = Wreath(2, tower)
+        for field, expected in (("Q", 1), ("C", 0)):
+            chow_model.cache_clear()
+            walks.clear()
+            assert chow_model(tower, parse_field(field), 2).group is tower
+            assert len(walks) == expected, field
+        chow_model.cache_clear()
 
 
 def _rows_or_refusal(g, k, bound):
