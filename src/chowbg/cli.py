@@ -3,16 +3,20 @@
 Verbs: describe, series, presentation, galois-exponent, bound, sylow.
 Exit codes: 0 success, 2 parse error (group or field text; a group text
 error gives its byte offset) or usage error (bad flags or integers), 3
-unsupported computation, 1 stdout closed before the output was written.
-Output is deterministic: degrees and torsion are emitted in canonical order,
-JSON objects in fixed key order.  A well-formed argv is read straight from
-``VERBS``: only help and usage errors load argparse.  Only a ``--format json``
-request compiles ``_json``, which builds and writes every JSON answer.
+unsupported computation, 1 stdout closed before the output was written; a
+closed stderr drops the message, not the code.  ``run`` returns the code,
+``main`` ends the process.  Output is deterministic: degrees and torsion in
+canonical order, JSON objects in fixed key order.  A well-formed argv is read
+from ``VERBS``: only help and usage errors load argparse.  Only a ``--format
+json`` request compiles ``_json``, which builds and writes every JSON answer.
 """
 
 from __future__ import annotations
 
+import _thread
+import atexit
 import gc
+import io
 import os
 import sys
 from types import SimpleNamespace
@@ -52,17 +56,9 @@ def _int_arg(minimum: int, prime: bool = False):
     return parse
 
 
-# ---------------------------------------------------------------------------
-# rendering
-
-
 def render_row_value(free_rank: int, counts: tuple[tuple[int, int], ...]) -> str:
     """One degree's group from its free rank and canonical (order, multiplicity) pairs."""
-    parts = []
-    if free_rank == 1:
-        parts.append("Z")
-    elif free_rank > 1:
-        parts.append(f"Z^{free_rank}")
+    parts = [] if not free_rank else ["Z"] if free_rank == 1 else [f"Z^{free_rank}"]
     for order, mult in counts:
         parts.append(f"Z/{order}" if mult == 1 else f"(Z/{order})^{mult}")
     return " ⊕ ".join(parts) if parts else "0"
@@ -111,10 +107,6 @@ def _emit_answer(keys: dict, out) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verbs
-
-
 def _compute_table(args) -> ChowTable:
     g = parse_group_expr(args.group)
     k = parse_field(args.field)
@@ -144,9 +136,7 @@ def _run_series(args, out) -> int:
         from . import _json
 
         return _emit_answer({**_json.header_keys(table), "kind": kind, "values": list(table.free)}, out)
-    out.write(f"group: {format_group(table.group)}\n")
-    out.write(f"kind: {kind}\n")
-    out.write("series: " + " ".join(map(str, table.free)) + "\n")
+    out.write(f"group: {format_group(table.group)}\nkind: {kind}\nseries: {' '.join(map(str, table.free))}\n")
     return 0
 
 
@@ -156,13 +146,10 @@ def _run_presentation(args, out) -> int:
         from . import _json
 
         return _emit_answer(_json.presentation_keys(pres), out)
-    out.write(f"group: {format_group(pres.group)}\n")
-    out.write(f"completeness: {pres.completeness}\n")
-    gens = " ".join(f"{n}:{d}" for n, d in pres.generators)
-    out.write(f"generators: {gens}\n")
+    out.write(f"group: {format_group(pres.group)}\ncompleteness: {pres.completeness}\ngenerators: ")
+    out.write(" ".join(f"{n}:{d}" for n, d in pres.generators) + "\n")
     if pres.torsion_relations:
-        rels = ", ".join(f"{m}*{n} = 0" for m, n in pres.torsion_relations)
-        out.write(f"relations: {rels}\n")
+        out.write("relations: " + ", ".join(f"{m}*{n} = 0" for m, n in pres.torsion_relations) + "\n")
     elif pres.completeness == "exact":
         out.write("relations: none\n")
     return 0
@@ -188,15 +175,11 @@ def _run_bound(args, out) -> int:
 
 
 def _run_sylow(args, out) -> int:
-    k = parse_field(args.field)
-    table = chow_symmetric_sylow_bound(args.n, args.prime, args.max_degree, field=k)
+    table = chow_symmetric_sylow_bound(args.n, args.prime, args.max_degree, field=parse_field(args.field))
     if args.format == "table":  # the table's group is the Sylow subgroup
         out.write(f"{args.prime}-Sylow subgroup of S_{args.n}: {format_group(table.group)}\n")
     return _emit_table(table, args, out)
 
-
-# ---------------------------------------------------------------------------
-# arguments
 
 # Each verb's help, runner and arguments, in the order -h and argparse's errors
 # list them: a name and its add_argument keywords, or a tuple of those, a
@@ -281,26 +264,40 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 3
 
 
+def _drain(text: str = "") -> None:
+    """Write text to stderr and flush both streams; a closed one drops its bytes."""
+    for fd, stream, tail in ((1, sys.stdout, ""), (2, sys.stderr, text)):
+        try:
+            if stream:
+                stream.write(tail)
+                stream.flush()
+        except OSError:  # what stays buffered goes to devnull, not to an exit error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
 def main() -> None:
-    # One request, then exit.  A well-formed request leaves no cyclic garbage,
-    # help or a usage error only argparse's parser graph (about 330 objects),
-    # so a collection, during it or at shutdown, would only trace every loaded
-    # module, class and function; freezing the heap keeps shutdown from it.
-    # run() and the library leave GC state alone.
+    # One request leaves at most argparse's parser graph as cyclic garbage, so
+    # the collector stays off and the heap is frozen.  Teardown only frees memory:
+    # with no tool, -i prompt or other thread to wait for, the process skips it.
     gc.disable()
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
+    out = sys.stdout or open(os.devnull)  # stdout closed: every write raises OSError
+    err = io.StringIO()  # written after the request: a closed stderr keeps the code
     try:
-        code = run(sys.argv[1:])
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-    except BrokenPipeError:
-        # the reader left: send what is still buffered to devnull and exit
-        # with EPIPE's status, as the Python docs' SIGPIPE note does
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        code = run(sys.argv[1:], out, err)
+        out.flush()  # a closed pipe raises here, not at interpreter exit
+    except OSError:  # stdout closed or its reader left: EPIPE's status
         code = 1
+    _drain(err.getvalue())
     gc.freeze()
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from 3.12
+    if not (sys.gettrace() or sys.getprofile() or sys.flags.inspect or _thread._count()
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        atexit._run_exitfuncs()
+        _drain()
+        os._exit(code)
     sys.exit(code)
 
 

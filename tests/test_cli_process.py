@@ -115,8 +115,8 @@ def test_flat_product_of_500_terms():
 
 
 def _timed_run(argv):
-    # a ``-c`` argv is a Python program, any other one a CLI request
-    command = [sys.executable, *argv] if argv[0] == "-c" else [*CLI, *argv]
+    # a ``-c`` or ``-m`` argv is a Python command line, any other one a CLI request
+    command = [sys.executable, *argv] if argv[0] in ("-c", "-m") else [*CLI, *argv]
     start = time.perf_counter()
     child = subprocess.run(command, env=ENV, capture_output=True, timeout=60)
     return child, time.perf_counter() - start
@@ -277,14 +277,13 @@ def test_cli_import_loads_neither_json_nor_dataclasses():
     assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
 
 
-# runs chowbg.cli as `python -m` does and prints which of argparse and json it loaded
+# runs chowbg.cli as `python -m` does and, from an exit handler, prints which of
+# argparse and json it loaded; the exit code is the child's return code
 _STDLIB_PROBE = """
-    import runpy, sys
+    import atexit, runpy, sys
+    atexit.register(lambda: print([m for m in ("argparse", "json") if m in sys.modules], file=sys.stderr))
     sys.argv = ["chowbg", *sys.argv[1:]]
-    try:
-        runpy.run_module("chowbg.cli", run_name="__main__")
-    except SystemExit as exc:
-        print(exc.code, [m for m in ("argparse", "json") if m in sys.modules], file=sys.stderr)
+    runpy.run_module("chowbg.cli", run_name="__main__")
 """
 
 
@@ -306,8 +305,7 @@ def test_only_help_and_usage_errors_load_argparse(argv, loaded):
         text=True,
         timeout=60,
     )
-    assert child.returncode == 0
-    assert child.stderr.splitlines()[-1] == loaded
+    assert f"{child.returncode} {child.stderr.splitlines()[-1]}" == loaded
 
 
 # The chowbg modules and their non-blank lines that one text request of each
@@ -327,10 +325,10 @@ COMPILED_SURFACE = {
 # roots of unity, the JSON answers, the repr and pickling of group tree nodes
 # and the row API.  A text table over C and a survey call run none of them.
 ON_DEMAND = {"_cyclotomic.py", "_factoring.py", "_json.py", "_nodes.py", "_rows.py"}
-# runs chowbg.cli as `python -m` does, and prints each compiled chowbg file
-# with its non-blank line count, from the "compile" audit events
+# runs chowbg.cli as `python -m` does and, from an exit handler, prints each
+# compiled chowbg file with its non-blank line count, from the "compile" audit events
 _SURFACE_PROBE = """
-    import os, runpy, sys
+    import atexit, os, runpy, sys
     package = os.path.join(sys.argv[1], "")
     compiled = {}
     def hook(event, args):
@@ -338,11 +336,9 @@ _SURFACE_PROBE = """
             source = args[0] if isinstance(args[0], bytes) else args[0].encode()
             compiled[args[1][len(package):]] = sum(1 for line in source.splitlines() if line.strip())
     sys.addaudithook(hook)
+    atexit.register(lambda: print(compiled, file=sys.stderr))
     sys.argv = ["chowbg", *sys.argv[2:]]
-    try:
-        runpy.run_module("chowbg.cli", run_name="__main__")
-    except SystemExit as exc:
-        print(exc.code, compiled, file=sys.stderr)
+    runpy.run_module("chowbg.cli", run_name="__main__")
 """
 
 
@@ -368,9 +364,7 @@ def _compiled_by(argv, tmp_path) -> dict[str, int]:
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    code, compiled = child.stderr.split(" ", 1)
-    assert code == "0"
-    return ast.literal_eval(compiled)
+    return ast.literal_eval(child.stderr)
 
 
 @pytest.mark.parametrize(
@@ -465,21 +459,19 @@ def test_tracer_installs_without_loading_on_demand_modules():
     assert not loaded & ON_DEMAND, loaded
 
 
-# runs chowbg.cli as `python -m` does and prints its exit code and the number
-# of DegreeRow objects made, counted by a replaced DegreeRow.__new__
+# runs chowbg.cli as `python -m` does and, from an exit handler, prints the
+# number of DegreeRow objects made, counted by a replaced DegreeRow.__new__
 _ROW_PROBE = """
-    import runpy, sys
+    import atexit, runpy, sys
     from chowbg.tables import DegreeRow
     made = []
     def counting_new(cls, *args):
         made.append(cls)
         return object.__new__(cls)
     DegreeRow.__new__ = staticmethod(counting_new)
+    atexit.register(lambda: print(len(made), file=sys.stderr))
     sys.argv = ["chowbg", *sys.argv[1:]]
-    try:
-        runpy.run_module("chowbg.cli", run_name="__main__")
-    except SystemExit as exc:
-        print(exc.code, len(made), file=sys.stderr)
+    runpy.run_module("chowbg.cli", run_name="__main__")
 """
 _AUDITED_REQUESTS = [
     ["describe", "O(8)", "--max-degree", "32"],
@@ -509,14 +501,25 @@ def test_no_verb_builds_a_degree_row(argv):
         timeout=60,
     )
     assert child.returncode == 0 and child.stdout, child.stderr
-    assert child.stderr == "0 0\n"
+    assert child.stderr == "0\n"
 
 
 # End-to-end checks, one fresh process each: (argv as shell words, exit code,
 # stdout, stderr, seconds).  An expected output of None is not read, a str is
 # the sha256 of the bytes, bytes are the bytes and a function is a predicate;
-# "-c" runs a Python program instead of the CLI.
+# "-c" and "-m" run a Python command line instead of the CLI.
 _ONES, _P15 = "1" * 4000, 10**15 + 37
+# -c programs that run the CLI on their own arguments with stdout or stderr
+# closed, or with stderr a pipe whose reader has gone
+_EXEC_CLI = 'os.execv(sys.executable, [sys.executable, "-m", "chowbg.cli", *sys.argv[1:]])'
+_STDOUT_CLOSED = f"-c 'import os, sys; os.close(1); {_EXEC_CLI}'"
+_STDERR_CLOSED = f"-c 'import os, sys; os.close(2); {_EXEC_CLI}'"
+_STDERR_GONE = f"-c 'import os, sys; r, w = os.pipe(); os.close(r); os.dup2(w, 2); {_EXEC_CLI}'"
+_SO4_REFUSAL = (
+    b"unsupported: CH^*(BSO(4)) for even rank is not generated by Chern classes of the "
+    b"standard representation and has no complete description in this catalog\n"
+)
+_Z2_TO_1 = b"group: Z/2\nfield: C\nlocalization: integral\nprovenance: exact\n  0: Z\n  1: Z/2\n"
 END_TO_END = [
     ("describe O(3) --max-degree 3", 0, None, b"", 60),
     ("describe 'Z/5 x GL(1)' --field Q --max-degree 8 --format json", 0, None, b"", 60),
@@ -605,6 +608,63 @@ for t in (chow_model(g, C, 12), chow_model_localized(g, C, 12, 2)):
     assert all(twin == t for twin in twins), twins
 '""",
         0, b"", b"", 60,
+    ),
+    # a closed stdout keeps a refusal's exit code, a closed stderr every code
+    (f"{_STDOUT_CLOSED} describe Z/2", 1, b"", b"", 60),
+    (f"{_STDOUT_CLOSED} describe 'SO(4)'", 3, b"", _SO4_REFUSAL, 60),
+    (f"{_STDERR_CLOSED} describe 'SO(4)'", 3, b"", b"", 60),
+    (f"{_STDERR_GONE} describe 'SO(4)'", 3, b"", b"", 60),
+    (f"{_STDERR_CLOSED} describe Z/", 2, b"", b"", 60),
+    (f"{_STDERR_GONE} describe Z/", 2, b"", b"", 60),
+    # main() ends the process without interpreter teardown, after the answer
+    # and the exit handlers, unless a profiler or another thread waits for it
+    (
+        """-c '
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("exit handler, collector on:", gc.isenabled()))
+atexit.register(lambda: print("exit handler", file=sys.stderr))
+sys.argv = ["chowbg", *sys.argv[1:]]
+runpy.run_module("chowbg.cli", run_name="__main__")
+' describe Z/2 --max-degree 1""",
+        0, _Z2_TO_1 + b"exit handler, collector on: False\n", b"exit handler\n", 60,
+    ),
+    (
+        """-c '
+import atexit, runpy, sys
+atexit.register(lambda: print("exit handler", file=sys.stderr))
+sys.argv = ["chowbg", *sys.argv[1:]]
+runpy.run_module("chowbg.cli", run_name="__main__")
+' describe 'SO(4)'""",
+        3, b"", _SO4_REFUSAL + b"exit handler\n", 60,
+    ),
+    (
+        # teardown drops the entries of sys.modules, frozen heap or not
+        """-c '
+import os, runpy, sys
+class Loud:
+    def __del__(self, write=os.write):
+        write(2, b"torn down\\n")
+sys.modules["loud"] = Loud()
+sys.argv = ["chowbg", *sys.argv[1:]]
+runpy.run_module("chowbg.cli", run_name="__main__")
+' describe Z/2 --max-degree 1""",
+        0, _Z2_TO_1, b"", 60,
+    ),
+    (
+        "-m cProfile -m chowbg.cli describe Z/2 --max-degree 1",
+        0, lambda out: out.startswith(_Z2_TO_1) and b" function calls " in out, b"", 60,
+    ),
+    (
+        """-c '
+import runpy, sys, threading, time
+def late():
+    time.sleep(0.5)
+    print("thread done", file=sys.stderr)
+threading.Thread(target=late).start()
+sys.argv = ["chowbg", *sys.argv[1:]]
+runpy.run_module("chowbg.cli", run_name="__main__")
+' describe Z/2 --max-degree 1""",
+        0, _Z2_TO_1, b"thread done\n", 60,
     ),
 ]
 # sha256 pins of the paper's constructions at large degree: B(Z/2), cyclic powers,
